@@ -27,10 +27,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """i.i.d. draws from a random variable; ``seed`` is informational."""
+    """i.i.d. draws from a random variable."""
 
     draws: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         draws = np.atleast_2d(np.asarray(self.draws, dtype=float))
@@ -47,7 +46,6 @@ def sample(
     count: int,
     rng: np.random.Generator,
     ledger: CostLedger | None = None,
-    seed: int | None = None,
 ) -> SampleBatch:
     """Draw ``count`` i.i.d. outcomes; charges ``count`` classical samples."""
     if count < 1:
@@ -55,7 +53,7 @@ def sample(
     idx = rng.choice(rv.size, size=count, p=rv.prob)
     if ledger is not None:
         ledger.charge(classical_samples=float(count))
-    return SampleBatch(draws=rv.values[idx], seed=seed)
+    return SampleBatch(draws=rv.values[idx])
 
 
 def _shifted_mean(rows: np.ndarray) -> np.ndarray:

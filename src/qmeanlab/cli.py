@@ -38,7 +38,6 @@ from .harness import (
     expected_branch,
     export,
     load_rows,
-    regime_classify,
     report_to_dict,
     run_sweep,
     run_trials,
@@ -121,23 +120,44 @@ _SWEEP_KEYS = {
 }
 
 
+def _rv_body(kind: str, body, required: set, optional: set) -> dict:
+    if not (isinstance(body, dict) and required <= set(body) <= required | optional):
+        raise ValueError(
+            f"rv {kind!r} must be an object with keys {sorted(required)}"
+            f" (optional: {sorted(optional)}), got {body!r}"
+        )
+    return body
+
+
 def _rv_from_doc(doc, base_dir: Path):
     """Resolve the 'rv' entry of a sweep config: file, inline, battery, or hard."""
     if not isinstance(doc, dict) or len(doc) != 1:
         raise ValueError("rv must be an object with exactly one of: file, inline, battery, hard")
     (kind, body), = doc.items()
     if kind == "file":
+        if not isinstance(body, str):
+            raise ValueError(f"rv 'file' must be a path string, got {body!r}")
         return _load_spec(str(base_dir / body))
     if kind == "inline":
         return parse_distribution_spec(json.dumps(body))
     if kind == "battery":
-        name = body["name"]
-        dists = standard_battery(int(body["d"]), scale=float(body.get("scale", 1.0)))
-        if name not in dists:
+        body = _rv_body(kind, body, {"name", "d"}, {"scale"})
+        name, d, scale = body["name"], body["d"], body.get("scale", 1.0)
+        if not (_typed(d, int) and d >= 1 and _typed(scale, float) and scale > 0):
+            raise ValueError(f"battery needs an integer d >= 1 and a scale > 0, got {body!r}")
+        dists = standard_battery(d, scale=float(scale))
+        if not isinstance(name, str) or name not in dists:
             raise ValueError(f"battery name must be one of {sorted(dists)}, got {name!r}")
         return dists[name]
     if kind == "hard":
-        rv, _ = _build_hard(body["family"], dict(body.get("params", {})))
+        body = _rv_body(kind, body, {"family"}, {"params"})
+        params = body.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f"rv 'hard' params must be an object, got {params!r}")
+        for key, value in params.items():
+            if not _typed(value, _param_type(key, body["family"])):
+                raise ValueError(f"hard-instance parameter {key!r} has the wrong type: {value!r}")
+        rv, _ = _build_hard(body["family"], params)
         return rv
     raise ValueError(f"unknown rv source {kind!r}")
 
@@ -170,8 +190,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     path = Path(args.config)
     doc = json.loads(path.read_text(encoding="utf-8"))
     config, output = _config_from_doc(doc, path.parent)
-    results = run_sweep(config) if config.n_grid else [run_trials(config)]
-    rows = [res.row for res in results]
+    rows = [res.row for res in run_sweep(config)]
     for row in rows:
         nprime = "-" if row.nprime is None else f"{row.nprime:g}"
         print(
@@ -192,9 +211,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # hard
 
-_INT_PARAMS = {"d", "alpha", "seed"}
-_FLOAT_PARAMS = {"sigma"}
-_STR_PARAMS = {"b", "normalization"}
+_PARAM_TYPES = {"d": int, "alpha": int, "seed": int, "sigma": float, "b": str, "normalization": str}
+
+
+def _param_type(key: str, family: str) -> type:
+    # the fractional-phase family takes a non-integer tilt denominator
+    if key == "n":
+        return float if family == "fracphase" else int
+    if key not in _PARAM_TYPES:
+        raise ValueError(f"unknown hard-instance parameter {key!r}")
+    return _PARAM_TYPES[key]
+
+
+def _typed(value, kind: type) -> bool:
+    """JSON ``value`` is a ``kind``; floats must be finite and accept integers."""
+    if kind is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _parse_params(pairs: list[str], family: str) -> dict:
@@ -203,17 +236,7 @@ def _parse_params(pairs: list[str], family: str) -> dict:
         key, sep, raw = pair.partition("=")
         if not sep:
             raise ValueError(f"params must look like key=value, got {pair!r}")
-        if key == "n":
-            # the fractional-phase family takes a non-integer tilt denominator
-            params[key] = float(raw) if family == "fracphase" else int(raw)
-        elif key in _INT_PARAMS:
-            params[key] = int(raw)
-        elif key in _FLOAT_PARAMS:
-            params[key] = float(raw)
-        elif key in _STR_PARAMS:
-            params[key] = raw
-        else:
-            raise ValueError(f"unknown hard-instance parameter {key!r}")
+        params[key] = _param_type(key, family)(raw)
     return params
 
 
@@ -233,6 +256,11 @@ def _bits_from(params: dict, length: int, balanced: bool = False) -> np.ndarray:
 
 def _build_hard(family: str, params: dict):
     """Return (rv, meta) for one hard family; meta carries designed moments."""
+    if family not in ("low", "high", "fracphase"):
+        raise ValueError(f"family must be low, high, or fracphase, got {family!r}")
+    missing = {"n", "d"} - set(params)
+    if missing:
+        raise ValueError(f"family {family!r} needs parameter(s) {sorted(missing)}")
     if family == "low":
         n, d = int(params["n"]), int(params["d"])
         sigma = float(params.get("sigma", 1.0))
@@ -259,15 +287,13 @@ def _build_hard(family: str, params: dict):
             "seed": params.get("seed", 0),
             "b": "".join(map(str, inst.b)),
         }
-    elif family == "fracphase":
+    else:
         d_prime = int(params["d"])
         n = float(params["n"])
         b = _bits_from(params, d_prime)
         rv = fractional_phase_rv(d_prime, n, b)
         designed = designed_mean_fractional_phase(d_prime, n, b)
         used = {"d": d_prime, "n": n, "b": "".join(map(str, b))}
-    else:
-        raise ValueError(f"family must be low, high, or fracphase, got {family!r}")
     summary = moments(rv)
     meta = {
         "family": family,

@@ -32,7 +32,6 @@ __all__ = [
     "dense_qft_matrix",
     "measurement_distribution",
     "measure",
-    "debug_dump",
 ]
 
 _DEFAULT_LATTICE_CAP = 2**22
@@ -265,30 +264,26 @@ def measurement_distribution(state: GridState):
     return np.abs(state.tensor.reshape(-1)) ** 2
 
 
-def measure(state: GridState, rng: np.random.Generator) -> np.ndarray:
-    """Sample one grid point v from the measurement distribution."""
-    axis = grid_axis_points(state.spec.m)
+def measure(state: GridState, reps: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``reps`` grid points from the Born distribution, as a (reps, d) array.
+
+    The distribution is computed once and inverted by searchsorted on its
+    cumulative sum; product states draw each axis from its own marginal.
+    """
+    spec = state.spec
+    axis = grid_axis_points(spec.m)
+    dist = measurement_distribution(state)
+    out = np.empty((reps, spec.d))
     if state.is_product:
-        out = np.empty(state.spec.d)
-        for j, marginal in enumerate(measurement_distribution(state)):
-            p = marginal / marginal.sum()
-            out[j] = axis[rng.choice(state.spec.m, p=p)]
-        return out
-    p = measurement_distribution(state)
-    p = p / p.sum()
-    flat = int(rng.choice(p.shape[0], p=p))
-    idx = np.unravel_index(flat, (state.spec.m,) * state.spec.d)
-    return axis[np.array(idx)]
-
-
-def debug_dump(state: GridState) -> str:
-    """One (index tuple, re, im) row per amplitude, 17 significant digits."""
-    full = state.materialized()
-    flat = full.tensor.reshape(-1)
-    lines = []
-    for k in range(flat.shape[0]):
-        idx = np.unravel_index(k, (state.spec.m,) * state.spec.d)
-        lines.append(
-            f"{tuple(int(i) for i in idx)} {flat[k].real:.17g} {flat[k].imag:.17g}"
-        )
-    return "\n".join(lines) + "\n"
+        for j, marginal in enumerate(dist):
+            cdf = np.cumsum(marginal / marginal.sum())
+            idx = np.searchsorted(cdf, rng.random(reps), side="right")
+            out[:, j] = axis[np.minimum(idx, spec.m - 1)]
+    else:
+        p = dist / dist.sum()
+        cdf = np.cumsum(p)
+        flat = np.searchsorted(cdf, rng.random(reps), side="right")
+        multi = np.unravel_index(np.minimum(flat, p.shape[0] - 1), (spec.m,) * spec.d)
+        for j in range(spec.d):
+            out[:, j] = axis[multi[j]]
+    return out

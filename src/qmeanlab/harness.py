@@ -120,13 +120,25 @@ SWEEP_COLUMNS = (
 )
 
 
+def _budget(name: str, value) -> float:
+    """``value`` as a float budget; it must be finite and positive."""
+    try:
+        budget = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if not (math.isfinite(budget) and budget > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return budget
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A battery or sweep request: distribution, estimator, budgets, seeds.
 
     Exactly one of ``n`` / ``n_grid`` supplies the experiment budget; the
     phase-model estimators additionally need ``nprime`` or ``nprime_grid``.
-    Grids must be strictly increasing.  Trial t of any battery uses the
+    Every budget is converted to float here and must be finite and positive;
+    grids must be strictly increasing.  Trial t of any battery uses the
     generator seeded with ``seed + t``; sweeps advance the base by ``trials``
     per grid point so no two trials anywhere share a stream.
     """
@@ -152,8 +164,12 @@ class ExperimentConfig:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
-        object.__setattr__(self, "n_grid", tuple(float(x) for x in self.n_grid))
-        object.__setattr__(self, "nprime_grid", tuple(float(x) for x in self.nprime_grid))
+        for name in ("n", "nprime"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _budget(name, value))
+        for name in ("n_grid", "nprime_grid"):
+            object.__setattr__(self, name, tuple(_budget(name, x) for x in getattr(self, name)))
         for name, grid in (("n_grid", self.n_grid), ("nprime_grid", self.nprime_grid)):
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{name} must be strictly increasing, got {grid}")
@@ -232,6 +248,11 @@ def error_bound(
     """
     d = rv.d
     log_term = math.log2(d / delta)
+    if estimator == "phase_model":
+        branch = expected_branch(n, nprime, d, delta)
+        if branch == "trivial":
+            return "err_inf", 1.0
+        estimator = "qlowprec" if branch == "low_precision" else "qphase"
     if estimator == "bounded":
         bound_l2 = l2 if l2 is not None else moments(rv).exp_norm2
         return "err_inf", math.sqrt(bound_l2) * log_term / n
@@ -241,13 +262,6 @@ def error_bound(
         return "err_inf", max(math.sqrt(d) / n, d / nprime) * log_term
     if estimator == "qlowprec":
         return "err_inf", max(1.0 / math.sqrt(n), d / nprime) * log_term
-    if estimator == "phase_model":
-        branch = expected_branch(n, nprime, d, delta)
-        if branch == "trivial":
-            return "err_inf", 1.0
-        if branch == "low_precision":
-            return "err_inf", max(1.0 / math.sqrt(n), d / nprime) * log_term
-        return "err_inf", max(math.sqrt(d) / n, d / nprime) * log_term
     if estimator == "classical":
         m = moments(rv)
         return "err_l2", math.sqrt(m.cov_trace / n) + math.sqrt(

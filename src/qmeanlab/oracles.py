@@ -2,9 +2,10 @@
 
 Instead of compiling oracle circuits gate by gate, this module evaluates the
 exact phase function each oracle construction approximates and charges its
-cost through explicit formulas ("model units", leading constants configurable
-and defaulting to 1).  Controlled imperfection is re-introduced by a seeded
-noise model.
+cost through explicit formulas ("model units", every leading constant fixed
+at 1).  Controlled imperfection is re-introduced by a seeded noise model.
+The input checks of each oracle construction live here once, as
+``check_*`` helpers the estimators call too.
 """
 
 from __future__ import annotations
@@ -14,38 +15,21 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from qmeanlab.gridqft import GridSpec, PhaseFunction, grid_axis_points, lattice_cap
+from qmeanlab.gridqft import GridSpec, PhaseFunction, lattice_cap
 from qmeanlab.probspace import RandomVariable, exact_quantile, mean, moments
 
 __all__ = [
-    "CostModel",
-    "DEFAULT_COSTS",
     "CostLedger",
     "NoiseModel",
     "linear_phase_function",
     "binary_phase_is_linear",
     "directional_phases_binary",
     "directional_phases_phase_model",
+    "check_binary_model",
+    "check_phase_range",
     "perturb",
     "quantile_oracle",
-    "conversion_costs",
 ]
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Leading constants of every cost-charging formula (model units)."""
-
-    binary_oracle: float = 1.0
-    phase_experiments: float = 1.0
-    phase_queries: float = 1.0
-    quantile: float = 1.0
-    amplitude_amplification: float = 1.0
-    amp_to_phase: float = 1.0
-    phase_to_amp: float = 1.0
-
-
-DEFAULT_COSTS = CostModel()
 
 
 @dataclass
@@ -132,26 +116,10 @@ def binary_phase_is_linear(rv: RandomVariable, alpha: float, m: int) -> bool:
     return alpha * (0.5 - 0.5 / m) * max_l1 <= 1.0
 
 
-def directional_phases_binary(
-    rv: RandomVariable,
-    L2: float,
-    m: int,
-    alpha: float,
-    eps: float,
-    ledger: CostLedger,
-    costs: CostModel = DEFAULT_COSTS,
-) -> PhaseFunction:
-    """Clamped directional-mean phase built from binary oracle queries.
-
-    theta_u = m * sum_omega P(omega) * clamp_scalar(alpha*<u, X(omega)>, 0, 1).
-    Charges C*m*sqrt(L2)*ceil(log2(1/eps))^2 model units to experiments and
-    binary queries.  The clamp makes the phase non-separable in general; see
-    :func:`binary_phase_is_linear` for the exact linear special case.
-    """
+def check_binary_model(rv: RandomVariable, L2: float) -> None:
+    """Preconditions of the binary model: L2 in (0, 1], ||X|| <= 1, E||X|| <= L2."""
     if not (0 < L2 <= 1):
         raise ValueError(f"L2 must lie in (0, 1], got {L2!r}")
-    if not (0 < alpha < 1):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     norms = np.linalg.norm(rv.values, axis=1)
     if norms.max(initial=0.0) > 1.0 + 1e-12:
         worst = int(np.argmax(norms))
@@ -161,6 +129,38 @@ def directional_phases_binary(
     exp_norm = moments(rv).exp_norm2
     if exp_norm > L2 + 1e-12:
         raise ValueError(f"L2={L2!r} is below the true E||X||_2 = {exp_norm!r}")
+
+
+def check_phase_range(rv: RandomVariable) -> None:
+    """Precondition of the phase model: every outcome in [-1/4, 1/4]^d."""
+    bad = np.nonzero(np.abs(rv.values).max(axis=1) > 0.25 + 1e-12)[0]
+    if bad.size:
+        raise ValueError(
+            f"outcome {int(bad[0])} leaves [-1/4, 1/4]^d "
+            f"(max coordinate {np.abs(rv.values[bad[0]]).max()!r})"
+        )
+
+
+def directional_phases_binary(
+    rv: RandomVariable,
+    L2: float,
+    m: int,
+    alpha: float,
+    eps: float,
+    ledger: CostLedger,
+    reps: int = 1,
+) -> PhaseFunction:
+    """Clamped directional-mean phase built from binary oracle queries.
+
+    theta_u = m * sum_omega P(omega) * clamp_scalar(alpha*<u, X(omega)>, 0, 1).
+    Charges m*sqrt(L2)*ceil(log2(1/eps))^2 model units to experiments and
+    binary queries for each of the ``reps`` repetitions that use the phase.
+    The clamp makes the phase non-separable in general; see
+    :func:`binary_phase_is_linear` for the exact linear special case.
+    """
+    check_binary_model(rv, L2)
+    if not (0 < alpha < 1):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if m < 1.0 / L2:
         raise ValueError(f"m={m} is below 1/L2 = {1.0 / L2!r}")
     values, prob = rv.values, rv.prob
@@ -170,10 +170,8 @@ def directional_phases_binary(
         np.multiply(z, np.abs(z) <= 1.0, out=z)
         return m * (z @ prob)
 
-    ledger.charge(
-        experiments=costs.binary_oracle * m * math.sqrt(L2) * math.ceil(math.log2(1 / eps)) ** 2,
-        binary_queries=costs.binary_oracle * m * math.sqrt(L2) * math.ceil(math.log2(1 / eps)) ** 2,
-    )
+    cost = m * math.sqrt(L2) * math.ceil(math.log2(1 / eps)) ** 2
+    ledger.charge(experiments=reps * cost, binary_queries=reps * cost)
     return PhaseFunction(evaluate=evaluate, separable=False, description="binary-clamped")
 
 
@@ -183,27 +181,23 @@ def directional_phases_phase_model(
     eps: float,
     eta: float,
     ledger: CostLedger,
-    costs: CostModel = DEFAULT_COSTS,
+    reps: int = 1,
 ) -> PhaseFunction:
     """Ideal directional-mean phase built from phase oracle queries.
 
     theta_u = m * <u, mean(rv)>, separable.  Requires every outcome in
-    [-1/4, 1/4]^d.  Charges C*sqrt(d)*m*ceil(log2(1/(eps*eta)))^2 experiments
-    and C*d*m*ceil(log2(1/(eps*eta)))^4 phase queries.
+    [-1/4, 1/4]^d.  Charges sqrt(d)*m*ceil(log2(1/(eps*eta)))^2 experiments
+    and d*m*ceil(log2(1/(eps*eta)))^4 phase queries for each of the ``reps``
+    repetitions that use the phase.
     """
-    bad = np.nonzero(np.abs(rv.values).max(axis=1) > 0.25 + 1e-12)[0]
-    if bad.size:
-        raise ValueError(
-            f"outcome {int(bad[0])} leaves [-1/4, 1/4]^d "
-            f"(max coordinate {np.abs(rv.values[bad[0]]).max()!r})"
-        )
+    check_phase_range(rv)
     d = rv.d
     if m < eps / (6 * math.sqrt(d)):
         raise ValueError(f"m={m} is below eps/(6*sqrt(d)) = {eps / (6 * math.sqrt(d))!r}")
     log_factor = math.ceil(math.log2(1 / (eps * eta)))
     ledger.charge(
-        experiments=costs.phase_experiments * math.sqrt(d) * m * log_factor**2,
-        phase_queries=costs.phase_queries * d * m * log_factor**4,
+        experiments=reps * (math.sqrt(d) * m * log_factor**2),
+        phase_queries=reps * (d * m * log_factor**4),
     )
     return linear_phase_function(m * mean(rv), description="phase-model-linear")
 
@@ -262,7 +256,6 @@ def quantile_oracle(
     c: float,
     rng: np.random.Generator,
     ledger: CostLedger,
-    costs: CostModel = DEFAULT_COSTS,
     exact: bool = False,
 ) -> float:
     """Approximate quantile with the guarantee Q(p) <= result <= Q(c*p).
@@ -270,7 +263,7 @@ def quantile_oracle(
     Success path: a seeded uniform draw over the support values inside
     [Q(p), Q(c*p)].  With probability delta (independent, seeded) the call
     fails and returns an arbitrary support value instead.  Charges
-    C*ceil(log2(1/delta))/sqrt(p) to experiments and binary queries.
+    ceil(log2(1/delta))/sqrt(p) to experiments and binary queries.
 
     ``exact`` short-circuits to the exact quantile Q(p): no failures and no
     rng consumption, but the same ledger charges, so cost accounting stays
@@ -290,33 +283,6 @@ def quantile_oracle(
             hi = exact_quantile(rv_scalar, c * p)
             window = support[(support >= lo) & (support <= hi)]
             out = float(window[rng.integers(window.shape[0])])
-    ledger.charge(
-        experiments=costs.quantile * math.ceil(math.log2(1 / delta)) / math.sqrt(p),
-        binary_queries=costs.quantile * math.ceil(math.log2(1 / delta)) / math.sqrt(p),
-        quantile_calls=1.0,
-    )
+    cost = math.ceil(math.log2(1 / delta)) / math.sqrt(p)
+    ledger.charge(experiments=cost, binary_queries=cost, quantile_calls=1.0)
     return out
-
-
-def conversion_costs(
-    kind: str,
-    *,
-    t: float | None = None,
-    eps: float | None = None,
-    delta: float | None = None,
-    costs: CostModel = DEFAULT_COSTS,
-) -> float:
-    """Model-unit costs of the amplitude/phase conversion subroutines."""
-    if kind == "amplitude_amplification":
-        if t is None or eps is None:
-            raise ValueError("amplitude_amplification needs t and eps")
-        return costs.amplitude_amplification * t * math.log2(1 / eps)
-    if kind == "amp_to_phase":
-        if t is None or eps is None:
-            raise ValueError("amp_to_phase needs t and eps")
-        return costs.amp_to_phase * (t + math.log2(1 / eps))
-    if kind == "phase_to_amp":
-        if eps is None or delta is None:
-            raise ValueError("phase_to_amp needs eps and delta")
-        return costs.phase_to_amp * math.log2(1 / eps) / delta
-    raise ValueError(f"unknown conversion kind {kind!r}")

@@ -18,20 +18,18 @@ import numpy as np
 from qmeanlab.classical import coordinate_median, subgaussian_estimate
 from qmeanlab.gridqft import (
     GridSpec,
-    GridState,
     apply_phase_function,
-    grid_axis_points,
     inverse_qft,
     lattice_cap,
-    measurement_distribution,
+    measure,
     uniform_superposition,
 )
 from qmeanlab.oracles import (
-    DEFAULT_COSTS,
     CostLedger,
-    CostModel,
     NoiseModel,
     binary_phase_is_linear,
+    check_binary_model,
+    check_phase_range,
     directional_phases_binary,
     directional_phases_phase_model,
     linear_phase_function,
@@ -123,34 +121,35 @@ def _report(
     )
 
 
-def _noise_echo(noise: NoiseModel) -> dict[str, Any]:
-    return {"mode": noise.mode, "eps": noise.eps, "eta": noise.eta, "seed": noise.seed}
+def _params(noise: NoiseModel, **fields: Any) -> dict[str, Any]:
+    """The report's input echo: ``fields`` in order, then the noise model."""
+    echo = {"mode": noise.mode, "eps": noise.eps, "eta": noise.eta, "seed": noise.seed}
+    return {**fields, "noise": echo}
 
 
-def _measure_reps(state: GridState, reps: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``reps`` measurement outcomes from one fixed state.
+def _check_delta(delta: float) -> None:
+    if not (0 < delta < 1):
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
 
-    The Born distribution is computed once and inverted by searchsorted; the
-    phase function is deterministic within a run, so re-deriving the state per
-    repetition would only repeat identical work.
-    """
-    spec = state.spec
-    axis = grid_axis_points(spec.m)
-    dist = measurement_distribution(state)
-    out = np.empty((reps, spec.d))
-    if state.is_product:
-        for j, marginal in enumerate(dist):
-            cdf = np.cumsum(marginal / marginal.sum())
-            idx = np.searchsorted(cdf, rng.random(reps), side="right")
-            out[:, j] = axis[np.minimum(idx, spec.m - 1)]
-    else:
-        p = dist / dist.sum()
-        cdf = np.cumsum(p)
-        flat = np.searchsorted(cdf, rng.random(reps), side="right")
-        multi = np.unravel_index(np.minimum(flat, p.shape[0] - 1), (spec.m,) * spec.d)
-        for j in range(spec.d):
-            out[:, j] = axis[multi[j]]
-    return out
+
+def _log_budget(n: float, d: int, delta: float) -> float:
+    """log2(d/delta), once delta and n >= log2(d/delta) are checked."""
+    _check_delta(delta)
+    log_term = math.log2(d / delta)
+    if n < log_term:
+        raise ValueError(f"n={n!r} is below log2(d/delta) = {log_term!r}")
+    return log_term
+
+
+def _phase_log_budget(rv: RandomVariable, n: float, nprime: float, delta: float) -> float:
+    """log2(d/delta), once the phase-model estimators' preconditions are checked."""
+    check_phase_range(rv)
+    log_term = _log_budget(n, rv.d, delta)
+    if nprime < math.sqrt(rv.d) * log_term:
+        raise ValueError(
+            f"nprime={nprime!r} is below sqrt(d)*log2(d/delta) = {math.sqrt(rv.d) * log_term!r}"
+        )
+    return log_term
 
 
 def _run_phase_reps(
@@ -162,7 +161,7 @@ def _run_phase_reps(
 ) -> np.ndarray:
     """uniform -> phase -> inverse QFT -> ``reps`` measurements, scaled."""
     state = inverse_qft(apply_phase_function(uniform_superposition(spec), phase))
-    return scale * _measure_reps(state, reps, rng)
+    return scale * measure(state, reps, rng)
 
 
 def bounded_estimator(
@@ -172,7 +171,6 @@ def bounded_estimator(
     delta: float,
     noise: NoiseModel,
     rng: np.random.Generator,
-    costs: CostModel = DEFAULT_COSTS,
 ) -> EstimateReport:
     """Mean estimator for unit-ball random variables with E||X||_2 <= L2.
 
@@ -182,24 +180,15 @@ def bounded_estimator(
     rescales each measured point by 2*pi/alpha, and takes the coordinate-wise
     lower median.
     """
-    if not (0 < L2 <= 1):
-        raise ValueError(f"L2 must lie in (0, 1], got {L2!r}")
-    if not (0 < delta < 1):
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    _check_delta(delta)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n!r}")
-    norms = np.linalg.norm(rv.values, axis=1)
-    if norms.max(initial=0.0) > 1.0 + 1e-12:
-        worst = int(np.argmax(norms))
-        raise ValueError(f"outcome {worst} has norm {norms[worst]!r} > 1")
-    exp_norm = moments(rv).exp_norm2
-    if exp_norm > L2 + 1e-12:
-        raise ValueError(f"L2={L2!r} is below the true E||X||_2 = {exp_norm!r}")
+    check_binary_model(rv, L2)
 
     d = rv.d
     truth = mean(rv)
     ledger = CostLedger()
-    params: dict[str, Any] = {"n": float(n), "L2": float(L2), "delta": float(delta), "noise": _noise_echo(noise)}
+    params = _params(noise, n=float(n), L2=float(L2), delta=float(delta))
 
     if n <= math.log2(d / delta) / math.sqrt(L2):
         return _report(
@@ -217,10 +206,8 @@ def bounded_estimator(
             "(the clamped phase is non-separable and needs the full state)"
         )
 
-    phase = None
-    for _ in range(reps):
-        # one oracle construction per repetition; the ledger sees every one
-        phase = directional_phases_binary(rv, L2, m, alpha, BINARY_ORACLE_EPS, ledger, costs)
+    # one oracle construction, charged once per repetition that uses it
+    phase = directional_phases_binary(rv, L2, m, alpha, BINARY_ORACLE_EPS, ledger, reps)
     if fast:
         # the clamp provably never fires, so the phase is exactly linear and
         # the register can stay in product form at any m
@@ -246,9 +233,7 @@ def near_optimal_estimator(
     delta: float,
     noise: NoiseModel,
     rng: np.random.Generator,
-    c: float = QUANTILE_C,
     exact_quantiles: bool = False,
-    costs: CostModel = DEFAULT_COSTS,
 ) -> EstimateReport:
     """General-purpose estimator: center, slice into norm shells, estimate each.
 
@@ -259,14 +244,9 @@ def near_optimal_estimator(
     quantile oracle with exact quantiles (same ledger charges) and additionally
     records the structural inequalities the shell construction guarantees.
     """
-    if not (0 < delta < 1):
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     d = rv.d
-    log_term = math.log2(d / delta)
-    if n < log_term:
-        raise ValueError(f"n={n!r} is below log2(d/delta) = {log_term!r}")
-    if not (0 < c < 1):
-        raise ValueError(f"c must lie in (0, 1), got {c!r}")
+    log_term = _log_budget(n, d, delta)
+    c = QUANTILE_C
 
     k = math.ceil(2.0 * math.log2(2.0 * math.sqrt(2.0) * n / log_term))
     nprime = n * (k + 1) * 4.0 * math.log2(5.0 * k * d / delta) / (math.sqrt(c) * log_term)
@@ -274,13 +254,9 @@ def near_optimal_estimator(
 
     ledger = CostLedger()
     truth = mean(rv)
-    params: dict[str, Any] = {
-        "n": float(n),
-        "delta": float(delta),
-        "c": float(c),
-        "exact_quantiles": bool(exact_quantiles),
-        "noise": _noise_echo(noise),
-    }
+    params = _params(
+        noise, n=float(n), delta=float(delta), c=float(c), exact_quantiles=bool(exact_quantiles)
+    )
 
     n0 = 64 * math.ceil(math.log2(2.0 / delta))
     center, _ = subgaussian_estimate(rv, n0, delta, rng, ledger)
@@ -296,7 +272,7 @@ def near_optimal_estimator(
     shell_means_sum = np.zeros(d)  # sum_j a_j * mean(Y_j), rebuilt exactly
     for j in range(k + 1):
         p = 2.0 ** (-j)
-        a_j = quantile_oracle(normY, p, shell_delta, c, rng, ledger, costs, exact=exact_quantiles)
+        a_j = quantile_oracle(normY, p, shell_delta, c, rng, ledger, exact=exact_quantiles)
         if a_j < a_prev:
             logger.warning(
                 "quantile sequence non-monotone at shell %d: %.6g < %.6g; clamped", j, a_j, a_prev
@@ -310,7 +286,7 @@ def near_optimal_estimator(
             entry["skipped"] = False
             Yj = truncate_normalized(Y, a_prev, a_j)
             L2_j = min(2.0 ** (-(j - 1)), 1.0)
-            sub = bounded_estimator(Yj, L2_j, nprime, shell_delta, noise, rng, costs)
+            sub = bounded_estimator(Yj, L2_j, nprime, shell_delta, noise, rng)
             ledger.merge(sub.ledger)
             estimate = estimate + a_j * sub.estimate
             entry["early_exit"] = sub.diagnostics.get("early_exit")
@@ -384,22 +360,19 @@ def euclidean_estimator(
     delta: float,
     noise: NoiseModel,
     rng: np.random.Generator,
-    costs: CostModel = DEFAULT_COSTS,
 ) -> EstimateReport:
     """l2-oriented front end: classical baseline when n <= d, quantum above."""
     d = rv.d
-    log_term = math.log2(d / delta)
-    if n < log_term:
-        raise ValueError(f"n={n!r} is below log2(d/delta) = {log_term!r}")
+    _log_budget(n, d, delta)
     truth = mean(rv)
-    params: dict[str, Any] = {"n": float(n), "delta": float(delta), "noise": _noise_echo(noise)}
+    params = _params(noise, n=float(n), delta=float(delta))
     if n <= d:
         ledger = CostLedger()
         estimate, _ = subgaussian_estimate(rv, int(n), delta, rng, ledger)
         return _report(
             estimate, truth, ledger, "euclidean", params, {"branch": "classical"}
         )
-    sub = near_optimal_estimator(rv, n, delta, noise, rng, costs=costs)
+    sub = near_optimal_estimator(rv, n, delta, noise, rng)
     return _report(
         sub.estimate,
         truth,
@@ -417,7 +390,6 @@ def qphase_estimator(
     delta: float,
     noise: NoiseModel,
     rng: np.random.Generator,
-    costs: CostModel = DEFAULT_COSTS,
 ) -> EstimateReport:
     """High-precision estimator from phase oracles, values in [-1/4, 1/4]^d.
 
@@ -425,34 +397,18 @@ def qphase_estimator(
     exactly linear, so IDEAL noise keeps the register in product form.
     """
     d = rv.d
-    _check_phase_range(rv)
-    log_term = math.log2(d / delta)
-    if n < log_term:
-        raise ValueError(f"n={n!r} is below log2(d/delta) = {log_term!r}")
-    if nprime < math.sqrt(d) * log_term:
-        raise ValueError(
-            f"nprime={nprime!r} is below sqrt(d)*log2(d/delta) = {math.sqrt(d) * log_term!r}"
-        )
+    log_term = _phase_log_budget(rv, n, nprime, delta)
     k = math.floor(min(n, nprime / math.sqrt(d)))
     m = 2 ** max(0, math.ceil(math.log2(8.0 * math.pi * k / (math.sqrt(d) * log_term))))
     reps = math.ceil(18.0 * log_term)
 
     ledger = CostLedger()
-    phase = None
-    for _ in range(reps):
-        phase = directional_phases_phase_model(
-            rv, m, PHASE_ORACLE_EPS, PHASE_ORACLE_ETA, ledger, costs
-        )
+    phase = directional_phases_phase_model(rv, m, PHASE_ORACLE_EPS, PHASE_ORACLE_ETA, ledger, reps)
     compute_phase = perturb(phase, noise, GridSpec(m=m, d=d))
 
     per_rep = _run_phase_reps(GridSpec(m=m, d=d), compute_phase, reps, 2.0 * math.pi, rng)
     estimate = coordinate_median(per_rep)
-    params: dict[str, Any] = {
-        "n": float(n),
-        "nprime": float(nprime),
-        "delta": float(delta),
-        "noise": _noise_echo(noise),
-    }
+    params = _params(noise, n=float(n), nprime=float(nprime), delta=float(delta))
     return _report(
         estimate,
         mean(rv),
@@ -477,7 +433,6 @@ def qlowprec_estimator(
     delta: float,
     noise: NoiseModel,
     rng: np.random.Generator,
-    costs: CostModel = DEFAULT_COSTS,
 ) -> EstimateReport:
     """Low-precision analog estimator: phase-estimate empirical resamples.
 
@@ -489,14 +444,7 @@ def qlowprec_estimator(
     queries carry over to the run ledger.
     """
     d = rv.d
-    _check_phase_range(rv)
-    log_term = math.log2(d / delta)
-    if n < log_term:
-        raise ValueError(f"n={n!r} is below log2(d/delta) = {log_term!r}")
-    if nprime < math.sqrt(d) * log_term:
-        raise ValueError(
-            f"nprime={nprime!r} is below sqrt(d)*log2(d/delta) = {math.sqrt(d) * log_term!r}"
-        )
+    log_term = _phase_log_budget(rv, n, nprime, delta)
     k_prime = math.floor(2.0 * n / log_term)
     outer = math.ceil(32.0 * log_term)
     inner_k = 2.0 * nprime / math.sqrt(d)
@@ -509,19 +457,12 @@ def qlowprec_estimator(
         pbar = empirical_rv(rv, k_prime, rng)
         ledger.charge(classical_samples=float(k_prime), experiments=float(k_prime))
         inner = CostLedger()
-        phase = directional_phases_phase_model(
-            pbar, m, PHASE_ORACLE_EPS, PHASE_ORACLE_ETA, inner, costs
-        )
+        phase = directional_phases_phase_model(pbar, m, PHASE_ORACLE_EPS, PHASE_ORACLE_ETA, inner)
         ledger.charge(phase_queries=inner.phase_queries)
         compute_phase = perturb(phase, noise, spec)
         per_rep[r] = _run_phase_reps(spec, compute_phase, 1, 2.0 * math.pi, rng)[0]
     estimate = coordinate_median(per_rep)
-    params: dict[str, Any] = {
-        "n": float(n),
-        "nprime": float(nprime),
-        "delta": float(delta),
-        "noise": _noise_echo(noise),
-    }
+    params = _params(noise, n=float(n), nprime=float(nprime), delta=float(delta))
     return _report(
         estimate,
         mean(rv),
@@ -532,15 +473,6 @@ def qlowprec_estimator(
     )
 
 
-def _check_phase_range(rv: RandomVariable) -> None:
-    bad = np.nonzero(np.abs(rv.values).max(axis=1) > 0.25 + 1e-12)[0]
-    if bad.size:
-        raise ValueError(
-            f"outcome {int(bad[0])} leaves [-1/4, 1/4]^d "
-            f"(max coordinate {np.abs(rv.values[bad[0]]).max()!r})"
-        )
-
-
 def phase_model_dispatch(
     rv: RandomVariable,
     n: float,
@@ -548,7 +480,6 @@ def phase_model_dispatch(
     delta: float,
     noise: NoiseModel,
     rng: np.random.Generator,
-    costs: CostModel = DEFAULT_COSTS,
 ) -> EstimateReport:
     """Budget-driven three-way dispatch for phase-oracle estimation.
 
@@ -557,24 +488,18 @@ def phase_model_dispatch(
     ample budgets go high-precision.
     """
     d = rv.d
-    _check_phase_range(rv)
-    if not (0 < delta < 1):
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    params: dict[str, Any] = {
-        "n": float(n),
-        "nprime": float(nprime),
-        "delta": float(delta),
-        "noise": _noise_echo(noise),
-    }
+    check_phase_range(rv)
+    _check_delta(delta)
+    params = _params(noise, n=float(n), nprime=float(nprime), delta=float(delta))
     if nprime < d or n < math.log2(d / delta):
         return _report(
             np.zeros(d), mean(rv), CostLedger(), "phase_dispatch", params, {"branch": "trivial"}
         )
     if n < d:
-        sub = qlowprec_estimator(rv, n, nprime, delta, noise, rng, costs)
+        sub = qlowprec_estimator(rv, n, nprime, delta, noise, rng)
         branch = "low_precision"
     else:
-        sub = qphase_estimator(rv, n, nprime, delta, noise, rng, costs)
+        sub = qphase_estimator(rv, n, nprime, delta, noise, rng)
         branch = "high_precision"
     return _report(
         sub.estimate,

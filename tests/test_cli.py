@@ -141,6 +141,69 @@ class TestSweep:
         assert main(["sweep", "--config", str(config_path)]) == 2
         assert "trails" in capsys.readouterr().err
 
+    def test_fixed_n_with_nprime_grid(self, tmp_path, capsys):
+        config_doc = {
+            "rv": {"battery": {"name": "ball", "d": 2, "scale": 0.25}},
+            "estimator": "phase_model",
+            "trials": 2,
+            "seed": 3,
+            "delta": 0.1,
+            "n": 8,
+            "nprime_grid": [8, 16],
+            "output": "rows.json",
+        }
+        config_path = tmp_path / "nprime.json"
+        config_path.write_text(json.dumps(config_doc), encoding="utf-8")
+        assert main(["sweep", "--config", str(config_path)]) == 0
+        assert "wrote 2 rows" in capsys.readouterr().out
+        api_config = ExperimentConfig(
+            rv=battery_ball(2, scale=0.25), estimator="phase_model", trials=2, seed=3,
+            delta=0.1, n=8, nprime_grid=(8, 16),
+        )
+        want = [res.row for res in run_sweep(api_config)]
+        assert load_rows(str(tmp_path / "rows.json")) == want
+
+    @pytest.mark.parametrize(
+        "rv",
+        [
+            {"battery": {"d": 2}},
+            {"battery": ["ball", 2]},
+            {"battery": {"name": "ball", "d": 2, "colour": "red"}},
+            {"battery": {"name": ["ball"], "d": 2}},
+            {"battery": {"name": "ball", "d": [2]}},
+            {"battery": {"name": "ball", "d": 0}},
+            {"battery": {"name": "ball", "d": 2, "scale": "big"}},
+            {"file": ["ball.json"]},
+            {"inline": [0.5, 0.5]},
+            {"hard": ["low"]},
+            {"hard": {"params": {"n": 4, "d": 16}}},
+            {"hard": {"family": "low"}},
+            {"hard": {"family": "fracphase", "params": "d=2"}},
+            {"hard": {"family": "fracphase", "params": {"d": [2], "n": 4}}},
+            {"hard": {"family": "fracphase", "params": {"d": 2, "n": 4, "b": 10}}},
+            {"hard": {"family": "fracphase", "params": {"d": 2, "n": 4, "waffles": 1}}},
+        ],
+    )
+    def test_malformed_rv_exits_2(self, tmp_path, capsys, rv):
+        config_doc = {"rv": rv, "estimator": "classical", "trials": 1, "seed": 0, "n": 8}
+        config_path = tmp_path / "bad_rv.json"
+        config_path.write_text(json.dumps(config_doc), encoding="utf-8")
+        assert main(["sweep", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("budget", [{"n": float("nan")}, {"n": "many"}, {"n_grid": [-1, 8]}])
+    def test_bad_budget_fails_before_any_trial(self, tmp_path, capsys, budget):
+        config_doc = {
+            "rv": {"battery": {"name": "ball", "d": 2}},
+            "estimator": "classical", "trials": 2, "seed": 0, "delta": 0.5, **budget,
+        }
+        config_path = tmp_path / "bad_budget.json"
+        config_path.write_text(json.dumps(config_doc), encoding="utf-8")
+        assert main(["sweep", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n") and "trials failed" not in err
+
 
 class TestHard:
     def test_out_writes_spec_and_sidecar(self, tmp_path):
@@ -184,6 +247,10 @@ class TestHard:
         assert main(["hard", "--family", "fracphase", "--params", "d=2", "n=3.5", "b=00"]) == 0
         assert main(["hard", "--family", "low", "--params", "n=3.5", "d=16"]) == 2
         capsys.readouterr()
+
+    def test_missing_param_exits_2(self, capsys):
+        assert main(["hard", "--family", "low", "--params", "d=16"]) == 2
+        assert "'n'" in capsys.readouterr().err
 
     def test_bad_param_key(self, capsys):
         assert main(["hard", "--family", "low", "--params", "waffles=3"]) == 2

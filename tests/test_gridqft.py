@@ -17,7 +17,6 @@ from qmeanlab.gridqft import (
     PhaseFunction,
     apply_phase_function,
     dense_qft_matrix,
-    debug_dump,
     grid_axis_points,
     grid_points,
     inverse_qft,
@@ -232,9 +231,9 @@ class TestMeasurement:
         amps = np.zeros(4, dtype=complex)
         amps[2] = 1.0
         state = state_from_amplitudes(spec, amps)
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            assert measure(state, rng)[0] == grid_axis_points(4)[2]
+        draws = measure(state, 5, np.random.default_rng(0))
+        assert draws.shape == (5, 1)
+        assert np.all(draws[:, 0] == grid_axis_points(4)[2])
 
     def test_product_marginals_multiply_to_joint(self):
         spec = GridSpec(m=8, d=2)
@@ -250,20 +249,25 @@ class TestMeasurement:
         spec = GridSpec(m=16, d=2)
         theta = linear_phase(spec, [9.0, 2.0])
         state = inverse_qft(apply_phase_function(uniform_superposition(spec), theta))
-        a = measure(state, np.random.default_rng(42))
-        b = measure(state, np.random.default_rng(42))
+        a = measure(state, 8, np.random.default_rng(42))
+        b = measure(state, 8, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
     def test_empirical_frequencies(self):
-        spec = GridSpec(m=4, d=1)
-        theta = linear_phase(spec, [3.0])
-        state = inverse_qft(apply_phase_function(uniform_superposition(spec), theta))
-        (p,) = measurement_distribution(state)
-        rng = np.random.default_rng(7)
-        draws = rng.choice(4, size=100_000, p=p / p.sum())
-        counts = np.bincount(draws, minlength=4) / 100_000
+        # the sampler's draws follow the Born law, in product and full form
+        spec = GridSpec(m=4, d=2)
+        theta = linear_phase(spec, [3.0, -5.0])
+        product = inverse_qft(apply_phase_function(uniform_superposition(spec), theta))
+        full = product.materialized()
+        p = measurement_distribution(full)
         sigma = np.sqrt(p * (1 - p) / 100_000)
-        assert np.all(np.abs(counts - p) <= 3 * sigma + 1e-4)
+        for state in (product, full):
+            draws = measure(state, 100_000, np.random.default_rng(7))
+            # grid value (2a+1-m)/(2m) back to index a, then ravel row-major
+            idx = np.rint(spec.m * draws + (spec.m - 1) / 2.0).astype(int)
+            flat = idx[:, 0] * spec.m + idx[:, 1]
+            counts = np.bincount(flat, minlength=spec.points) / 100_000
+            assert np.all(np.abs(counts - p) <= 3 * sigma + 1e-4)
 
 
 class TestPhaseEstimationConcentration:
@@ -302,12 +306,3 @@ class TestLatticeCap:
         monkeypatch.delenv("QMEANLAB_LATTICE_CAP", raising=False)
         assert lattice_cap() == 2**22
 
-
-def test_debug_dump_shape():
-    spec = GridSpec(m=2, d=2)
-    dump = debug_dump(uniform_superposition(spec))
-    lines = dump.strip().split("\n")
-    assert len(lines) == 4
-    idx, re, im = lines[0].rsplit(" ", 2)
-    assert idx == "(0, 0)"
-    assert abs(float(re) - 0.5) < 1e-12 and float(im) == 0.0

@@ -92,6 +92,18 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="l2"):
             ExperimentConfig(rv=rv, estimator="bounded", trials=1, seed=0, n=8, l2=1.5)
 
+    def test_budgets_are_checked_once_at_construction(self):
+        rv = battery_ball(2)
+        for bad in (float("nan"), float("inf"), 0.0, -4.0, "many", [8]):
+            with pytest.raises(ValueError, match="nprime"):
+                ExperimentConfig(rv=rv, estimator="qphase", trials=1, seed=0, n=8, nprime=bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            ExperimentConfig(rv=rv, estimator="bounded", trials=1, seed=0, n=float("nan"))
+        with pytest.raises(ValueError, match="n_grid"):
+            ExperimentConfig(rv=rv, estimator="bounded", trials=1, seed=0, n_grid=(4, math.inf))
+        cfg = ExperimentConfig(rv=rv, estimator="qphase", trials=1, seed=0, n="64", nprime=32)
+        assert (cfg.n, cfg.nprime) == (64.0, 32.0)
+
     def test_grids_are_normalized_to_floats(self):
         cfg = ExperimentConfig(
             rv=battery_ball(2), estimator="bounded", trials=1, seed=0, n_grid=(4, 8)

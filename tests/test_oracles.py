@@ -10,10 +10,8 @@ import pytest
 from qmeanlab.gridqft import GridSpec, grid_points
 from qmeanlab.oracles import (
     CostLedger,
-    CostModel,
     NoiseModel,
     binary_phase_is_linear,
-    conversion_costs,
     directional_phases_binary,
     directional_phases_phase_model,
     linear_phase_function,
@@ -118,15 +116,6 @@ class TestBinaryPhases:
         expected = 16 * math.sqrt(0.25) * math.ceil(math.log2(25)) ** 2  # 16*0.5*25
         assert ledger.experiments == expected == 200.0
         assert ledger.binary_queries == expected
-
-    def test_cost_constant_scales_charge(self):
-        rv = uniform_rv([[0.25, 0.0]])
-        ledger = CostLedger()
-        directional_phases_binary(
-            rv, L2=0.25, m=16, alpha=0.5, eps=1 / 25, ledger=ledger,
-            costs=CostModel(binary_oracle=2.0),
-        )
-        assert ledger.experiments == 400.0
 
     def test_no_clamp_certificate_implies_linear(self):
         rng = np.random.default_rng(16)
@@ -300,17 +289,6 @@ class TestQuantileOracle:
         for bad in (0.0, 1.0001, -0.5):
             with pytest.raises(ValueError, match="p in"):
                 quantile_oracle(rv, bad, 0.5, 0.25, np.random.default_rng(0), CostLedger())
-
-
-class TestConversionCosts:
-    def test_formula_values(self):
-        assert conversion_costs("amplitude_amplification", t=1, eps=0.5) == 1.0
-        assert conversion_costs("amp_to_phase", t=0, eps=0.5) == 1.0
-        assert conversion_costs("phase_to_amp", eps=0.5, delta=0.25) == 4.0
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown"):
-            conversion_costs("teleport", t=1, eps=0.5)
 
 
 class TestTailInequalities:

@@ -256,7 +256,7 @@ class TestNearOptimalEstimator:
         rv = RandomVariable(prob=[0.5, 0.5], values=[[0.0, 0.0], [0.3, 0.4]])
         fake_values = iter([0.5, 0.3] + [0.5] * 50)
 
-        def fake_quantile(rv_scalar, p, delta, c, rng, ledger, costs, exact=False):
+        def fake_quantile(rv_scalar, p, delta, c, rng, ledger, exact=False):
             ledger.charge(quantile_calls=1.0)
             return next(fake_values)
 
