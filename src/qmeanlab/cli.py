@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +65,7 @@ NOISE_SEED_OFFSET = 0x9E3779B9
 def _parse_noise(text: str, seed: int) -> NoiseModel:
     if text == "ideal":
         return NoiseModel.ideal()
-    if text.startswith("perturbed:"):
+    if isinstance(text, str) and text.startswith("perturbed:"):
         parts = text[len("perturbed:") :].split(",")
         if len(parts) != 2:
             raise ValueError(f"perturbed noise needs exactly eps,eta — got {text!r}")
@@ -169,21 +170,21 @@ def _config_from_doc(doc: dict, base_dir: Path) -> tuple[ExperimentConfig, str |
     for key in ("rv", "estimator", "trials", "seed"):
         if key not in doc:
             raise ValueError(f"sweep config is missing required key {key!r}")
-    noise = _parse_noise(doc.get("noise", "ideal"), int(doc["seed"]))
     config = ExperimentConfig(
         rv=_rv_from_doc(doc["rv"], base_dir),
         estimator=doc["estimator"],
-        trials=int(doc["trials"]),
-        seed=int(doc["seed"]),
+        trials=doc["trials"],
+        seed=doc["seed"],
         delta=float(doc.get("delta", 0.05)),
         n=doc.get("n"),
         nprime=doc.get("nprime"),
         l2=doc.get("l2"),
-        noise=noise,
         n_grid=tuple(doc.get("n_grid", ())),
         nprime_grid=tuple(doc.get("nprime_grid", ())),
     )
-    return config, doc.get("output")
+    # the noise stream is seeded from the config's seed, checked above
+    noise = _parse_noise(doc.get("noise", "ideal"), config.seed)
+    return replace(config, noise=noise), doc.get("output")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -342,9 +343,7 @@ def _check_concentration() -> None:
     m, target = 64, 0.1983  # target deliberately off-grid
     spec = GridSpec(m=m, d=1)
     phase = PhaseFunction(
-        evaluate=lambda pts: 2.0 * math.pi * m * target * pts[:, 0],
-        separable=False,
-        description="constant drift",
+        evaluate=lambda pts: 2.0 * math.pi * m * target * pts[:, 0], separable=False
     )
     state = inverse_qft(apply_phase_function(uniform_superposition(spec), phase))
     probs = measurement_distribution(state)

@@ -22,6 +22,7 @@ __all__ = [
     "GridState",
     "PhaseFunction",
     "lattice_cap",
+    "check_lattice_cap",
     "grid_axis_points",
     "grid_points",
     "uniform_superposition",
@@ -47,6 +48,15 @@ def lattice_cap() -> int:
     if cap < 2:
         raise ValueError(f"QMEANLAB_LATTICE_CAP must be at least 2, got {cap}")
     return cap
+
+
+def check_lattice_cap(spec: GridSpec) -> None:
+    """Refuse, before anything is allocated, an m^d table above the lattice cap."""
+    cap = lattice_cap()
+    if spec.points > cap:
+        raise ValueError(
+            f"lattice cap exceeded: m^d = {spec.m}^{spec.d} = {spec.points} > {cap} amplitudes"
+        )
 
 
 @dataclass(frozen=True)
@@ -75,13 +85,11 @@ class PhaseFunction:
     When ``separable`` is set, theta_u = sum_j f_j(u_j) and ``axis_components``
     holds the d per-axis callables f_j (each mapping (m,) axis values to (m,)
     phases), which lets product-form states stay in product form.
-    ``description`` tags where the phase came from, for reports.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     separable: bool
     axis_components: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
-    description: str = ""
 
     def __post_init__(self) -> None:
         if self.separable and self.axis_components is None:
@@ -128,12 +136,7 @@ class GridState:
         """Expand product form to the full tensor (subject to the lattice cap)."""
         if self.tensor is not None:
             return self
-        cap = lattice_cap()
-        if self.spec.points > cap:
-            raise ValueError(
-                f"lattice cap exceeded: m^d = {self.spec.m}^{self.spec.d} = "
-                f"{self.spec.points} > {cap} amplitudes"
-            )
+        check_lattice_cap(self.spec)
         tensor = self.axes[0]
         for a in self.axes[1:]:
             tensor = np.tensordot(tensor, a, axes=0)
@@ -173,26 +176,23 @@ def _points_chunk(spec: GridSpec, start: int, stop: int, axis: np.ndarray) -> np
 def apply_phase_function(state: GridState, theta: PhaseFunction) -> GridState:
     """Multiply the amplitude at each u by e^{i*theta_u}; norm is preserved.
 
-    Separable phases keep product form; anything else materializes the state
-    first (and can therefore hit the lattice cap).
+    A separable phase on a product-form state multiplies each axis vector by
+    its own factor and keeps product form.  Every other combination goes
+    through ``theta.evaluate`` on the full tensor, materializing a product
+    state first (and can therefore hit the lattice cap).
     """
     spec = state.spec
     axis = grid_axis_points(spec.m)
-    if theta.separable:
+    if theta.separable and state.is_product:
         if len(theta.axis_components) != spec.d:
             raise ValueError(
                 f"phase has {len(theta.axis_components)} axis components, expected {spec.d}"
             )
-        factors = [np.exp(1j * np.asarray(f(axis), dtype=float)) for f in theta.axis_components]
-        if state.is_product:
-            new_axes = tuple(a * f for a, f in zip(state.axes, factors))
-            return GridState(spec=spec, axes=new_axes)
-        tensor = state.tensor
-        for j, f in enumerate(factors):
-            shape = [1] * spec.d
-            shape[j] = spec.m
-            tensor = tensor * f.reshape(shape)
-        return GridState(spec=spec, tensor=tensor)
+        new_axes = tuple(
+            a * np.exp(1j * np.asarray(f(axis), dtype=float))
+            for a, f in zip(state.axes, theta.axis_components)
+        )
+        return GridState(spec=spec, axes=new_axes)
     full = state.materialized()
     flat = full.tensor.reshape(-1).copy()
     for start in range(0, flat.shape[0], _EVAL_CHUNK):

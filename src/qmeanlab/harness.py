@@ -1,11 +1,11 @@
 """Experiment orchestration: trial batteries, sweeps, slopes, regime maps.
 
 The harness turns one estimator configuration into seeded trial batteries,
-aggregates them into flat rows, fits log-log slopes, classifies (n, n')
-budget regimes, and writes CSV/JSON/plot-data files.  Trials are independent
-by construction — trial t always consumes the generator seeded with
-``seed + t`` — so batteries are reproducible bit for bit and could be farmed
-out in any order.
+aggregates them into flat rows, fits log-log slopes, maps (n, n') budget
+regimes (classified in :mod:`qmeanlab.quantum`), and writes CSV/JSON/plot-data
+files.  Trials are independent by construction — trial t always consumes the
+generator seeded with ``seed + t`` — so batteries are reproducible bit for bit
+and could be farmed out in any order.
 """
 
 from __future__ import annotations
@@ -24,10 +24,12 @@ from qmeanlab.quantum import (
     EstimateReport,
     bounded_estimator,
     euclidean_estimator,
+    expected_branch,
     near_optimal_estimator,
     phase_model_dispatch,
     qlowprec_estimator,
     qphase_estimator,
+    regime_classify,
 )
 
 __all__ = [
@@ -131,16 +133,24 @@ def _budget(name: str, value) -> float:
     return budget
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; Python and NumPy integers only (not bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A battery or sweep request: distribution, estimator, budgets, seeds.
 
     Exactly one of ``n`` / ``n_grid`` supplies the experiment budget; the
     phase-model estimators additionally need ``nprime`` or ``nprime_grid``.
-    Every budget is converted to float here and must be finite and positive;
-    grids must be strictly increasing.  Trial t of any battery uses the
-    generator seeded with ``seed + t``; sweeps advance the base by ``trials``
-    per grid point so no two trials anywhere share a stream.
+    ``trials`` and ``seed`` must be integers.  Every budget is converted to
+    float here and must be finite and positive; grids must be strictly
+    increasing.  Trial t of any battery uses the generator seeded with
+    ``seed + t``; sweeps advance the base by ``trials`` per grid point so no
+    two trials anywhere share a stream.
     """
 
     rv: RandomVariable
@@ -160,6 +170,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown estimator {self.estimator!r}; expected one of {ESTIMATOR_IDS}"
             )
+        for name in ("trials", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if not (0.0 < self.delta < 1.0):
@@ -274,10 +286,12 @@ def run_trials(config: ExperimentConfig) -> BatteryResult:
     """Execute one battery: ``trials`` seeded runs at the config's fixed budgets.
 
     Trial t uses ``default_rng(seed + t)``; under perturbed noise the noise
-    table is reseeded per trial the same way.  A trial that raises is recorded
-    as a message and counted as a failure; it contributes nothing to the
-    medians or the ledger totals (no ledger escapes a raised run).  Every
-    trial failing is an error.
+    table is reseeded per trial the same way.  A trial that raises a domain
+    error (``ValueError``) or hits the memory wall (``MemoryError``) is
+    recorded as a message and counted as a failure; it contributes nothing to
+    the medians or the ledger totals (no ledger escapes a raised run).  Any
+    other exception is a program fault and propagates.  Every trial failing
+    is an error.
     """
     if config.n is None:
         raise ValueError("run_trials needs a fixed n (use run_sweep for grids)")
@@ -293,7 +307,7 @@ def run_trials(config: ExperimentConfig) -> BatteryResult:
         try:
             reports.append(_single_run(config, config.n, config.nprime, noise, rng))
             errors.append(None)
-        except Exception as exc:  # noqa: BLE001 - collected per contract
+        except (ValueError, MemoryError) as exc:
             reports.append(None)
             errors.append(f"{type(exc).__name__}: {exc}")
     good = [r for r in reports if r is not None]
@@ -372,35 +386,6 @@ def fit_slope(rows, x_field: str, y_field: str) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(r2)
 
 
-def regime_classify(n: float, nprime: float, d: int, delta: float) -> str:
-    """Which budget limits the optimal l_inf error at (n, n').
-
-    TRIVIAL when n' < d or n < log2(d/delta); otherwise the larger of the
-    phase term d/n' and the statistical term (sqrt(d)/n above n >= d, 1/sqrt(n)
-    below) names the regime.  Ties go to PHASE_LIMITED and the n = d boundary
-    to the n >= d case — both choices pick the regime reachable with fewer
-    experiments, and at those boundaries the two error scales coincide anyway.
-    """
-    if n <= 0 or nprime <= 0 or d < 1:
-        raise ValueError(f"budgets and dimension must be positive, got n={n}, nprime={nprime}, d={d}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    if nprime < d or n < math.log2(d / delta):
-        return "TRIVIAL"
-    phase = d / nprime
-    stat = math.sqrt(d) / n if n >= d else 1.0 / math.sqrt(n)
-    if phase >= stat:
-        return "PHASE_LIMITED"
-    return "EXPERIMENT_LIMITED" if n >= d else "SAMPLE_LIMITED"
-
-
-def expected_branch(n: float, nprime: float, d: int, delta: float) -> str:
-    """Dispatcher branch implied by the regime map at (n, n')."""
-    if regime_classify(n, nprime, d, delta) == "TRIVIAL":
-        return "trivial"
-    return "low_precision" if n < d else "high_precision"
-
-
 # --- file interfaces -------------------------------------------------------
 
 
@@ -460,51 +445,25 @@ def report_to_dict(report: EstimateReport) -> dict[str, Any]:
     }
 
 
-_REPORT_COLUMNS = (
-    "estimator",
-    "err_inf",
-    "err_l2",
-    "experiments",
-    "binary_queries",
-    "phase_queries",
-    "classical_samples",
-    "quantile_calls",
-)
+def export(rows, fmt: str, path: str) -> str:
+    """Write SweepRows to ``path`` as CSV or JSON.
 
-
-def export(items, fmt: str, path: str) -> str:
-    """Write SweepRows or EstimateReports to ``path`` as CSV or JSON.
-
-    CSV columns follow SWEEP_COLUMNS exactly (reports flatten to the ledger
-    summary columns); JSON mirrors the field names.  Floats carry 17
-    significant digits, so parsed values reproduce the originals bit for bit;
-    files are UTF-8 with a trailing newline.  An empty list yields a
-    header-only CSV / an empty JSON array.
+    CSV columns follow SWEEP_COLUMNS exactly; JSON mirrors the field names.
+    Floats carry 17 significant digits, so parsed values reproduce the
+    originals bit for bit (:func:`load_rows` reads the JSON back); files are
+    UTF-8 with a trailing newline.  An empty list yields a header-only CSV /
+    an empty JSON array.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    items = list(items)
-    as_reports = bool(items) and isinstance(items[0], EstimateReport)
-    if as_reports:
-        dicts = [report_to_dict(r) for r in items]
-        columns = _REPORT_COLUMNS
-        cells = [
-            {**{c: d[c] for c in ("estimator", "err_inf", "err_l2")}, **d["ledger"]}
-            for d in dicts
-        ]
-    else:
-        columns = SWEEP_COLUMNS
-        cells = [{c: getattr(r, c) for c in columns} for r in items]
-        dicts = cells
+    cells = [{c: getattr(r, c) for c in SWEEP_COLUMNS} for r in rows]
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_cell(row[c]) for c in columns) for row in cells]
+        lines = [",".join(SWEEP_COLUMNS)]
+        lines += [",".join(_cell(row[c]) for c in SWEEP_COLUMNS) for row in cells]
         text = "\n".join(lines) + "\n"
-    elif as_reports:
-        text = json.dumps(dicts, indent=1) + "\n"
     else:
         body = ",\n".join(
-            "  {" + ", ".join(f'"{c}": {_json_scalar(row[c])}' for c in columns) + "}"
+            "  {" + ", ".join(f'"{c}": {_json_scalar(row[c])}' for c in SWEEP_COLUMNS) + "}"
             for row in cells
         )
         text = "[\n" + body + "\n]\n" if cells else "[]\n"

@@ -10,12 +10,13 @@ The input checks of each oracle construction live here once, as
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from qmeanlab.gridqft import GridSpec, PhaseFunction, lattice_cap
+from qmeanlab.gridqft import GridSpec, PhaseFunction, check_lattice_cap
 from qmeanlab.probspace import RandomVariable, exact_quantile, mean, moments
 
 __all__ = [
@@ -93,16 +94,11 @@ class NoiseModel:
         return cls(mode="perturbed", eps=eps, eta=eta, seed=seed)
 
 
-def linear_phase_function(coeffs: np.ndarray, description: str = "linear") -> PhaseFunction:
+def linear_phase_function(coeffs: np.ndarray) -> PhaseFunction:
     """The separable phase theta_u = <coeffs, u>."""
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
     comps = tuple((lambda pts, s=float(s): s * pts) for s in coeffs)
-    return PhaseFunction(
-        evaluate=lambda pts: pts @ coeffs,
-        separable=True,
-        axis_components=comps,
-        description=description,
-    )
+    return PhaseFunction(evaluate=lambda pts: pts @ coeffs, separable=True, axis_components=comps)
 
 
 def binary_phase_is_linear(rv: RandomVariable, alpha: float, m: int) -> bool:
@@ -155,14 +151,20 @@ def directional_phases_binary(
     theta_u = m * sum_omega P(omega) * clamp_scalar(alpha*<u, X(omega)>, 0, 1).
     Charges m*sqrt(L2)*ceil(log2(1/eps))^2 model units to experiments and
     binary queries for each of the ``reps`` repetitions that use the phase.
-    The clamp makes the phase non-separable in general; see
-    :func:`binary_phase_is_linear` for the exact linear special case.
+    When :func:`binary_phase_is_linear` certifies that the clamp never fires
+    on the m-point grid, the phase is exactly m*alpha*<u, mean(rv)> and is
+    returned separable, so a product-form register stays in product form at
+    any m; otherwise the clamped phase is non-separable.
     """
     check_binary_model(rv, L2)
     if not (0 < alpha < 1):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if m < 1.0 / L2:
         raise ValueError(f"m={m} is below 1/L2 = {1.0 / L2!r}")
+    cost = m * math.sqrt(L2) * math.ceil(math.log2(1 / eps)) ** 2
+    ledger.charge(experiments=reps * cost, binary_queries=reps * cost)
+    if binary_phase_is_linear(rv, alpha, m):
+        return linear_phase_function(m * alpha * mean(rv))
     values, prob = rv.values, rv.prob
 
     def evaluate(pts: np.ndarray) -> np.ndarray:
@@ -170,9 +172,7 @@ def directional_phases_binary(
         np.multiply(z, np.abs(z) <= 1.0, out=z)
         return m * (z @ prob)
 
-    cost = m * math.sqrt(L2) * math.ceil(math.log2(1 / eps)) ** 2
-    ledger.charge(experiments=reps * cost, binary_queries=reps * cost)
-    return PhaseFunction(evaluate=evaluate, separable=False, description="binary-clamped")
+    return PhaseFunction(evaluate=evaluate, separable=False)
 
 
 def directional_phases_phase_model(
@@ -199,7 +199,7 @@ def directional_phases_phase_model(
         experiments=reps * (math.sqrt(d) * m * log_factor**2),
         phase_queries=reps * (d * m * log_factor**4),
     )
-    return linear_phase_function(m * mean(rv), description="phase-model-linear")
+    return linear_phase_function(m * mean(rv))
 
 
 def _flat_grid_indices(pts: np.ndarray, m: int) -> np.ndarray:
@@ -213,22 +213,14 @@ def _flat_grid_indices(pts: np.ndarray, m: int) -> np.ndarray:
     return flat
 
 
-def perturb(phase: PhaseFunction, noise: NoiseModel, spec: GridSpec) -> PhaseFunction:
-    """Overlay the noise model's seeded phase deviations onto a phase function.
+@functools.lru_cache(maxsize=1)
+def _deviation_table(noise: NoiseModel, spec: GridSpec) -> np.ndarray:
+    """The seeded per-point deviations of ``perturb``, drawn once per (noise, spec).
 
-    IDEAL returns the phase unchanged.  PERTURBED draws one deviation per grid
-    point (deterministic in the seed): uniform within the |2 sin(delta/2)| <=
-    eps band on good points, uniform in (-pi, pi] on the <= ceil(eta/2*|G|)
-    bad points selected by seeded ranking.  The result is non-separable, so it
-    forces full-state simulation and is subject to the lattice cap.
+    Estimators that perturb one phase per outer repetition on the same grid
+    reuse the last table instead of redrawing it; the array is read-only.
     """
-    if noise.mode == "ideal":
-        return phase
     n_points = spec.points
-    if n_points > lattice_cap():
-        raise ValueError(
-            f"lattice cap exceeded: perturbation table needs {n_points} > {lattice_cap()} entries"
-        )
     rng = np.random.default_rng(noise.seed)
     scores = rng.random(n_points)
     n_bad = math.ceil(noise.eta / 2.0 * n_points)
@@ -237,16 +229,30 @@ def perturb(phase: PhaseFunction, noise: NoiseModel, spec: GridSpec) -> PhaseFun
     if n_bad > 0:
         bad = np.argpartition(scores, n_bad - 1)[:n_bad]
         deviations[bad] = rng.uniform(-np.pi, np.pi, n_bad)
+    deviations.flags.writeable = False
+    return deviations
+
+
+def perturb(phase: PhaseFunction, noise: NoiseModel, spec: GridSpec) -> PhaseFunction:
+    """Overlay the noise model's seeded phase deviations onto a phase function.
+
+    IDEAL returns the phase unchanged.  PERTURBED draws one deviation per grid
+    point (deterministic in the seed): uniform within the |2 sin(delta/2)| <=
+    eps band on good points, uniform in (-pi, pi] on the <= ceil(eta/2*|G|)
+    bad points selected by seeded ranking.  The result is non-separable, so it
+    forces full-state simulation and is subject to the lattice cap, which is
+    checked before the table is drawn.
+    """
+    if noise.mode == "ideal":
+        return phase
+    check_lattice_cap(spec)
+    deviations = _deviation_table(noise, spec)
     base = phase.evaluate
 
     def evaluate(pts: np.ndarray) -> np.ndarray:
         return np.asarray(base(pts), dtype=float) + deviations[_flat_grid_indices(pts, spec.m)]
 
-    return PhaseFunction(
-        evaluate=evaluate,
-        separable=False,
-        description=f"{phase.description}+perturbed(eps={noise.eps},eta={noise.eta},seed={noise.seed})",
-    )
+    return PhaseFunction(evaluate=evaluate, separable=False)
 
 
 def quantile_oracle(

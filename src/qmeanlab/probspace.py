@@ -28,7 +28,6 @@ __all__ = [
     "truncate_normalized",
     "norm_rv",
     "shift",
-    "from_commuting_observables",
     "parse_distribution_spec",
     "serialize_distribution_spec",
 ]
@@ -233,31 +232,6 @@ def shift(rv: RandomVariable, eta: np.ndarray) -> RandomVariable:
     if eta.shape != (rv.d,):
         raise ValueError(f"eta has shape {eta.shape}, expected ({rv.d},)")
     return RandomVariable(prob=rv.prob, values=rv.values - eta, labels=rv.labels)
-
-
-def from_commuting_observables(
-    amplitudes: np.ndarray, eigenvalues: np.ndarray
-) -> RandomVariable:
-    """Random variable induced by measuring commuting observables on a state.
-
-    Outcome j carries probability |amplitudes[j]|^2 and value column j of
-    ``eigenvalues`` (one row per observable).  Amplitude phases never affect
-    the result.
-    """
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    if amplitudes.ndim != 1:
-        raise ValueError("amplitudes must be a vector")
-    nrm = float(np.linalg.norm(amplitudes))
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"amplitudes must be normalized within 1e-9, got norm {nrm!r}")
-    eigenvalues = np.atleast_2d(np.asarray(eigenvalues, dtype=float))
-    if eigenvalues.shape[1] != amplitudes.shape[0]:
-        raise ValueError(
-            f"eigenvalues has {eigenvalues.shape[1]} columns, expected {amplitudes.shape[0]}"
-        )
-    prob = np.abs(amplitudes) ** 2
-    prob = prob / prob.sum()  # squeeze the 1e-9 normalization slack to an exact 1
-    return RandomVariable(prob=prob, values=eigenvalues.T)
 
 
 def parse_distribution_spec(text: str) -> RandomVariable:

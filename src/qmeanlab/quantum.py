@@ -3,7 +3,9 @@
 Four estimators share the same skeleton: prepare a uniform grid superposition,
 imprint a directional-mean phase through a simulated oracle, apply the inverse
 grid Fourier transform, measure, rescale, and median-combine repetitions.
-They differ in which oracle supplies the phase and how budgets are split.
+They differ in which oracle supplies the phase and how budgets are split;
+whether the register stays in product form is the phase's own property.
+The (n, n') regime map that the phase-model dispatcher branches on lives here.
 """
 
 from __future__ import annotations
@@ -20,19 +22,16 @@ from qmeanlab.gridqft import (
     GridSpec,
     apply_phase_function,
     inverse_qft,
-    lattice_cap,
     measure,
     uniform_superposition,
 )
 from qmeanlab.oracles import (
     CostLedger,
     NoiseModel,
-    binary_phase_is_linear,
     check_binary_model,
     check_phase_range,
     directional_phases_binary,
     directional_phases_phase_model,
-    linear_phase_function,
     perturb,
     quantile_oracle,
 )
@@ -59,6 +58,8 @@ __all__ = [
     "qphase_estimator",
     "qlowprec_estimator",
     "phase_model_dispatch",
+    "regime_classify",
+    "expected_branch",
     "empirical_rv",
 ]
 
@@ -198,24 +199,14 @@ def bounded_estimator(
     alpha = 1.0 / math.sqrt(math.log2(400.0 * math.pi * n * math.sqrt(d)))
     m = 2 ** math.ceil(math.log2(8.0 * math.pi / alpha * n / (math.sqrt(L2) * math.log2(d / delta))))
     reps = math.ceil(18.0 * math.log2(d / delta))
+    spec = GridSpec(m=m, d=d)
 
-    fast = noise.mode == "ideal" and binary_phase_is_linear(rv, alpha, m)
-    if not fast and m**d > lattice_cap():
-        raise ValueError(
-            f"lattice cap exceeded: m^d = {m}^{d} = {m**d} > {lattice_cap()} amplitudes "
-            "(the clamped phase is non-separable and needs the full state)"
-        )
-
-    # one oracle construction, charged once per repetition that uses it
+    # one oracle construction, charged once per repetition that uses it; it
+    # comes back separable (product form at any m) when the clamp never fires
     phase = directional_phases_binary(rv, L2, m, alpha, BINARY_ORACLE_EPS, ledger, reps)
-    if fast:
-        # the clamp provably never fires, so the phase is exactly linear and
-        # the register can stay in product form at any m
-        compute_phase = linear_phase_function(m * alpha * truth, description="binary-linear")
-    else:
-        compute_phase = perturb(phase, noise, GridSpec(m=m, d=d))
+    compute_phase = perturb(phase, noise, spec)
 
-    per_rep = _run_phase_reps(GridSpec(m=m, d=d), compute_phase, reps, 2.0 * math.pi / alpha, rng)
+    per_rep = _run_phase_reps(spec, compute_phase, reps, 2.0 * math.pi / alpha, rng)
     estimate = coordinate_median(per_rep)
     return _report(
         estimate,
@@ -223,7 +214,7 @@ def bounded_estimator(
         ledger,
         "bounded",
         params,
-        {"early_exit": False, "alpha": alpha, "m": m, "reps": reps, "fast_path": fast},
+        {"early_exit": False, "alpha": alpha, "m": m, "reps": reps, "fast_path": compute_phase.separable},
     )
 
 
@@ -473,6 +464,34 @@ def qlowprec_estimator(
     )
 
 
+def regime_classify(n: float, nprime: float, d: int, delta: float) -> str:
+    """Which budget limits the optimal l_inf error at (n, n').
+
+    TRIVIAL when n' < d or n < log2(d/delta); otherwise the larger of the
+    phase term d/n' and the statistical term (sqrt(d)/n above n >= d, 1/sqrt(n)
+    below) names the regime.  Ties go to PHASE_LIMITED and the n = d boundary
+    to the n >= d case — both choices pick the regime reachable with fewer
+    experiments, and at those boundaries the two error scales coincide anyway.
+    """
+    if n <= 0 or nprime <= 0 or d < 1:
+        raise ValueError(f"budgets and dimension must be positive, got n={n}, nprime={nprime}, d={d}")
+    _check_delta(delta)
+    if nprime < d or n < math.log2(d / delta):
+        return "TRIVIAL"
+    phase = d / nprime
+    stat = math.sqrt(d) / n if n >= d else 1.0 / math.sqrt(n)
+    if phase >= stat:
+        return "PHASE_LIMITED"
+    return "EXPERIMENT_LIMITED" if n >= d else "SAMPLE_LIMITED"
+
+
+def expected_branch(n: float, nprime: float, d: int, delta: float) -> str:
+    """Dispatcher branch implied by the regime map at (n, n')."""
+    if regime_classify(n, nprime, d, delta) == "TRIVIAL":
+        return "trivial"
+    return "low_precision" if n < d else "high_precision"
+
+
 def phase_model_dispatch(
     rv: RandomVariable,
     n: float,
@@ -483,24 +502,23 @@ def phase_model_dispatch(
 ) -> EstimateReport:
     """Budget-driven three-way dispatch for phase-oracle estimation.
 
-    Starved budgets (n' < d or n < log2(d/delta)) return the trivial zero
-    estimate at zero cost; modest experiment budgets (n < d) go low-precision;
-    ample budgets go high-precision.
+    The branch is :func:`expected_branch` at (n, n'): starved budgets (n' < d
+    or n < log2(d/delta)) return the trivial zero estimate at zero cost;
+    modest experiment budgets (n < d) go low-precision; ample budgets go
+    high-precision.
     """
     d = rv.d
     check_phase_range(rv)
-    _check_delta(delta)
+    branch = expected_branch(n, nprime, d, delta)
     params = _params(noise, n=float(n), nprime=float(nprime), delta=float(delta))
-    if nprime < d or n < math.log2(d / delta):
+    if branch == "trivial":
         return _report(
-            np.zeros(d), mean(rv), CostLedger(), "phase_dispatch", params, {"branch": "trivial"}
+            np.zeros(d), mean(rv), CostLedger(), "phase_dispatch", params, {"branch": branch}
         )
-    if n < d:
+    if branch == "low_precision":
         sub = qlowprec_estimator(rv, n, nprime, delta, noise, rng)
-        branch = "low_precision"
     else:
         sub = qphase_estimator(rv, n, nprime, delta, noise, rng)
-        branch = "high_precision"
     return _report(
         sub.estimate,
         sub.truth,

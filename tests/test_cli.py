@@ -192,7 +192,22 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("budget", [{"n": float("nan")}, {"n": "many"}, {"n_grid": [-1, 8]}])
+    # the first key of each case names the bad entry
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            {"n": float("nan")},
+            {"n": "many"},
+            {"n_grid": [-1, 8]},
+            {"trials": [2], "n": 8},
+            {"trials": 2.5, "n": 8},
+            {"trials": True, "n": 8},
+            {"seed": "0", "n": 8},
+            {"seed": 1.5, "n": 8},
+            {"noise": 5, "n": 8},
+            {"noise": ["ideal"], "n": 8},
+        ],
+    )
     def test_bad_budget_fails_before_any_trial(self, tmp_path, capsys, budget):
         config_doc = {
             "rv": {"battery": {"name": "ball", "d": 2}},
@@ -202,7 +217,8 @@ class TestSweep:
         config_path.write_text(json.dumps(config_doc), encoding="utf-8")
         assert main(["sweep", "--config", str(config_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: n") and "trials failed" not in err
+        assert err.startswith(f"error: {next(iter(budget))}") and err.count("\n") == 1
+        assert "trials failed" not in err
 
 
 class TestHard:

@@ -104,6 +104,19 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(rv=rv, estimator="qphase", trials=1, seed=0, n="64", nprime=32)
         assert (cfg.n, cfg.nprime) == (64.0, 32.0)
 
+    def test_trials_and_seed_must_be_integers(self):
+        rv = battery_ball(2)
+        for name in ("trials", "seed"):
+            for bad in (True, 2.5, 2.0, "2", [2]):
+                kwargs = {"trials": 1, "seed": 0, name: bad}
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    ExperimentConfig(rv=rv, estimator="classical", n=8, **kwargs)
+        cfg = ExperimentConfig(
+            rv=rv, estimator="classical", trials=np.int64(3), seed=np.uint8(7), n=8
+        )
+        assert (cfg.trials, cfg.seed) == (3, 7)
+        assert type(cfg.trials) is int and type(cfg.seed) is int
+
     def test_grids_are_normalized_to_floats(self):
         cfg = ExperimentConfig(
             rv=battery_ball(2), estimator="bounded", trials=1, seed=0, n_grid=(4, 8)
@@ -166,6 +179,19 @@ class TestRunTrials:
         assert res.reports[1] is None and res.reports[3] is None
         assert res.errors[1] == "ValueError: synthetic failure"
         assert res.row.fail_rate >= 0.5
+
+    def test_program_faults_propagate(self, monkeypatch):
+        import qmeanlab.harness as harness
+
+        def broken(*args, **kwargs):
+            raise TypeError("synthetic program fault")
+
+        monkeypatch.setattr(harness, "bounded_estimator", broken)
+        cfg = ExperimentConfig(
+            rv=battery_ball(2), estimator="bounded", trials=3, seed=1, delta=0.1, n=16
+        )
+        with pytest.raises(TypeError, match="synthetic program fault"):
+            run_trials(cfg)
 
     def test_all_trials_failing_raises(self):
         cfg = ExperimentConfig(
@@ -365,20 +391,6 @@ class TestExport:
         assert float(cells["binary_queries"]) == 2.0 ** -40
         assert cells["nprime"] == ""
         assert cells["estimator"] == "bounded"
-
-    def test_report_export(self, tmp_path):
-        rep = bounded_estimator(
-            battery_ball(2), 1.0, 16, 0.1, IDEAL, np.random.default_rng(0)
-        )
-        jpath = str(tmp_path / "reports.json")
-        export([rep], "json", jpath)
-        doc = json.load(open(jpath, encoding="utf-8"))
-        assert doc[0]["estimator"] == "bounded"
-        assert doc[0]["ledger"]["binary_queries"] == rep.ledger.binary_queries
-        cpath = str(tmp_path / "reports.csv")
-        export([rep], "csv", cpath)
-        header = open(cpath, encoding="utf-8").readline().strip()
-        assert header.startswith("estimator,err_inf,err_l2,experiments")
 
     def test_report_to_dict_sanitizes_numpy(self):
         rep = bounded_estimator(

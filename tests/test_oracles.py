@@ -11,6 +11,7 @@ from qmeanlab.gridqft import GridSpec, grid_points
 from qmeanlab.oracles import (
     CostLedger,
     NoiseModel,
+    _deviation_table,
     binary_phase_is_linear,
     directional_phases_binary,
     directional_phases_phase_model,
@@ -69,7 +70,7 @@ class TestBinaryPhases:
         theta = directional_phases_binary(rv, L2=0.5, m=8, alpha=0.5, eps=0.04, ledger=CostLedger())
         pts = grid_points(spec)
         assert np.abs(theta.evaluate(pts) - 8 * 0.5 * (pts @ mu)).max() < 1e-12
-        assert not theta.separable
+        assert theta.separable  # the clamp never fires here, so the oracle returns it linear
 
     def test_clamp_zeroes_saturated_direction(self):
         d = 9
@@ -217,6 +218,24 @@ class TestPerturb:
         dev = perturb(base, noise, spec).evaluate(pts) - base.evaluate(pts)
         dist = math.sqrt(float(np.mean(np.abs(np.exp(1j * dev) - 1.0) ** 2)))
         assert dist <= 1 / 12, f"perturbed-state distance {dist}"
+
+    def test_deviation_table_is_read_only(self):
+        spec = GridSpec(m=8, d=2)
+        noise = NoiseModel.perturbed(eps=0.1, eta=0.1, seed=4)
+        perturb(linear_phase_function(np.array([1.0, 1.0])), noise, spec)
+        table = _deviation_table(noise, spec)
+        assert table.shape == (spec.points,) and not table.flags.writeable
+
+    def test_lattice_cap_checked_before_the_table_is_drawn(self, monkeypatch):
+        monkeypatch.setenv("QMEANLAB_LATTICE_CAP", "64")
+        _deviation_table.cache_clear()
+        with pytest.raises(ValueError, match=r"lattice cap exceeded: m\^d = 16\^2 = 256 > 64"):
+            perturb(
+                linear_phase_function(np.array([1.0, 1.0])),
+                NoiseModel.perturbed(eps=0.1, eta=0.1, seed=0),
+                GridSpec(m=16, d=2),
+            )
+        assert _deviation_table.cache_info().misses == 0
 
     def test_perturbed_phase_not_separable(self):
         spec = GridSpec(m=8, d=2)

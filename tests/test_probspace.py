@@ -17,7 +17,6 @@ from qmeanlab.probspace import (
     clamp_scalar,
     clamp_vec,
     exact_quantile,
-    from_commuting_observables,
     mean,
     moments,
     norm_rv,
@@ -263,34 +262,6 @@ class TestNormShift:
     def test_shift_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             shift(point_mass([1.0, 2.0]), np.zeros(3))
-
-
-class TestFromCommutingObservables:
-    def test_basis_state(self):
-        rv = from_commuting_observables(np.array([1.0, 0.0]), np.array([[2.0, 5.0]]))
-        assert np.allclose(mean(rv), [2.0], atol=0)
-
-    def test_phases_do_not_matter(self):
-        amps = np.array([1.0, 1j]) / math.sqrt(2)
-        rv = from_commuting_observables(amps, np.array([[1.0, -1.0]]))
-        assert abs(mean(rv)[0]) < 1e-15
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            a /= np.linalg.norm(a)
-            eig = rng.standard_normal((3, 4))
-            base = mean(from_commuting_observables(a, eig))
-            spun = a * np.exp(1j * rng.uniform(-np.pi, np.pi, 4))
-            assert np.allclose(mean(from_commuting_observables(spun, eig)), base, atol=1e-12)
-
-    def test_weighted(self):
-        amps = np.array([math.sqrt(0.8), math.sqrt(0.2)])
-        rv = from_commuting_observables(amps, np.array([[1.0, 0.0]]))
-        assert abs(mean(rv)[0] - 0.8) < 1e-12
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="normalized"):
-            from_commuting_observables(np.array([1.0, 1.0]), np.array([[0.0, 0.0]]))
 
 
 class TestDistributionSpecIO:

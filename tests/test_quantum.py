@@ -21,7 +21,7 @@ from qmeanlab.gridqft import (
     measurement_distribution,
     uniform_superposition,
 )
-from qmeanlab.oracles import CostLedger, NoiseModel, linear_phase_function
+from qmeanlab.oracles import CostLedger, NoiseModel, _deviation_table, linear_phase_function
 from qmeanlab.probspace import RandomVariable, mean, moments
 from qmeanlab.quantum import (
     BINARY_ORACLE_EPS,
@@ -392,6 +392,18 @@ class TestQLowPrecEstimator:
         avg = acc / trials
         sigma = math.sqrt(moments(rv).cov_trace / count / trials)
         assert abs(avg - 0.1) <= 3 * sigma
+
+    def test_perturbed_run_draws_one_noise_table(self):
+        # every outer repetition perturbs its phase on the same grid with the
+        # same noise seed, so the m^d deviation table is drawn once per run
+        _deviation_table.cache_clear()
+        noise = NoiseModel.perturbed(eps=0.05, eta=0.01, seed=3)
+        rv = basis_rv(2, scale=0.25)
+        rep = qlowprec_estimator(rv, 4.0, 16.0, 0.4, noise, np.random.default_rng(5))
+        info = _deviation_table.cache_info()
+        assert rep.diagnostics["outer"] > 1
+        assert info.misses == 1
+        assert info.hits == rep.diagnostics["outer"] - 1
 
     def test_determinism(self):
         rv = basis_rv(2, scale=0.25)
