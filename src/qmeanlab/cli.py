@@ -163,6 +163,13 @@ def _rv_from_doc(doc, base_dir: Path):
     raise ValueError(f"unknown rv source {kind!r}")
 
 
+def _grid(doc: dict, key: str) -> tuple:
+    grid = doc.get(key, [])
+    if not isinstance(grid, list):
+        raise ValueError(f"{key} must be a list of budgets, got {grid!r}")
+    return tuple(grid)
+
+
 def _config_from_doc(doc: dict, base_dir: Path) -> tuple[ExperimentConfig, str | None]:
     unknown = set(doc) - _SWEEP_KEYS
     if unknown:
@@ -175,12 +182,12 @@ def _config_from_doc(doc: dict, base_dir: Path) -> tuple[ExperimentConfig, str |
         estimator=doc["estimator"],
         trials=doc["trials"],
         seed=doc["seed"],
-        delta=float(doc.get("delta", 0.05)),
+        delta=doc.get("delta", 0.05),
         n=doc.get("n"),
         nprime=doc.get("nprime"),
         l2=doc.get("l2"),
-        n_grid=tuple(doc.get("n_grid", ())),
-        nprime_grid=tuple(doc.get("nprime_grid", ())),
+        n_grid=_grid(doc, "n_grid"),
+        nprime_grid=_grid(doc, "nprime_grid"),
     )
     # the noise stream is seeded from the config's seed, checked above
     noise = _parse_noise(doc.get("noise", "ideal"), config.seed)

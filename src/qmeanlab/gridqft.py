@@ -6,6 +6,11 @@ when every applied phase is separable, d independent per-axis vectors (the
 fast path that makes large-m sweeps affordable).  The Fourier transform over
 G has kernel e^{2*pi*i*m*<u,v>}/m^{d/2}; per axis it reduces to a standard
 radix-2 FFT conjugated by diagonal twiddle factors.
+
+A linear phase c_j*u_j needs no register at all: the Born law after the
+inverse transform is the closed-form Fejer kernel of
+:func:`linear_phase_marginals`, and :func:`sample_marginals` inverts it with
+the same per-axis draws :func:`measure` makes on a product state.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ __all__ = [
     "inverse_qft",
     "dense_qft_matrix",
     "measurement_distribution",
+    "linear_phase_marginals",
+    "sample_marginals",
     "measure",
 ]
 
@@ -84,16 +91,21 @@ class PhaseFunction:
     ``evaluate`` maps an (N, d) block of grid points to N phases (radians).
     When ``separable`` is set, theta_u = sum_j f_j(u_j) and ``axis_components``
     holds the d per-axis callables f_j (each mapping (m,) axis values to (m,)
-    phases), which lets product-form states stay in product form.
+    phases), which lets product-form states stay in product form.  A linear
+    phase theta_u = <coeffs, u> also carries ``coeffs``, which lets a round
+    sample it from :func:`linear_phase_marginals` without a register.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     separable: bool
     axis_components: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
+    coeffs: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.separable and self.axis_components is None:
             raise ValueError("separable phase functions must carry axis_components")
+        if self.coeffs is not None and not self.separable:
+            raise ValueError("only a separable phase can carry linear coeffs")
 
 
 @dataclass(frozen=True)
@@ -145,8 +157,7 @@ class GridState:
 
 def grid_axis_points(m: int) -> np.ndarray:
     """The m axis values (2a+1-m)/(2m), symmetric about 0 inside (-1/2, 1/2)."""
-    a = np.arange(m)
-    return (2 * a + 1 - m) / (2 * m)
+    return np.arange(1.0 - m, m, 2.0) / (2 * m)  # exact odd integers 2a+1-m
 
 
 def grid_points(spec: GridSpec) -> np.ndarray:
@@ -264,26 +275,81 @@ def measurement_distribution(state: GridState):
     return np.abs(state.tensor.reshape(-1)) ** 2
 
 
+def linear_phase_marginals(spec: GridSpec, coeffs) -> tuple[np.ndarray, ...]:
+    """Exact per-axis Born marginals of a linear phase, without a register.
+
+    Equal to ``measurement_distribution(inverse_qft(apply_phase_function(
+    uniform_superposition(spec), theta)))`` for theta_u = <coeffs, u>.  With
+    y_b = c/(2m) - pi*v_b the marginal of axis coefficient c is the Fejer
+    kernel p_b = sin^2(m*y_b) / (m^2 sin^2 y_b).  The numerator is the same for
+    every b (the y_b are pi/m apart); it is computed once, at the b nearest
+    the peak, from the same rounded y_b as that bin's denominator, so the peak
+    stays exact when c lies within rounding of a lattice hit.  An exact hit
+    (sin y_b = 0) is a point mass; m = 1 has the single outcome 0.  Real
+    float64 arithmetic throughout; the raw mass of every axis is checked
+    against 1, as :class:`GridState` checks its norm.
+    """
+    m = spec.m
+    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    if coeffs.shape != (spec.d,):
+        raise ValueError(f"linear phase has {coeffs.shape[0]} coefficients, expected {spec.d}")
+    if m == 1:
+        return (np.ones(1),) * spec.d
+    pi_v = np.pi * grid_axis_points(m)
+    # A phase c of order m resolves only to its float64 ulp, so the rounding
+    # drift of the mass grows with m (at most 5e-11 over 20 random c at
+    # m = 2^23); the bound grows with it instead of staying a flat 1e-9.
+    tol = max(1e-9, 16 * m * 2.0**-52)
+    out = []
+    for c in coeffs:
+        p = np.subtract(c / (2 * m), pi_v)  # y_b, then sin^2 y_b, then p_b in place
+        np.square(np.sin(p, out=p), out=p)
+        peak = int(np.argmin(p))
+        if p[peak] == 0.0:
+            p[:] = 0.0
+            p[peak] = 1.0
+        else:
+            y_peak = c / (2 * m) - pi_v[peak]
+            np.divide((math.sin(m * y_peak) / m) ** 2, p, out=p)
+            total = float(p.sum())
+            if abs(total - 1.0) > tol:
+                raise ValueError(f"state norm drifted to {math.sqrt(total)!r}")
+        out.append(p)
+    return tuple(out)
+
+
+def sample_marginals(marginals, reps: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``reps`` lattice points from a product of per-axis marginals, as (reps, d).
+
+    Axis by axis, in order: normalise, invert the cumulative sum by
+    searchsorted on ``rng.random(reps)`` and clamp to the last point.
+    """
+    m = marginals[0].shape[0]
+    idx = np.empty((reps, len(marginals)), dtype=np.int64)
+    for j, marginal in enumerate(marginals):
+        cdf = marginal / marginal.sum()
+        idx[:, j] = np.searchsorted(np.cumsum(cdf, out=cdf), rng.random(reps), side="right")
+    np.minimum(idx, m - 1, out=idx)
+    return (2 * idx + 1 - m) / (2 * m)  # grid_axis_points(m)[idx]
+
+
 def measure(state: GridState, reps: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``reps`` grid points from the Born distribution, as a (reps, d) array.
 
     The distribution is computed once and inverted by searchsorted on its
-    cumulative sum; product states draw each axis from its own marginal.
+    cumulative sum; product states draw each axis from its own marginal
+    through :func:`sample_marginals`.
     """
     spec = state.spec
-    axis = grid_axis_points(spec.m)
     dist = measurement_distribution(state)
-    out = np.empty((reps, spec.d))
     if state.is_product:
-        for j, marginal in enumerate(dist):
-            cdf = np.cumsum(marginal / marginal.sum())
-            idx = np.searchsorted(cdf, rng.random(reps), side="right")
-            out[:, j] = axis[np.minimum(idx, spec.m - 1)]
-    else:
-        p = dist / dist.sum()
-        cdf = np.cumsum(p)
-        flat = np.searchsorted(cdf, rng.random(reps), side="right")
-        multi = np.unravel_index(np.minimum(flat, p.shape[0] - 1), (spec.m,) * spec.d)
-        for j in range(spec.d):
-            out[:, j] = axis[multi[j]]
+        return sample_marginals(dist, reps, rng)
+    axis = grid_axis_points(spec.m)
+    out = np.empty((reps, spec.d))
+    p = dist / dist.sum()
+    cdf = np.cumsum(p)
+    flat = np.searchsorted(cdf, rng.random(reps), side="right")
+    multi = np.unravel_index(np.minimum(flat, p.shape[0] - 1), (spec.m,) * spec.d)
+    for j in range(spec.d):
+        out[:, j] = axis[multi[j]]
     return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -133,6 +134,13 @@ def _budget(name: str, value) -> float:
     return budget
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float; Python and NumPy real numbers only (not bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _integer(name: str, value) -> int:
     """``value`` as an int; Python and NumPy integers only (not bool)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -146,11 +154,12 @@ class ExperimentConfig:
 
     Exactly one of ``n`` / ``n_grid`` supplies the experiment budget; the
     phase-model estimators additionally need ``nprime`` or ``nprime_grid``.
-    ``trials`` and ``seed`` must be integers.  Every budget is converted to
-    float here and must be finite and positive; grids must be strictly
-    increasing.  Trial t of any battery uses the generator seeded with
-    ``seed + t``; sweeps advance the base by ``trials`` per grid point so no
-    two trials anywhere share a stream.
+    ``trials`` and ``seed`` must be integers, ``delta`` and ``l2`` real
+    numbers (bool rejected).  Every budget is converted to float here and
+    must be finite and positive; grids must be strictly increasing.  Trial t
+    of any battery uses the generator seeded with ``seed + t``; sweeps advance
+    the base by ``trials`` per grid point so no two trials anywhere share a
+    stream.
     """
 
     rv: RandomVariable
@@ -174,6 +183,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        object.__setattr__(self, "delta", _real("delta", self.delta))
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
         for name in ("n", "nprime"):
@@ -193,8 +203,10 @@ class ExperimentConfig:
             raise ValueError("nprime and nprime_grid are mutually exclusive")
         if self.estimator in _NEEDS_NPRIME and self.nprime is None and not self.nprime_grid:
             raise ValueError(f"estimator {self.estimator!r} needs nprime or nprime_grid")
-        if self.l2 is not None and not (0.0 < self.l2 <= 1.0):
-            raise ValueError(f"l2 must lie in (0, 1], got {self.l2!r}")
+        if self.l2 is not None:
+            object.__setattr__(self, "l2", _real("l2", self.l2))
+            if not (0.0 < self.l2 <= 1.0):
+                raise ValueError(f"l2 must lie in (0, 1], got {self.l2!r}")
 
 
 @dataclass(frozen=True)

@@ -95,10 +95,13 @@ class NoiseModel:
 
 
 def linear_phase_function(coeffs: np.ndarray) -> PhaseFunction:
-    """The separable phase theta_u = <coeffs, u>."""
-    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    """The separable phase theta_u = <coeffs, u>, carrying its (read-only) coeffs."""
+    coeffs = np.array(coeffs, dtype=float, ndmin=1)
+    coeffs.flags.writeable = False
     comps = tuple((lambda pts, s=float(s): s * pts) for s in coeffs)
-    return PhaseFunction(evaluate=lambda pts: pts @ coeffs, separable=True, axis_components=comps)
+    return PhaseFunction(
+        evaluate=lambda pts: pts @ coeffs, separable=True, axis_components=comps, coeffs=coeffs
+    )
 
 
 def binary_phase_is_linear(rv: RandomVariable, alpha: float, m: int) -> bool:

@@ -3,8 +3,11 @@
 Four estimators share the same skeleton: prepare a uniform grid superposition,
 imprint a directional-mean phase through a simulated oracle, apply the inverse
 grid Fourier transform, measure, rescale, and median-combine repetitions.
-They differ in which oracle supplies the phase and how budgets are split;
-whether the register stays in product form is the phase's own property.
+They differ in which oracle supplies the phase and how budgets are split.
+The phase alone decides how a round is simulated: an ideal linear phase (one
+that carries its coeffs) skips the register and samples the closed-form Born
+marginals; any other phase runs the register, in product form when it is
+separable.
 The (n, n') regime map that the phase-model dispatcher branches on lives here.
 """
 
@@ -20,9 +23,12 @@ import numpy as np
 from qmeanlab.classical import coordinate_median, subgaussian_estimate
 from qmeanlab.gridqft import (
     GridSpec,
+    PhaseFunction,
     apply_phase_function,
     inverse_qft,
+    linear_phase_marginals,
     measure,
+    sample_marginals,
     uniform_superposition,
 )
 from qmeanlab.oracles import (
@@ -155,14 +161,23 @@ def _phase_log_budget(rv: RandomVariable, n: float, nprime: float, delta: float)
 
 def _run_phase_reps(
     spec: GridSpec,
-    phase,
+    phase: PhaseFunction,
     reps: int,
     scale: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """uniform -> phase -> inverse QFT -> ``reps`` measurements, scaled."""
-    state = inverse_qft(apply_phase_function(uniform_superposition(spec), phase))
-    return scale * measure(state, reps, rng)
+    """``reps`` phase-estimation measurements of one round, scaled.
+
+    A linear phase (it carries ``coeffs``) skips the register: its closed-form
+    Born marginals are sampled with the same draws :func:`measure` would make.
+    Every other phase runs uniform -> phase -> inverse QFT -> measure.
+    """
+    if phase.coeffs is not None:
+        points = sample_marginals(linear_phase_marginals(spec, phase.coeffs), reps, rng)
+    else:
+        state = inverse_qft(apply_phase_function(uniform_superposition(spec), phase))
+        points = measure(state, reps, rng)
+    return scale * points
 
 
 def bounded_estimator(
@@ -202,7 +217,8 @@ def bounded_estimator(
     spec = GridSpec(m=m, d=d)
 
     # one oracle construction, charged once per repetition that uses it; it
-    # comes back separable (product form at any m) when the clamp never fires
+    # comes back linear (sampled without a register at any m) when the clamp
+    # never fires
     phase = directional_phases_binary(rv, L2, m, alpha, BINARY_ORACLE_EPS, ledger, reps)
     compute_phase = perturb(phase, noise, spec)
 
@@ -385,7 +401,7 @@ def qphase_estimator(
     """High-precision estimator from phase oracles, values in [-1/4, 1/4]^d.
 
     Resolution follows k = floor(min(n, n'/sqrt(d))); the imprinted phase is
-    exactly linear, so IDEAL noise keeps the register in product form.
+    exactly linear, so under IDEAL noise every round skips the register.
     """
     d = rv.d
     log_term = _phase_log_budget(rv, n, nprime, delta)

@@ -206,6 +206,10 @@ class TestSweep:
             {"seed": 1.5, "n": 8},
             {"noise": 5, "n": 8},
             {"noise": ["ideal"], "n": 8},
+            {"delta": [0.1], "n": 8},
+            {"delta": None, "n": 8},
+            {"l2": "0.5", "n": 8},
+            {"n_grid": 5},
         ],
     )
     def test_bad_budget_fails_before_any_trial(self, tmp_path, capsys, budget):

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmeanlab.gridqft import (
     GridSpec,
@@ -21,6 +23,7 @@ from qmeanlab.gridqft import (
     grid_points,
     inverse_qft,
     lattice_cap,
+    linear_phase_marginals,
     measure,
     measurement_distribution,
     qft,
@@ -268,6 +271,67 @@ class TestMeasurement:
             flat = idx[:, 0] * spec.m + idx[:, 1]
             counts = np.bincount(flat, minlength=spec.points) / 100_000
             assert np.all(np.abs(counts - p) <= 3 * sigma + 1e-4)
+
+
+def register_marginals(spec: GridSpec, coeffs) -> tuple[np.ndarray, ...]:
+    """The product-form FFT pipeline's marginals: the closed form's reference."""
+    state = apply_phase_function(uniform_superposition(spec), linear_phase(spec, coeffs))
+    return measurement_distribution(inverse_qft(state))
+
+
+def assert_closed_form_matches_register(m: int, c: float) -> None:
+    spec = GridSpec(m=m, d=1)
+    (closed,) = linear_phase_marginals(spec, [c])
+    (reference,) = register_marginals(spec, [c])
+    assert np.abs(closed - reference).max() <= 1e-9, f"m={m} c={c!r}"
+
+
+class TestLinearPhaseMarginals:
+    @settings(deadline=None)
+    @given(k=st.integers(0, 12), t=st.floats(-4.0, 4.0, allow_nan=False))
+    def test_matches_the_register(self, k, t):
+        assert_closed_form_matches_register(2**k, t * 2**k)
+
+    @settings(deadline=None)
+    @given(k=st.integers(0, 12), data=st.data())
+    def test_lattice_hit_matches_the_register(self, k, data):
+        m = 2**k
+        b = data.draw(st.integers(0, m - 1))
+        assert_closed_form_matches_register(m, 2 * np.pi * m * grid_axis_points(m)[b])
+
+    def test_matches_the_register_at_m_2_20(self):
+        assert_closed_form_matches_register(2**20, 0.37 * 2**20)
+
+    def test_near_lattice_hit_keeps_its_peak(self):
+        # 355 lies 3e-5 from 113*pi: within 6e-8 of a lattice hit at m = 256
+        assert_closed_form_matches_register(256, 355.0)
+        assert_closed_form_matches_register(64, 2 * np.pi * 64 * grid_axis_points(64)[5] + 1e-9)
+
+    def test_product_axes(self):
+        spec = GridSpec(m=16, d=3)
+        coeffs = [11.0, -4.0, 2 * np.pi * 16 * grid_axis_points(16)[3]]
+        closed = linear_phase_marginals(spec, coeffs)
+        for a, b in zip(closed, register_marginals(spec, coeffs)):
+            assert np.abs(a - b).max() <= 1e-12
+
+    def test_single_point_axis(self):
+        (p, q) = linear_phase_marginals(GridSpec(m=1, d=2), [0.7, -3.0])
+        assert p.tolist() == [1.0] and q.tolist() == [1.0]
+
+    def test_mass_check_holds_at_m_2_23(self):
+        # the drift grows with m (a phase c ~ m resolves only to its ulp); the
+        # tolerance grows with it, so the check stays quiet at the largest m
+        m = 2**23
+        (p,) = linear_phase_marginals(GridSpec(m=m, d=1), [0.123456789 * m])
+        assert abs(float(p.sum()) - 1.0) <= 16 * m * 2.0**-52
+
+    def test_coefficient_count_must_match(self):
+        with pytest.raises(ValueError, match="2 coefficients, expected 3"):
+            linear_phase_marginals(GridSpec(m=4, d=3), [1.0, 2.0])
+
+    def test_coeffs_need_a_separable_phase(self):
+        with pytest.raises(ValueError, match="separable"):
+            PhaseFunction(evaluate=lambda pts: pts @ [1.0], separable=False, coeffs=np.ones(1))
 
 
 class TestPhaseEstimationConcentration:

@@ -117,6 +117,20 @@ class TestExperimentConfig:
         assert (cfg.trials, cfg.seed) == (3, 7)
         assert type(cfg.trials) is int and type(cfg.seed) is int
 
+    def test_delta_and_l2_must_be_real_numbers(self):
+        rv = battery_ball(2)
+        for name in ("delta", "l2"):
+            for bad in (True, "0.5", [0.5], None):
+                if name == "l2" and bad is None:
+                    continue  # l2=None means "use E||X||_2"
+                with pytest.raises(ValueError, match=f"{name} must be a number"):
+                    ExperimentConfig(rv=rv, estimator="bounded", trials=1, seed=0, n=8, **{name: bad})
+        cfg = ExperimentConfig(
+            rv=rv, estimator="bounded", trials=1, seed=0, n=8, delta=np.float32(0.25), l2=np.int64(1)
+        )
+        assert (cfg.delta, cfg.l2) == (0.25, 1.0)
+        assert type(cfg.delta) is float and type(cfg.l2) is float
+
     def test_grids_are_normalized_to_floats(self):
         cfg = ExperimentConfig(
             rv=battery_ball(2), estimator="bounded", trials=1, seed=0, n_grid=(4, 8)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -71,6 +72,7 @@ class TestBinaryPhases:
         pts = grid_points(spec)
         assert np.abs(theta.evaluate(pts) - 8 * 0.5 * (pts @ mu)).max() < 1e-12
         assert theta.separable  # the clamp never fires here, so the oracle returns it linear
+        assert np.array_equal(theta.coeffs, 8 * 0.5 * mu)
 
     def test_clamp_zeroes_saturated_direction(self):
         d = 9
@@ -81,6 +83,7 @@ class TestBinaryPhases:
         corner = np.full((1, d), 0.5 - 0.5 / m)
         assert alpha * float((corner @ x)[0]) > 1.0  # the clamp fires here
         assert theta.evaluate(corner)[0] == 0.0
+        assert theta.coeffs is None  # so no round may sample it as linear
 
     def test_two_outcome_matches_brute_sum(self):
         rng = np.random.default_rng(15)
@@ -153,6 +156,9 @@ class TestPhaseModelPhases:
         theta = directional_phases_phase_model(rv, m=8, eps=0.1, eta=0.1, ledger=CostLedger())
         pts = grid_points(GridSpec(m=8, d=1))
         assert np.abs(theta.evaluate(pts) - 8 * 0.2 * pts[:, 0]).max() < 1e-14
+        assert theta.coeffs.tolist() == [8 * 0.2] and not theta.coeffs.flags.writeable
+        # a tracer swapping in its own evaluate keeps the coefficients
+        assert dataclasses.replace(theta, evaluate=theta.evaluate).coeffs is theta.coeffs
 
     def test_separability_on_random_points(self):
         rng = np.random.default_rng(19)
@@ -244,7 +250,7 @@ class TestPerturb:
             NoiseModel.perturbed(eps=0.1, eta=0.1, seed=0),
             spec,
         )
-        assert not out.separable
+        assert not out.separable and out.coeffs is None
 
 
 class TestQuantileOracle:

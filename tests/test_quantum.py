@@ -13,15 +13,23 @@ import math
 import numpy as np
 import pytest
 
+from qmeanlab import quantum
 from qmeanlab.gridqft import (
     GridSpec,
     apply_phase_function,
     grid_axis_points,
     inverse_qft,
+    measure,
     measurement_distribution,
     uniform_superposition,
 )
-from qmeanlab.oracles import CostLedger, NoiseModel, _deviation_table, linear_phase_function
+from qmeanlab.oracles import (
+    CostLedger,
+    NoiseModel,
+    _deviation_table,
+    linear_phase_function,
+    perturb,
+)
 from qmeanlab.probspace import RandomVariable, mean, moments
 from qmeanlab.quantum import (
     BINARY_ORACLE_EPS,
@@ -88,6 +96,33 @@ class TestEstimateReport:
         )
         with pytest.raises(ValueError):
             rep.estimate[0] = 2.0
+
+
+class TestPhaseRounds:
+    @pytest.mark.parametrize("m", [2, 64, 4096, 2**16])
+    def test_linear_round_draws_what_the_register_draws(self, m):
+        spec = GridSpec(m=m, d=2)
+        phase = linear_phase_function(np.array([0.61, -0.23]) * 2 * math.pi * m)
+        for seed in range(3):
+            closed = quantum._run_phase_reps(spec, phase, 200, 1.0, np.random.default_rng(seed))
+            state = inverse_qft(apply_phase_function(uniform_superposition(spec), phase))
+            register = measure(state, 200, np.random.default_rng(seed))
+            assert np.array_equal(closed, register)
+
+    def test_only_non_linear_phases_build_a_register(self, monkeypatch):
+        calls = {"inverse_qft": 0, "uniform_superposition": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(quantum, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(quantum, name, counted)
+        spec = GridSpec(m=8, d=2)
+        phase = linear_phase_function(np.array([3.0, -5.0]))
+        quantum._run_phase_reps(spec, phase, 10, 1.0, np.random.default_rng(0))
+        assert calls == {"inverse_qft": 0, "uniform_superposition": 0}
+        noisy = perturb(phase, NoiseModel.perturbed(eps=0.1, eta=0.1, seed=0), spec)
+        quantum._run_phase_reps(spec, noisy, 10, 1.0, np.random.default_rng(0))
+        assert calls == {"inverse_qft": 1, "uniform_superposition": 1}
 
 
 class TestBoundedEstimator:
