@@ -170,13 +170,20 @@ def _grid(doc: dict, key: str) -> tuple:
     return tuple(grid)
 
 
-def _config_from_doc(doc: dict, base_dir: Path) -> tuple[ExperimentConfig, str | None]:
+def _config_from_doc(doc, base_dir: Path) -> tuple[ExperimentConfig, str | None]:
+    if not isinstance(doc, dict):
+        raise ValueError(f"sweep config root must be a JSON object, got {doc!r}")
     unknown = set(doc) - _SWEEP_KEYS
     if unknown:
         raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
     for key in ("rv", "estimator", "trials", "seed"):
         if key not in doc:
             raise ValueError(f"sweep config is missing required key {key!r}")
+    output = doc.get("output")
+    if output is not None and not (
+        isinstance(output, str) and Path(output).suffix.lower() in (".csv", ".json")
+    ):
+        raise ValueError(f"output must be a path ending in .csv or .json, got {output!r}")
     config = ExperimentConfig(
         rv=_rv_from_doc(doc["rv"], base_dir),
         estimator=doc["estimator"],
@@ -191,7 +198,7 @@ def _config_from_doc(doc: dict, base_dir: Path) -> tuple[ExperimentConfig, str |
     )
     # the noise stream is seeded from the config's seed, checked above
     noise = _parse_noise(doc.get("noise", "ideal"), config.seed)
-    return replace(config, noise=noise), doc.get("output")
+    return replace(config, noise=noise), output
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -318,38 +318,42 @@ def linear_phase_marginals(spec: GridSpec, coeffs) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
+def _draw_indices(p: np.ndarray, reps: int, rng: np.random.Generator) -> np.ndarray:
+    """``reps`` indices into ``p`` drawn by inverting its normalised cumulative sum.
+
+    One ``rng.random(reps)`` draw and searchsorted (side="right"); the single
+    CDF inversion behind every Born sampler here.  Searching all but the last
+    CDF entry clamps to the last index a draw that rounding leaves at or above
+    the final sum, without a second pass.
+    """
+    cdf = p / p.sum()
+    return np.searchsorted(np.cumsum(cdf, out=cdf)[:-1], rng.random(reps), side="right")
+
+
 def sample_marginals(marginals, reps: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``reps`` lattice points from a product of per-axis marginals, as (reps, d).
 
-    Axis by axis, in order: normalise, invert the cumulative sum by
-    searchsorted on ``rng.random(reps)`` and clamp to the last point.
+    Each axis, in order, draws its indices through one CDF inversion.
     """
     m = marginals[0].shape[0]
     idx = np.empty((reps, len(marginals)), dtype=np.int64)
-    for j, marginal in enumerate(marginals):
-        cdf = marginal / marginal.sum()
-        idx[:, j] = np.searchsorted(np.cumsum(cdf, out=cdf), rng.random(reps), side="right")
-    np.minimum(idx, m - 1, out=idx)
+    for j, p in enumerate(marginals):
+        idx[:, j] = _draw_indices(p, reps, rng)
     return (2 * idx + 1 - m) / (2 * m)  # grid_axis_points(m)[idx]
 
 
 def measure(state: GridState, reps: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``reps`` grid points from the Born distribution, as a (reps, d) array.
 
-    The distribution is computed once and inverted by searchsorted on its
-    cumulative sum; product states draw each axis from its own marginal
-    through :func:`sample_marginals`.
+    A full state inverts the CDF of its flat row-major table once; a product
+    state draws each axis from its own marginal through
+    :func:`sample_marginals`.  Both go through the one CDF inversion
+    :func:`_draw_indices`.
     """
     spec = state.spec
     dist = measurement_distribution(state)
     if state.is_product:
         return sample_marginals(dist, reps, rng)
-    axis = grid_axis_points(spec.m)
-    out = np.empty((reps, spec.d))
-    p = dist / dist.sum()
-    cdf = np.cumsum(p)
-    flat = np.searchsorted(cdf, rng.random(reps), side="right")
-    multi = np.unravel_index(np.minimum(flat, p.shape[0] - 1), (spec.m,) * spec.d)
-    for j in range(spec.d):
-        out[:, j] = axis[multi[j]]
-    return out
+    flat = _draw_indices(dist, reps, rng)
+    idx = np.column_stack(np.unravel_index(flat, (spec.m,) * spec.d))
+    return (2 * idx + 1 - spec.m) / (2 * spec.m)  # grid_axis_points(m)[idx]

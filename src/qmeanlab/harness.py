@@ -401,34 +401,6 @@ def fit_slope(rows, x_field: str, y_field: str) -> tuple[float, float, float]:
 # --- file interfaces -------------------------------------------------------
 
 
-def _num17(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-        return str(int(v))
-    f = float(v)
-    return _num17(f) if math.isfinite(f) else "nan"
-
-
-def _json_scalar(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, str):
-        return json.dumps(v)
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    f = float(v)
-    return _num17(f) if math.isfinite(f) else "null"
-
-
 def _jsonable(obj):
     """Best-effort conversion of report payloads to JSON-encodable values."""
     if isinstance(obj, np.ndarray):
@@ -461,24 +433,20 @@ def export(rows, fmt: str, path: str) -> str:
     """Write SweepRows to ``path`` as CSV or JSON.
 
     CSV columns follow SWEEP_COLUMNS exactly; JSON mirrors the field names.
-    Floats carry 17 significant digits, so parsed values reproduce the
-    originals bit for bit (:func:`load_rows` reads the JSON back); files are
-    UTF-8 with a trailing newline.  An empty list yields a header-only CSV /
-    an empty JSON array.
+    Floats are written in Python's shortest round-trip form, so parsed values
+    reproduce the originals bit for bit, +-inf included (``Infinity`` in JSON;
+    :func:`load_rows` reads the JSON back); files are UTF-8 with a trailing
+    newline.  An empty list yields a header-only CSV / an empty JSON array.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     cells = [{c: getattr(r, c) for c in SWEEP_COLUMNS} for r in rows]
     if fmt == "csv":
         lines = [",".join(SWEEP_COLUMNS)]
-        lines += [",".join(_cell(row[c]) for c in SWEEP_COLUMNS) for row in cells]
+        lines += [",".join("" if v is None else str(v) for v in row.values()) for row in cells]
         text = "\n".join(lines) + "\n"
     else:
-        body = ",\n".join(
-            "  {" + ", ".join(f'"{c}": {_json_scalar(row[c])}' for c in SWEEP_COLUMNS) + "}"
-            for row in cells
-        )
-        text = "[\n" + body + "\n]\n" if cells else "[]\n"
+        text = json.dumps(cells, indent=1) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return path
@@ -517,7 +485,7 @@ def emit_plot_data(rows, kind: str, path: str) -> str:
         for r in rows:
             lines.append(
                 " ".join(
-                    _num17(v)
+                    str(float(v))
                     for v in (
                         r.n,
                         r.median_err_inf,
@@ -534,7 +502,7 @@ def emit_plot_data(rows, kind: str, path: str) -> str:
         for r in rows:
             if r.nprime is None:
                 raise ValueError("regime_map needs nprime on every row")
-            lines.append(f"{_num17(r.n)} {_num17(r.nprime)} {regime_classify(r.n, r.nprime, r.d, r.delta)}")
+            lines.append(f"{float(r.n)} {float(r.nprime)} {regime_classify(r.n, r.nprime, r.d, r.delta)}")
     else:
         raise ValueError(f"kind must be 'error_vs_budget' or 'regime_map', got {kind!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

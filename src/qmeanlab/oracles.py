@@ -206,14 +206,9 @@ def directional_phases_phase_model(
 
 
 def _flat_grid_indices(pts: np.ndarray, m: int) -> np.ndarray:
-    # invert u = (2a+1-m)/(2m) per axis, then ravel row-major
+    # invert u = (2a+1-m)/(2m) per axis, then ravel row-major (ValueError off the grid)
     a = np.rint(m * pts + (m - 1) / 2.0).astype(np.int64)
-    if np.any((a < 0) | (a >= m)):
-        raise ValueError("point off the grid")
-    flat = a[:, 0]
-    for j in range(1, pts.shape[1]):
-        flat = flat * m + a[:, j]
-    return flat
+    return np.ravel_multi_index(tuple(a.T), (m,) * pts.shape[1])
 
 
 @functools.lru_cache(maxsize=1)

@@ -38,8 +38,8 @@ class RandomVariable:
     """A finite probability space with a d-dimensional observation per outcome.
 
     Attributes:
-        prob: length-K probability vector, nonnegative, summing to 1.
-        values: K x d matrix; row k is the observation on outcome k.
+        prob: length-K probability vector, finite, nonnegative, summing to 1.
+        values: finite K x d matrix; row k is the observation on outcome k.
         labels: K distinct outcome identifiers (defaults to "0", "1", ...).
     """
 
@@ -60,6 +60,8 @@ class RandomVariable:
             )
         if values.shape[1] < 1:
             raise ValueError("dimension d must be at least 1")
+        if not (np.isfinite(prob).all() and np.isfinite(values).all()):
+            raise ValueError("prob and values must be finite")
         if np.any(prob < 0.0):
             raise ValueError("prob must be nonnegative")
         total = float(prob.sum())
@@ -94,8 +96,8 @@ class MomentSummary:
     """Exact moments of a finite random variable.
 
     ``cov_trace`` is Tr of the covariance matrix, ``spectral_norm`` its largest
-    eigenvalue, ``exp_norm2``/``exp_norm2_sq`` the first two moments of the
-    Euclidean norm.
+    eigenvalue clamped to [0, cov_trace], ``exp_norm2``/``exp_norm2_sq`` the
+    first two moments of the Euclidean norm.
     """
 
     mean: np.ndarray
@@ -110,37 +112,12 @@ def mean(rv: RandomVariable) -> np.ndarray:
     return rv.prob @ rv.values
 
 
-def _spectral_norm(sigma: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
-
-    Deterministic all-ones start; 1e-9 relative tolerance, 10,000-iteration
-    cap.  The all-ones vector can be exactly orthogonal to the top eigenspace
-    (e.g. covariance of symmetric +-1 pairs), so a zero iterate falls back to
-    the basis vector of the largest diagonal entry.
-    """
-    d = sigma.shape[0]
-    v = np.ones(d) / math.sqrt(d)
-    lam = 0.0
-    for _ in range(10_000):
-        w = sigma @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            if float(np.abs(sigma).max(initial=0.0)) == 0.0:
-                return 0.0
-            v = np.zeros(d)
-            v[int(np.argmax(np.diag(sigma)))] = 1.0
-            lam = 0.0
-            continue
-        v = w / norm
-        new_lam = float(v @ (sigma @ v))
-        if abs(new_lam - lam) <= 1e-9 * max(abs(new_lam), 1e-30):
-            return new_lam
-        lam = new_lam
-    return lam
-
-
 def moments(rv: RandomVariable) -> MomentSummary:
-    """All five moment fields computed exactly from the finite support."""
+    """All five moment fields computed exactly from the finite support.
+
+    The spectral norm is the top eigenvalue of the covariance matrix from
+    ``np.linalg.eigvalsh`` (exact up to float64 arithmetic).
+    """
     mu = mean(rv)
     sq_norms = np.einsum("kd,kd->k", rv.values, rv.values)
     exp_norm2_sq = float(rv.prob @ sq_norms)
@@ -148,7 +125,9 @@ def moments(rv: RandomVariable) -> MomentSummary:
     cov_trace = max(exp_norm2_sq - float(mu @ mu), 0.0)
     centered = rv.values - mu
     sigma = (centered * rv.prob[:, None]).T @ centered
-    spectral = min(max(_spectral_norm(sigma), 0.0), cov_trace) if cov_trace > 0 else 0.0
+    # eigvalsh refuses an overflowed sigma; ||Sigma|| <= Tr(Sigma) bounds it then
+    top = float(np.linalg.eigvalsh(sigma)[-1]) if np.isfinite(sigma).all() else math.inf
+    spectral = min(max(top, 0.0), cov_trace) if cov_trace > 0 else 0.0
     return MomentSummary(
         mean=mu,
         cov_trace=cov_trace,

@@ -270,18 +270,16 @@ def near_optimal_estimator(
 
     Y = shift(rv, center)
     normY = norm_rv(Y)
-    y_norms = np.linalg.norm(Y.values, axis=1)
 
     a_prev = 0.0
     estimate = center.astype(float).copy()
     shells: list[dict[str, Any]] = []
     clamp_events = 0
-    shell_means_sum = np.zeros(d)  # sum_j a_j * mean(Y_j), rebuilt exactly
     for j in range(k + 1):
         p = 2.0 ** (-j)
         a_j = quantile_oracle(normY, p, shell_delta, c, rng, ledger, exact=exact_quantiles)
         if a_j < a_prev:
-            logger.warning(
+            logger.debug(
                 "quantile sequence non-monotone at shell %d: %.6g < %.6g; clamped", j, a_j, a_prev
             )
             a_j = a_prev
@@ -298,8 +296,6 @@ def near_optimal_estimator(
             estimate = estimate + a_j * sub.estimate
             entry["early_exit"] = sub.diagnostics.get("early_exit")
             entry["m"] = sub.diagnostics.get("m")
-            mask = (a_prev < y_norms) & (y_norms <= a_j)
-            shell_means_sum = shell_means_sum + Y.prob @ np.where(mask[:, None], Y.values, 0.0)
         shells.append(entry)
         a_prev = a_j
 
@@ -313,20 +309,18 @@ def near_optimal_estimator(
     }
     if exact_quantiles:
         diagnostics["structural"] = _structural_checks(
-            Y, y_norms, [s["a"] for s in shells], k, c, center, truth, shell_means_sum
+            Y, [s["a"] for s in shells], k, c, center, truth
         )
     return _report(estimate, truth, ledger, "near_optimal", params, diagnostics)
 
 
 def _structural_checks(
     Y: RandomVariable,
-    y_norms: np.ndarray,
     a_seq: list[float],
     k: int,
     c: float,
     center: np.ndarray,
     truth: np.ndarray,
-    shell_means_sum: np.ndarray,
 ) -> dict[str, float]:
     """Inequalities the exact-quantile shell construction guarantees.
 
@@ -337,8 +331,10 @@ def _structural_checks(
     """
     exp_sq = moments(Y).exp_norm2_sq
     root = math.sqrt(max(exp_sq, 0.0))
+    y_norms = np.linalg.norm(Y.values, axis=1)
     quantile_margin = math.inf
     slice_margin = math.inf
+    shell_means_sum = np.zeros(Y.d)  # sum_j a_j * mean(Y_j) over the run shells
     a_prev = 0.0
     for j, a_j in enumerate(a_seq):
         quantile_margin = min(quantile_margin, 2.0 ** (j / 2.0) / math.sqrt(c) * root - a_j)
@@ -346,6 +342,7 @@ def _structural_checks(
             mask = (a_prev < y_norms) & (y_norms <= a_j)
             slice_exp = float(Y.prob @ (y_norms * mask)) / a_j
             slice_margin = min(slice_margin, min(2.0 ** (-(j - 1)), 1.0) - slice_exp)
+            shell_means_sum = shell_means_sum + Y.prob @ np.where(mask[:, None], Y.values, 0.0)
         a_prev = a_j
     tail_mask = y_norms > a_seq[-1]
     tail_mean = Y.prob @ np.where(tail_mask[:, None], Y.values, 0.0)

@@ -182,6 +182,8 @@ class TestSweep:
             {"hard": {"family": "fracphase", "params": {"d": [2], "n": 4}}},
             {"hard": {"family": "fracphase", "params": {"d": 2, "n": 4, "b": 10}}},
             {"hard": {"family": "fracphase", "params": {"d": 2, "n": 4, "waffles": 1}}},
+            {"inline": {"d": 1, "prob": [0.5, 0.5], "values": [[math.nan], [0.25]]}},
+            {"inline": {"d": 1, "prob": [0.5, 0.5], "values": [[1e400], [0.25]]}},
         ],
     )
     def test_malformed_rv_exits_2(self, tmp_path, capsys, rv):
@@ -210,6 +212,8 @@ class TestSweep:
             {"delta": None, "n": 8},
             {"l2": "0.5", "n": 8},
             {"n_grid": 5},
+            {"output": 5, "n": 8},
+            {"output": "rows.txt", "n": 8},
         ],
     )
     def test_bad_budget_fails_before_any_trial(self, tmp_path, capsys, budget):
@@ -223,6 +227,14 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {next(iter(budget))}") and err.count("\n") == 1
         assert "trials failed" not in err
+
+    @pytest.mark.parametrize("root", [None, 5, [[1]], "rows.json"])
+    def test_config_root_must_be_an_object(self, tmp_path, capsys, root):
+        config_path = tmp_path / "root.json"
+        config_path.write_text(json.dumps(root), encoding="utf-8")
+        assert main(["sweep", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep config root") and err.count("\n") == 1
 
 
 class TestHard:
@@ -267,6 +279,12 @@ class TestHard:
         assert main(["hard", "--family", "fracphase", "--params", "d=2", "n=3.5", "b=00"]) == 0
         assert main(["hard", "--family", "low", "--params", "n=3.5", "d=16"]) == 2
         capsys.readouterr()
+
+    def test_non_finite_param_exits_2(self, capsys):
+        assert main(["hard", "--family", "fracphase", "--params", "d=2", "n=nan", "b=10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_missing_param_exits_2(self, capsys):
         assert main(["hard", "--family", "low", "--params", "d=16"]) == 2

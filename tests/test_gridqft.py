@@ -256,6 +256,18 @@ class TestMeasurement:
         b = measure(state, 8, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
+    def test_draw_at_the_top_of_the_cdf_takes_the_last_point(self):
+        # a uniform at or above the final cumulative sum (which rounding can
+        # leave below 1) clamps to the last lattice point in both forms
+        class TopRng:
+            def random(self, reps):
+                return np.ones(reps)
+
+        product = uniform_superposition(GridSpec(m=4, d=2))
+        for state in (product, product.materialized()):
+            draws = measure(state, 3, TopRng())
+            assert np.all(draws == grid_axis_points(4)[-1])
+
     def test_empirical_frequencies(self):
         # the sampler's draws follow the Born law, in product and full form
         spec = GridSpec(m=4, d=2)

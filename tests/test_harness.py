@@ -9,9 +9,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qmeanlab.harness import (
     COST_ENVELOPE_CPRIME,
+    ESTIMATOR_IDS,
     SWEEP_COLUMNS,
     BatteryResult,
     ExperimentConfig,
@@ -373,7 +376,46 @@ class TestRegimeClassify:
             assert got == want, (n, nprime, got, want)
 
 
+_REALS = st.floats(allow_nan=False)  # +-inf included
+_NONNEG = st.floats(min_value=0.0, allow_nan=False)
+_ROWS = st.builds(
+    SweepRow,
+    estimator=st.sampled_from(ESTIMATOR_IDS),
+    n=_REALS,
+    nprime=st.none() | _REALS,
+    d=st.integers(1, 64),
+    delta=_REALS,
+    median_err_inf=_NONNEG,
+    median_err_l2=_NONNEG,
+    fail_rate=st.floats(0.0, 1.0),
+    experiments=_REALS,
+    binary_queries=_REALS,
+    phase_queries=_REALS,
+    classical_samples=_REALS,
+    seed_base=st.integers(0, 2**31),
+)
+
+
 class TestExport:
+    @settings(deadline=None, max_examples=60)
+    @given(rows=st.lists(_ROWS, max_size=4))
+    @example(rows=[make_row(median_err_l2=math.inf, experiments=-math.inf)])
+    def test_every_float_round_trips(self, rows, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("rows")
+        json_path, csv_path = str(tmp / "rows.json"), str(tmp / "rows.csv")
+        export(rows, "json", json_path)
+        assert load_rows(json_path) == rows
+        export(rows, "csv", csv_path)
+        lines = open(csv_path, encoding="utf-8").read().splitlines()
+        assert lines[0] == ",".join(SWEEP_COLUMNS) and len(lines) == len(rows) + 1
+        for row, line in zip(rows, lines[1:]):
+            for column, cell in zip(SWEEP_COLUMNS, line.split(",")):
+                value = getattr(row, column)
+                if value is None or isinstance(value, str):
+                    assert cell == ("" if value is None else value)
+                else:
+                    assert float(cell) == value
+
     def test_csv_header_and_trailing_newline(self, tmp_path):
         path = str(tmp_path / "rows.csv")
         export([], "csv", path)

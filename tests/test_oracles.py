@@ -225,6 +225,16 @@ class TestPerturb:
         dist = math.sqrt(float(np.mean(np.abs(np.exp(1j * dev) - 1.0) ** 2)))
         assert dist <= 1 / 12, f"perturbed-state distance {dist}"
 
+    def test_off_lattice_point_raises(self):
+        spec = GridSpec(m=8, d=2)
+        noise = NoiseModel.perturbed(eps=0.1, eta=0.1, seed=4)
+        phase = perturb(linear_phase_function(np.array([1.0, 1.0])), noise, spec)
+        on_grid = grid_points(spec)
+        assert phase.evaluate(on_grid).shape == (spec.points,)
+        for off in ([[0.5625, 0.0]], [[0.0, -0.5625]]):  # one step past each edge
+            with pytest.raises(ValueError):
+                phase.evaluate(np.array(off))
+
     def test_deviation_table_is_read_only(self):
         spec = GridSpec(m=8, d=2)
         noise = NoiseModel.perturbed(eps=0.1, eta=0.1, seed=4)

@@ -46,6 +46,19 @@ class TestRandomVariable:
         with pytest.raises(ValueError, match="nonnegative"):
             RandomVariable(prob=[1.5, -0.5], values=[[1.0], [2.0]])
 
+    @pytest.mark.parametrize(
+        "prob, values",
+        [
+            ([math.nan, 1.0], [[1.0], [2.0]]),
+            ([0.5, 0.5], [[math.nan], [2.0]]),
+            ([0.5, 0.5], [[1.0], [math.inf]]),
+            ([0.5, 0.5], [[1.0], [-math.inf]]),
+        ],
+    )
+    def test_rejects_non_finite_entries(self, prob, values):
+        with pytest.raises(ValueError, match="finite"):
+            RandomVariable(prob=prob, values=values)
+
     def test_rejects_ragged_shapes(self):
         with pytest.raises(ValueError, match="rows"):
             RandomVariable(prob=[0.5, 0.5], values=[[1.0]])
@@ -94,7 +107,7 @@ class TestMoments:
 
     def test_spectral_norm_antisymmetric_start(self):
         # Sigma = [[1,-1],[-1,1]] has top eigenvector (1,-1)/sqrt(2), exactly
-        # orthogonal to the all-ones start; the fallback must still find 2.
+        # orthogonal to the all-ones vector; its eigenvalue is still 2.
         summ = moments(uniform_rv([[1.0, -1.0], [-1.0, 1.0]]))
         assert abs(summ.spectral_norm - 2.0) < 1e-8
 
@@ -121,7 +134,14 @@ class TestMoments:
             centered = rv.values - mu
             sigma = (centered * p[:, None]).T @ centered
             expected = float(np.linalg.eigvalsh(sigma)[-1])
-            assert abs(moments(rv).spectral_norm - expected) < 1e-7 * max(1.0, expected)
+            assert abs(moments(rv).spectral_norm - expected) < 1e-12 * max(1.0, expected)
+
+    def test_overflowed_covariance_keeps_its_trace(self):
+        # finite values whose covariance overflows: the norm is bounded by the trace
+        with np.errstate(over="ignore"):
+            summ = moments(uniform_rv([[1e200], [-1e200]]))
+        assert summ.cov_trace == math.inf
+        assert summ.spectral_norm == math.inf
 
 
 class TestClamp:

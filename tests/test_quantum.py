@@ -296,12 +296,14 @@ class TestNearOptimalEstimator:
             return next(fake_values)
 
         monkeypatch.setattr("qmeanlab.quantum.quantile_oracle", fake_quantile)
-        with caplog.at_level(logging.WARNING, logger="qmeanlab.quantum"):
+        with caplog.at_level(logging.DEBUG, logger="qmeanlab.quantum"):
             rep = near_optimal_estimator(rv, 32.0, 0.1, IDEAL, np.random.default_rng(0))
         assert rep.diagnostics["clamp_events"] == 1
         a_seq = [s["a"] for s in rep.diagnostics["shells"]]
         assert a_seq == sorted(a_seq)
         assert any("non-monotone" in r.message for r in caplog.records)
+        # an expected event: counted in the diagnostics, logged below WARNING
+        assert all(r.levelno < logging.WARNING for r in caplog.records)
 
     def test_determinism(self):
         rv = basis_rv(3)
