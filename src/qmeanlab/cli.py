@@ -1,10 +1,12 @@
-"""Command-line front end: single estimates, sweeps, hard instances, self-check.
+"""Command-line front end: single estimates, sweeps, hard instances.
 
 Subcommands:
   estimate   run one estimator on a distribution-spec file, print a JSON report
   sweep      run a config-driven trial battery / budget sweep, export rows
   hard       generate a hard-instance distribution plus sidecar metadata
-  check      fast built-in invariant battery, exit code 0/1
+
+The paper's invariants are checked by the acceptance suite
+(``tests/test_acceptance.py``), not by a subcommand.
 
 Config documents and distribution specs are UTF-8 JSON throughout.
 """
@@ -15,30 +17,15 @@ import argparse
 import json
 import math
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .classical import subgaussian_estimate
-from .gridqft import (
-    GridSpec,
-    PhaseFunction,
-    apply_phase_function,
-    dense_qft_matrix,
-    grid_axis_points,
-    inverse_qft,
-    measurement_distribution,
-    uniform_superposition,
-)
 from .harness import (
     ESTIMATOR_IDS,
     ExperimentConfig,
-    battery_ball,
-    expected_branch,
     export,
-    load_rows,
     report_to_dict,
     run_sweep,
     run_trials,
@@ -54,8 +41,7 @@ from .hardness import (
     search_parity_instance,
 )
 from .oracles import NoiseModel
-from .probspace import mean, moments, parse_distribution_spec, serialize_distribution_spec
-from .quantum import bounded_estimator, near_optimal_estimator, phase_model_dispatch
+from .probspace import moments, parse_distribution_spec, serialize_distribution_spec
 
 # Decorrelates the noise stream from the sampling stream when only a single
 # --seed is given (golden-ratio increment, the usual stream-splitting trick).
@@ -341,129 +327,6 @@ def cmd_hard(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# check
-
-_IDEAL = NoiseModel.ideal()
-
-
-def _check_qft_unitary() -> None:
-    F = dense_qft_matrix(16)
-    defect = np.abs(F.conj().T @ F - np.eye(16)).max()
-    if defect > 1e-10:
-        raise AssertionError(f"unitarity defect {defect:.3e}")
-
-
-def _check_concentration() -> None:
-    m, target = 64, 0.1983  # target deliberately off-grid
-    spec = GridSpec(m=m, d=1)
-    phase = PhaseFunction(
-        evaluate=lambda pts: 2.0 * math.pi * m * target * pts[:, 0], separable=False
-    )
-    state = inverse_qft(apply_phase_function(uniform_superposition(spec), phase))
-    probs = measurement_distribution(state)
-    axis = grid_axis_points(m)
-    mass = float(probs[np.abs(axis - target) <= 4.0 / m].sum())
-    if mass < 5.0 / 6.0 - 1e-9:
-        raise AssertionError(f"mass {mass:.4f} within 4/m of the target is below 5/6")
-
-
-def _check_bounded_bound() -> None:
-    rv = battery_ball(2)
-    fails = 0
-    bound = math.log2(2 / 0.1) / 16
-    for t in range(20):
-        rep = bounded_estimator(rv, 1.0, 16, 0.1, _IDEAL, np.random.default_rng(500 + t))
-        fails += rep.err_inf > bound
-    if fails / 20 > 0.1 + 3 * math.sqrt(0.1 / 20):
-        raise AssertionError(f"failure rate {fails}/20 above binomial slack")
-
-
-def _check_structural_margins() -> None:
-    rep = near_optimal_estimator(
-        battery_ball(2), 64, 0.1, _IDEAL, np.random.default_rng(7), exact_quantiles=True
-    )
-    struct = rep.diagnostics["structural"]
-    worst = min(struct["quantile_margin"], struct["slice_margin"], struct["tail_margin"])
-    if worst < -1e-9:
-        raise AssertionError(f"structural margin {worst:.3e} below zero")
-
-
-def _check_dispatch() -> None:
-    rv = battery_ball(2, scale=0.25)
-    rng = np.random.default_rng(0)
-    for n, nprime in [(1.0, 8.0), (4.0, 1.0), (1.5, 8.0), (4.0, 8.0)]:
-        got = phase_model_dispatch(rv, n, nprime, 0.8, _IDEAL, rng).diagnostics["branch"]
-        want = expected_branch(n, nprime, 2, 0.8)
-        if got != want:
-            raise AssertionError(f"dispatch({n}, {nprime}) = {got}, classifier says {want}")
-
-
-def _check_hard_moments() -> None:
-    bits = np.array([1, 0, 1, 1, 0, 1, 0, 0])
-    rv = hard_rv_low_precision(2, 16, 1.0, bits, 4)
-    if abs(moments(rv).cov_trace - 1.0) > 1e-9:
-        raise AssertionError("low-precision family covariance trace missed sigma^2")
-    frac = fractional_phase_rv(4, 8.0, np.zeros(4, dtype=np.int64))
-    want = np.zeros(4)
-    want[0] = 0.125
-    if not np.array_equal(mean(frac), want):
-        raise AssertionError("untilted fractional family mean is not exactly (1/8) e1")
-
-
-def _check_determinism() -> None:
-    rv = battery_ball(2)
-    a = bounded_estimator(rv, 1.0, 16, 0.1, _IDEAL, np.random.default_rng(3)).estimate
-    b = bounded_estimator(rv, 1.0, 16, 0.1, _IDEAL, np.random.default_rng(3)).estimate
-    if not np.array_equal(a, b):
-        raise AssertionError("same seed produced different estimates")
-
-
-def _check_classical_floor() -> None:
-    estimate, batch = subgaussian_estimate(battery_ball(2), 32, 0.5, np.random.default_rng(11))
-    if not np.all(np.isfinite(estimate)) or batch.draws.shape != (32, 2):
-        raise AssertionError("classical estimate malformed")
-
-
-def _check_export_roundtrip() -> None:
-    config = ExperimentConfig(
-        rv=battery_ball(2), estimator="classical", trials=3, seed=1, delta=0.5, n=16
-    )
-    row = run_trials(config).row
-    with tempfile.TemporaryDirectory() as tmp:
-        path = str(Path(tmp) / "rows.json")
-        export([row], "json", path)
-        if load_rows(path) != [row]:
-            raise AssertionError("JSON round trip changed the row")
-
-
-_CHECKS = (
-    ("qft_unitary", _check_qft_unitary),
-    ("phase_concentration", _check_concentration),
-    ("bounded_failure_rate", _check_bounded_bound),
-    ("structural_margins", _check_structural_margins),
-    ("regime_dispatch", _check_dispatch),
-    ("hard_family_moments", _check_hard_moments),
-    ("determinism", _check_determinism),
-    ("classical_estimate", _check_classical_floor),
-    ("export_roundtrip", _check_export_roundtrip),
-)
-
-
-def cmd_check(args: argparse.Namespace) -> int:
-    failed = 0
-    for name, fn in _CHECKS:
-        try:
-            fn()
-        except Exception as exc:  # report every check, do not stop at the first
-            failed += 1
-            print(f"check {name}: FAIL ({exc})")
-        else:
-            print(f"check {name}: PASS")
-    print(f"{len(_CHECKS) - failed}/{len(_CHECKS)} checks passed")
-    return 1 if failed else 0
-
-
-# ---------------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,9 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_hard.add_argument("--out", default=None, help="spec file path (sidecar: *.meta.json)")
     p_hard.set_defaults(func=cmd_hard)
-
-    p_check = sub.add_parser("check", help="Run the built-in invariant battery.")
-    p_check.set_defaults(func=cmd_check)
 
     return parser
 

@@ -1,11 +1,13 @@
-"""Experiment orchestration: trial batteries, sweeps, slopes, regime maps.
+"""Experiment orchestration: trial batteries, sweeps, error bounds, slopes.
 
 The harness turns one estimator configuration into seeded trial batteries,
-aggregates them into flat rows, fits log-log slopes, maps (n, n') budget
-regimes (classified in :mod:`qmeanlab.quantum`), and writes CSV/JSON/plot-data
-files.  Trials are independent by construction — trial t always consumes the
+scores each run against its estimator's error bound, aggregates the battery
+into a flat row, fits log-log slopes and writes rows as CSV/JSON files.
+Trials are independent by construction — trial t always consumes the
 generator seeded with ``seed + t`` — so batteries are reproducible bit for bit
-and could be farmed out in any order.
+and could be farmed out in any order.  The budget-regime map
+(``regime_classify``, ``expected_branch``) lives in :mod:`qmeanlab.quantum`
+and is re-exported here.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "cost_envelope",
     "export",
     "load_rows",
-    "emit_plot_data",
     "report_to_dict",
     "battery_ball",
     "battery_basis",
@@ -303,12 +304,22 @@ def run_trials(config: ExperimentConfig) -> BatteryResult:
     recorded as a message and counted as a failure; it contributes nothing to
     the medians or the ledger totals (no ledger escapes a raised run).  Any
     other exception is a program fault and propagates.  Every trial failing
-    is an error.
+    is an error.  The error bound is computed before the first trial; a bound
+    that is not finite (the distribution's moments or the budgets overflow
+    float64) is a domain error and no trial runs.
     """
     if config.n is None:
         raise ValueError("run_trials needs a fixed n (use run_sweep for grids)")
     if config.estimator in _NEEDS_NPRIME and config.nprime is None:
         raise ValueError(f"estimator {config.estimator!r} needs a fixed nprime")
+    field_name, bound = error_bound(
+        config.estimator, config.rv, config.n, config.nprime, config.delta, config.l2
+    )
+    if not math.isfinite(bound):
+        raise ValueError(
+            f"the {config.estimator} error bound is not finite ({bound}):"
+            " the distribution's moments or the budgets overflow float64"
+        )
     reports: list[EstimateReport | None] = []
     errors: list[str | None] = []
     for t in range(config.trials):
@@ -327,9 +338,6 @@ def run_trials(config: ExperimentConfig) -> BatteryResult:
         raise RuntimeError(
             f"all {config.trials} trials failed; first error: {errors[0]}"
         )
-    field_name, bound = error_bound(
-        config.estimator, config.rv, config.n, config.nprime, config.delta, config.l2
-    )
     exceed = sum(1 for r in good if getattr(r, field_name) > bound)
     fail_rate = (exceed + (config.trials - len(good))) / config.trials
     row = SweepRow(
@@ -463,51 +471,6 @@ def load_rows(path: str) -> list[SweepRow]:
         doc["seed_base"] = int(doc["seed_base"])
         rows.append(SweepRow(**doc))
     return rows
-
-
-def _plot_sort_key(row: SweepRow):
-    return (row.n, -math.inf if row.nprime is None else row.nprime)
-
-
-def emit_plot_data(rows, kind: str, path: str) -> str:
-    """Plain-text grid data for external plotting; deterministic bytes.
-
-    error_vs_budget: one header line, one line per row (sorted by budgets)
-    with n, both error medians, and the four ledger totals.  regime_map: one
-    labeled "n nprime REGIME" line per row, classified from the row's own
-    (n, n', d, delta).
-    """
-    rows = sorted(rows, key=_plot_sort_key)
-    if not rows:
-        raise ValueError("emit_plot_data needs at least one row")
-    if kind == "error_vs_budget":
-        lines = ["# n median_err_inf median_err_l2 experiments binary_queries phase_queries classical_samples"]
-        for r in rows:
-            lines.append(
-                " ".join(
-                    str(float(v))
-                    for v in (
-                        r.n,
-                        r.median_err_inf,
-                        r.median_err_l2,
-                        r.experiments,
-                        r.binary_queries,
-                        r.phase_queries,
-                        r.classical_samples,
-                    )
-                )
-            )
-    elif kind == "regime_map":
-        lines = ["# n nprime regime"]
-        for r in rows:
-            if r.nprime is None:
-                raise ValueError("regime_map needs nprime on every row")
-            lines.append(f"{float(r.n)} {float(r.nprime)} {regime_classify(r.n, r.nprime, r.d, r.delta)}")
-    else:
-        raise ValueError(f"kind must be 'error_vs_budget' or 'regime_map', got {kind!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
 
 
 # --- the standard battery --------------------------------------------------

@@ -49,12 +49,15 @@ class CostLedger:
     classical_samples: float = 0.0
     quantile_calls: float = 0.0
 
-    def charge(self, **deltas: float) -> None:
+    def charge(self, /, **deltas: float) -> None:
+        """Add nonnegative amounts to named counters; a rejected charge adds nothing."""
+        counters = {f.name for f in fields(self)}
         for name, delta in deltas.items():
-            if not hasattr(self, name):
+            if name not in counters:
                 raise ValueError(f"unknown ledger counter {name!r}")
-            if delta < 0:
+            if not delta >= 0:  # NaN fails too
                 raise ValueError(f"ledger charge must be nonnegative, got {name}={delta!r}")
+        for name, delta in deltas.items():
             setattr(self, name, getattr(self, name) + float(delta))
 
     def merge(self, other: CostLedger) -> None:

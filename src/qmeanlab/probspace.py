@@ -22,7 +22,6 @@ __all__ = [
     "MomentSummary",
     "mean",
     "moments",
-    "clamp_vec",
     "clamp_scalar",
     "exact_quantile",
     "truncate_normalized",
@@ -119,12 +118,14 @@ def moments(rv: RandomVariable) -> MomentSummary:
     ``np.linalg.eigvalsh`` (exact up to float64 arithmetic).
     """
     mu = mean(rv)
-    sq_norms = np.einsum("kd,kd->k", rv.values, rv.values)
-    exp_norm2_sq = float(rv.prob @ sq_norms)
-    exp_norm2 = float(rv.prob @ np.sqrt(sq_norms))
-    cov_trace = max(exp_norm2_sq - float(mu @ mu), 0.0)
-    centered = rv.values - mu
-    sigma = (centered * rv.prob[:, None]).T @ centered
+    # finite values may overflow the second moments; inf/nan are handled below
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq_norms = np.einsum("kd,kd->k", rv.values, rv.values)
+        exp_norm2_sq = float(rv.prob @ sq_norms)
+        exp_norm2 = float(rv.prob @ np.sqrt(sq_norms))
+        cov_trace = max(exp_norm2_sq - float(mu @ mu), 0.0)
+        centered = rv.values - mu
+        sigma = (centered * rv.prob[:, None]).T @ centered
     # eigvalsh refuses an overflowed sigma; ||Sigma|| <= Tr(Sigma) bounds it then
     top = float(np.linalg.eigvalsh(sigma)[-1]) if np.isfinite(sigma).all() else math.inf
     spectral = min(max(top, 0.0), cov_trace) if cov_trace > 0 else 0.0
@@ -140,21 +141,6 @@ def moments(rv: RandomVariable) -> MomentSummary:
 def _check_clamp_bounds(a: float, b: float) -> None:
     if not (0 <= a < b):
         raise ValueError(f"clamp bounds need 0 <= a < b, got a={a!r}, b={b!r}")
-
-
-def clamp_vec(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    """x if a < ||x||_2 <= b else the zero vector.
-
-    Strict lower comparison, inclusive upper; b may be +inf.  The zero vector
-    always clamps to zero when a = 0 (0 < 0 is false) — downstream shell
-    decompositions rely on that.
-    """
-    _check_clamp_bounds(a, b)
-    x = np.asarray(x, dtype=float)
-    n = float(np.linalg.norm(x))
-    if a < n <= b:
-        return x.copy()
-    return np.zeros_like(x)
 
 
 def clamp_scalar(y: float, a: float, b: float) -> float:
@@ -217,8 +203,10 @@ def parse_distribution_spec(text: str) -> RandomVariable:
     """Parse the JSON distribution document into a validated RandomVariable.
 
     Schema: {"d": int, "omega": [str...] (optional), "prob": [num...],
-    "values": [[num...]...]}.  Probabilities are renormalized only when their
-    sum is within 1e-9 of 1, otherwise the document is rejected.
+    "values": [[num...]...]}.  Probabilities whose sum is within 1e-12 of 1
+    (the RandomVariable tolerance) are kept as written, so a serialized
+    variable parses back bit for bit; a sum within 1e-9 of 1 is renormalized,
+    any other sum is rejected.
     """
     try:
         doc = json.loads(text)
@@ -253,7 +241,8 @@ def parse_distribution_spec(text: str) -> RandomVariable:
     total = float(prob.sum())
     if abs(total - 1.0) > _PARSE_SUM_TOL:
         raise ValueError(f"field 'prob' must sum to 1 within {_PARSE_SUM_TOL}, got {total!r}")
-    prob = prob / total
+    if abs(total - 1.0) > _PROB_SUM_TOL:
+        prob = prob / total
     labels: tuple[str, ...] = ()
     if "omega" in doc:
         omega = doc["omega"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,15 +185,20 @@ class TestSweep:
             {"hard": {"family": "fracphase", "params": {"d": 2, "n": 4, "waffles": 1}}},
             {"inline": {"d": 1, "prob": [0.5, 0.5], "values": [[math.nan], [0.25]]}},
             {"inline": {"d": 1, "prob": [0.5, 0.5], "values": [[1e400], [0.25]]}},
+            # finite values whose moments overflow: the error bound is not finite
+            {"battery": {"name": "ball", "d": 2, "scale": 1e308}},
         ],
     )
     def test_malformed_rv_exits_2(self, tmp_path, capsys, rv):
         config_doc = {"rv": rv, "estimator": "classical", "trials": 1, "seed": 0, "n": 8}
         config_path = tmp_path / "bad_rv.json"
         config_path.write_text(json.dumps(config_doc), encoding="utf-8")
-        assert main(["sweep", "--config", str(config_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no trial ran, no row printed
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     # the first key of each case names the bad entry
     @pytest.mark.parametrize(
@@ -293,12 +299,3 @@ class TestHard:
     def test_bad_param_key(self, capsys):
         assert main(["hard", "--family", "low", "--params", "waffles=3"]) == 2
         assert "waffles" in capsys.readouterr().err
-
-
-class TestCheck:
-    def test_all_checks_pass(self, capsys):
-        assert main(["check"]) == 0
-        out = capsys.readouterr().out
-        assert out.count(": PASS") == 9
-        assert ": FAIL" not in out
-        assert out.strip().endswith("9/9 checks passed")

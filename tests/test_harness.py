@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -23,7 +24,6 @@ from qmeanlab.harness import (
     battery_basis,
     battery_heavylight,
     cost_envelope,
-    emit_plot_data,
     error_bound,
     expected_branch,
     export,
@@ -209,6 +209,31 @@ class TestRunTrials:
         )
         with pytest.raises(TypeError, match="synthetic program fault"):
             run_trials(cfg)
+
+    @pytest.mark.parametrize(
+        "estimator, entry_point",
+        [
+            ("classical", "subgaussian_estimate"),
+            ("bounded", "bounded_estimator"),
+            ("near_optimal", "near_optimal_estimator"),
+            ("euclidean", "euclidean_estimator"),
+        ],
+    )
+    def test_non_finite_bound_fails_before_any_trial(self, monkeypatch, estimator, entry_point):
+        import qmeanlab.harness as harness
+
+        def never(*args, **kwargs):
+            raise AssertionError(f"{entry_point} ran")
+
+        monkeypatch.setattr(harness, entry_point, never)
+        # finite values whose second moments overflow float64
+        cfg = ExperimentConfig(
+            rv=battery_ball(2, scale=1e308), estimator=estimator, trials=3, seed=0, n=16
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"the {estimator} error bound is not finite"):
+                run_trials(cfg)
 
     def test_all_trials_failing_raises(self):
         cfg = ExperimentConfig(
@@ -459,43 +484,6 @@ class TestExport:
     def test_bad_format(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
             export([], "yaml", str(tmp_path / "x"))
-
-
-class TestEmitPlotData:
-    def test_error_vs_budget_line_count_and_determinism(self, tmp_path):
-        rows = [make_row(n=float(n), median_err_inf=1.0 / n) for n in (64, 8, 32, 16)]
-        p1, p2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
-        emit_plot_data(rows, "error_vs_budget", p1)
-        emit_plot_data(list(reversed(rows)), "error_vs_budget", p2)
-        b1, b2 = open(p1, "rb").read(), open(p2, "rb").read()
-        assert b1 == b2  # row order never leaks into the bytes
-        lines = b1.decode().splitlines()
-        assert len(lines) == 5 and lines[0].startswith("# n ")
-        assert [float(l.split()[0]) for l in lines[1:]] == [8.0, 16.0, 32.0, 64.0]
-
-    def test_regime_map_hundred_cells(self, tmp_path):
-        # d=16 so the sample-limited window [log2(d/delta), d) is nonempty
-        ns = [1.5 * 2**i for i in range(10)]
-        nps = [1.5 * 2**i for i in range(10)]
-        rows = [
-            make_row(estimator="phase_model", n=n, nprime=np_, d=16, delta=0.05)
-            for n in ns
-            for np_ in nps
-        ]
-        path = str(tmp_path / "map.txt")
-        emit_plot_data(rows, "regime_map", path)
-        lines = open(path, encoding="utf-8").read().splitlines()
-        assert len(lines) == 101
-        tags = {line.split()[2] for line in lines[1:]}
-        assert tags == {"TRIVIAL", "PHASE_LIMITED", "EXPERIMENT_LIMITED", "SAMPLE_LIMITED"}
-
-    def test_rejections(self, tmp_path):
-        with pytest.raises(ValueError, match="at least one row"):
-            emit_plot_data([], "regime_map", str(tmp_path / "x"))
-        with pytest.raises(ValueError, match="kind"):
-            emit_plot_data([make_row()], "histogram", str(tmp_path / "x"))
-        with pytest.raises(ValueError, match="nprime"):
-            emit_plot_data([make_row(nprime=None)], "regime_map", str(tmp_path / "x"))
 
 
 class TestBattery:

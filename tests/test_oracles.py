@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmeanlab.gridqft import GridSpec, grid_points
 from qmeanlab.oracles import (
@@ -61,6 +63,54 @@ class TestCostLedger:
     def test_rejects_unknown_counter(self):
         with pytest.raises(ValueError, match="unknown"):
             CostLedger().charge(gates=1.0)
+
+
+_COUNTERS = tuple(f.name for f in dataclasses.fields(CostLedger))
+_AMOUNTS = st.floats(min_value=0.0, allow_nan=False)
+_CHARGES = st.dictionaries(st.sampled_from(_COUNTERS), _AMOUNTS, max_size=3)
+# a merge carries the ledger built from its own list of charges
+_OPS = st.lists(st.one_of(_CHARGES, st.lists(_CHARGES, max_size=3)), max_size=8)
+
+
+def _ledger(charges) -> CostLedger:
+    ledger = CostLedger()
+    for deltas in charges:
+        ledger.charge(**deltas)
+    return ledger
+
+
+class TestCostLedgerProperties:
+    @settings(deadline=None, max_examples=80)
+    @given(ops=_OPS)
+    def test_counters_never_decrease(self, ops):
+        ledger = CostLedger()
+        for op in ops:
+            before = ledger.as_dict()
+            if isinstance(op, dict):
+                ledger.charge(**op)
+            else:
+                ledger.merge(_ledger(op))
+            after = ledger.as_dict()
+            assert all(after[name] >= before[name] for name in _COUNTERS)
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        good=_CHARGES,
+        bad=st.one_of(
+            st.tuples(st.sampled_from(_COUNTERS), st.floats(max_value=-1e-300) | st.just(math.nan)),
+            st.tuples(
+                st.sampled_from(["gates", "self", "charge", "merge", "as_dict"]) | st.text(),
+                _AMOUNTS,
+            ).filter(lambda kv: kv[0] not in _COUNTERS),
+        ),
+    )
+    def test_bad_charges_raise_and_add_nothing(self, good, bad):
+        ledger = _ledger([good])
+        before = ledger.as_dict()
+        name, amount = bad
+        with pytest.raises(ValueError, match="nonnegative|unknown"):
+            ledger.charge(**{**{k: 1.0 for k in _COUNTERS if k != name}, name: amount})
+        assert ledger.as_dict() == before
 
 
 class TestBinaryPhases:

@@ -8,14 +8,16 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qmeanlab.probspace import (
     RandomVariable,
     clamp_scalar,
-    clamp_vec,
     exact_quantile,
     mean,
     moments,
@@ -25,6 +27,10 @@ from qmeanlab.probspace import (
     shift,
     truncate_normalized,
 )
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_WEIGHTS = st.floats(0.0, 1.0)
 
 
 def uniform_rv(values) -> RandomVariable:
@@ -138,37 +144,21 @@ class TestMoments:
 
     def test_overflowed_covariance_keeps_its_trace(self):
         # finite values whose covariance overflows: the norm is bounded by the trace
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # moments handles the overflow itself
             summ = moments(uniform_rv([[1e200], [-1e200]]))
         assert summ.cov_trace == math.inf
         assert summ.spectral_norm == math.inf
 
 
 class TestClamp:
-    def test_inclusive_upper_boundary(self):
-        assert np.array_equal(clamp_vec([3.0, 4.0], 0.0, 5.0), [3.0, 4.0])
-
-    def test_strict_lower_boundary(self):
-        assert np.array_equal(clamp_vec([3.0, 4.0], 5.0, 10.0), [0.0, 0.0])
-
-    def test_zero_vector_maps_to_zero(self):
-        assert np.array_equal(clamp_vec([0.0, 0.0], 0.0, 1.0), [0.0, 0.0])
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            x = rng.standard_normal(4) * rng.choice([0.1, 1.0, 10.0])
-            a = rng.random()
-            b = a + rng.random() + 1e-6
-            once = clamp_vec(x, a, b)
-            assert np.array_equal(clamp_vec(once, a, b), once)
-
-    def test_infinite_upper_bound(self):
-        assert np.array_equal(clamp_vec([3.0, 4.0], 1.0, math.inf), [3.0, 4.0])
-
     def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            clamp_vec([1.0], 2.0, 1.0)
+        # every shell clamp needs 0 <= a < b
+        for a, b in [(2.0, 1.0), (1.0, 1.0), (-0.5, 1.0), (math.nan, 1.0)]:
+            with pytest.raises(ValueError, match="clamp bounds"):
+                clamp_scalar(0.5, a, b)
+            with pytest.raises(ValueError, match="clamp bounds"):
+                truncate_normalized(point_mass([0.5, 0.5]), a, b)
 
     def test_scalar_sign_preserved(self):
         assert clamp_scalar(-0.7, 0.0, 1.0) == -0.7
@@ -220,6 +210,19 @@ class TestExactQuantile:
                 assert got <= last
                 last = got
 
+    @settings(deadline=None, max_examples=80)
+    @given(
+        values=st.lists(_FINITE, min_size=1, max_size=8),
+        data=st.data(),
+        ps=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    def test_non_increasing_in_p(self, values, data, ps):
+        weights = np.array(data.draw(st.lists(_WEIGHTS, min_size=len(values), max_size=len(values))))
+        assume(weights.sum() > 0.0)
+        rv = RandomVariable(prob=weights / weights.sum(), values=np.array(values)[:, None])
+        lo, hi = sorted(ps)
+        assert exact_quantile(rv, lo) >= exact_quantile(rv, hi)
+
     def test_rejects_multivariate(self):
         with pytest.raises(ValueError, match="univariate"):
             exact_quantile(uniform_rv([[1.0, 2.0]]), 0.5)
@@ -247,7 +250,7 @@ class TestTruncateNormalized:
             assert np.all(np.linalg.norm(out.values, axis=1) <= 1.0 + 1e-12)
 
     def test_telescoping_decomposition(self):
-        # sum_j a_j * mean(truncate(Y, a_{j-1}, a_j)) + mean(clamp(Y, a_k, inf))
+        # sum_j a_j * mean(truncate(Y, a_{j-1}, a_j)) + E[Y; ||Y|| > a_k]
         # reconstructs mean(Y) exactly: every outcome lands in exactly one shell.
         rng = np.random.default_rng(17)
         for _ in range(20):
@@ -258,8 +261,8 @@ class TestTruncateNormalized:
             for a in cuts:
                 total += a * mean(truncate_normalized(rv, prev, float(a)))
                 prev = float(a)
-            tail = rv.prob @ np.array([clamp_vec(row, prev, math.inf) for row in rv.values])
-            total += tail
+            beyond = np.linalg.norm(rv.values, axis=1) > prev
+            total += rv.prob @ np.where(beyond[:, None], rv.values, 0.0)
             assert np.linalg.norm(total - mean(rv), ord=np.inf) < 1e-12
 
 
@@ -320,8 +323,26 @@ class TestDistributionSpecIO:
         )
         back = parse_distribution_spec(serialize_distribution_spec(rv))
         assert np.array_equal(back.values, rv.values)
-        # parse renormalizes by the (float) sum; for a clean document that is /1.0
-        assert np.allclose(back.prob, rv.prob, atol=1e-16, rtol=0)
+        assert np.array_equal(back.prob, rv.prob)
+        assert back.labels == rv.labels
+
+    @settings(deadline=None, max_examples=80)
+    @given(data=st.data())
+    def test_round_trip_bit_exact_property(self, data):
+        k = data.draw(st.integers(1, 6), label="k")
+        d = data.draw(st.integers(1, 3), label="d")
+        weights = np.array(data.draw(st.lists(_WEIGHTS, min_size=k, max_size=k), label="w"))
+        assume(weights.sum() > 0.0)
+        values = data.draw(st.lists(_FINITE, min_size=k * d, max_size=k * d), label="values")
+        labels = data.draw(st.none() | st.lists(st.text(), min_size=k, max_size=k, unique=True))
+        rv = RandomVariable(
+            prob=weights / weights.sum(),
+            values=np.reshape(values, (k, d)),
+            labels=() if labels is None else tuple(labels),
+        )
+        back = parse_distribution_spec(serialize_distribution_spec(rv))
+        assert back.prob.tobytes() == rv.prob.tobytes()
+        assert back.values.tobytes() == rv.values.tobytes()  # -0.0 included
         assert back.labels == rv.labels
 
     def test_serialized_document_is_valid_json_schema(self):
