@@ -10,11 +10,17 @@ radix-2 FFT conjugated by diagonal twiddle factors.
 A linear phase c_j*u_j needs no register at all: the Born law after the
 inverse transform is the closed-form Fejer kernel of
 :func:`linear_phase_marginals`, and :func:`sample_marginals` inverts it with
-the same per-axis draws :func:`measure` makes on a product state.
+the same per-axis draws :func:`measure` makes on a product state.  A linear
+phase overlaid with a table of unit-modulus factors (a perturbed linear
+phase) needs no register either: :func:`linear_phase_joint` forms its
+amplitudes from the table and d per-axis vectors and runs one d-axis FFT, and
+:func:`sample_joint` draws from the joint table as :func:`measure` draws from
+a full state.  Only phases known by ``evaluate`` alone run the register.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -38,7 +44,9 @@ __all__ = [
     "dense_qft_matrix",
     "measurement_distribution",
     "linear_phase_marginals",
+    "linear_phase_joint",
     "sample_marginals",
+    "sample_joint",
     "measure",
 ]
 
@@ -93,19 +101,26 @@ class PhaseFunction:
     holds the d per-axis callables f_j (each mapping (m,) axis values to (m,)
     phases), which lets product-form states stay in product form.  A linear
     phase theta_u = <coeffs, u> also carries ``coeffs``, which lets a round
-    sample it from :func:`linear_phase_marginals` without a register.
+    sample it from :func:`linear_phase_marginals` without a register.  A
+    linear phase overlaid with seeded deviations, theta_u = <coeffs, u> +
+    delta_u, is not separable; it keeps ``coeffs`` and carries ``overlay``,
+    the flat row-major table of the m^d unit-modulus factors e^{i*delta_u},
+    which lets a round sample it from :func:`linear_phase_joint`.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     separable: bool
     axis_components: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
     coeffs: np.ndarray | None = None
+    overlay: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.separable and self.axis_components is None:
             raise ValueError("separable phase functions must carry axis_components")
-        if self.coeffs is not None and not self.separable:
-            raise ValueError("only a separable phase can carry linear coeffs")
+        if self.coeffs is not None and not self.separable and self.overlay is None:
+            raise ValueError("only a separable phase can carry linear coeffs without an overlay")
+        if self.overlay is not None and (self.coeffs is None or self.separable):
+            raise ValueError("an overlay needs linear coeffs on a non-separable phase")
 
 
 @dataclass(frozen=True)
@@ -318,6 +333,37 @@ def linear_phase_marginals(spec: GridSpec, coeffs) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
+def linear_phase_joint(spec: GridSpec, coeffs, overlay: np.ndarray) -> np.ndarray:
+    """Exact joint Born table, shape (m,)*d, of a linear phase under an overlay.
+
+    Equal to ``measurement_distribution(inverse_qft(apply_phase_function(
+    uniform_superposition(spec), theta)))`` for theta_u = <coeffs, u> +
+    arg(overlay_u), where ``overlay`` is the flat row-major table of m^d
+    unit-modulus factors.  The inverse transform's pre-twiddles fold into the
+    per-axis vectors w_j = e^{i*c_j*u} * conj(t_j) / sqrt(m), so the amplitudes
+    before one unitary d-axis FFT are overlay * (w_1 x ... x w_d); its
+    post-twiddles have modulus 1 and drop out of the Born law.  No state and
+    no lattice points are built.  The raw mass is checked against 1 as
+    :class:`GridState` checks its norm, so an overlay entry off the unit
+    circle is refused.
+    """
+    m = spec.m
+    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    if coeffs.shape != (spec.d,):
+        raise ValueError(f"linear phase has {coeffs.shape[0]} coefficients, expected {spec.d}")
+    if overlay.shape != (spec.points,):
+        raise ValueError(f"overlay has shape {overlay.shape}, expected ({spec.points},)")
+    axis = grid_axis_points(m)
+    pre = np.conj(_axis_twiddle(m)[0]) / math.sqrt(m)
+    amps = functools.reduce(np.multiply.outer, [np.exp(1j * c * axis) * pre for c in coeffs])
+    amps *= overlay.reshape(amps.shape)
+    p = np.abs(np.fft.fftn(amps, norm="ortho")) ** 2
+    nrm = math.sqrt(float(p.sum()))
+    if abs(nrm - 1.0) > 1e-9:
+        raise ValueError(f"state norm drifted to {nrm!r}")
+    return p
+
+
 def _draw_indices(p: np.ndarray, reps: int, rng: np.random.Generator) -> np.ndarray:
     """``reps`` indices into ``p`` drawn by inverting its normalised cumulative sum.
 
@@ -342,18 +388,27 @@ def sample_marginals(marginals, reps: int, rng: np.random.Generator) -> np.ndarr
     return (2 * idx + 1 - m) / (2 * m)  # grid_axis_points(m)[idx]
 
 
+def sample_joint(joint: np.ndarray, reps: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``reps`` lattice points from a joint table of shape (m,)*d, as (reps, d).
+
+    One CDF inversion over the row-major flattening; each flat index then
+    maps back to its lattice point.
+    """
+    m = joint.shape[0]
+    flat = _draw_indices(joint.reshape(-1), reps, rng)
+    idx = np.column_stack(np.unravel_index(flat, joint.shape))
+    return (2 * idx + 1 - m) / (2 * m)  # grid_axis_points(m)[idx]
+
+
 def measure(state: GridState, reps: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``reps`` grid points from the Born distribution, as a (reps, d) array.
 
-    A full state inverts the CDF of its flat row-major table once; a product
-    state draws each axis from its own marginal through
+    A full state draws from its joint table through :func:`sample_joint`; a
+    product state draws each axis from its own marginal through
     :func:`sample_marginals`.  Both go through the one CDF inversion
     :func:`_draw_indices`.
     """
-    spec = state.spec
     dist = measurement_distribution(state)
     if state.is_product:
         return sample_marginals(dist, reps, rng)
-    flat = _draw_indices(dist, reps, rng)
-    idx = np.column_stack(np.unravel_index(flat, (spec.m,) * spec.d))
-    return (2 * idx + 1 - spec.m) / (2 * spec.m)  # grid_axis_points(m)[idx]
+    return sample_joint(dist.reshape(state.tensor.shape), reps, rng)

@@ -33,14 +33,20 @@ __all__ = [
 ]
 
 
+def _check_charge(name: str, amount: float) -> None:
+    if not amount >= 0:  # NaN fails too
+        raise ValueError(f"ledger charge must be nonnegative, got {name}={amount!r}")
+
+
 @dataclass
 class CostLedger:
     """Running totals of oracle uses, in model units.
 
     experiments counts state preparations, binary_queries/phase_queries count
     the two oracle flavors, classical_samples counts raw draws and
-    quantile_calls counts quantile-oracle invocations.  Counters only ever
-    increase; merging adds componentwise.
+    quantile_calls counts quantile-oracle invocations.  Counters start
+    nonnegative (the constructor checks them as ``charge`` checks a charge)
+    and only ever increase; merging adds componentwise.
     """
 
     experiments: float = 0.0
@@ -49,14 +55,17 @@ class CostLedger:
     classical_samples: float = 0.0
     quantile_calls: float = 0.0
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            _check_charge(f.name, getattr(self, f.name))
+
     def charge(self, /, **deltas: float) -> None:
         """Add nonnegative amounts to named counters; a rejected charge adds nothing."""
         counters = {f.name for f in fields(self)}
         for name, delta in deltas.items():
             if name not in counters:
                 raise ValueError(f"unknown ledger counter {name!r}")
-            if not delta >= 0:  # NaN fails too
-                raise ValueError(f"ledger charge must be nonnegative, got {name}={delta!r}")
+            _check_charge(name, delta)
         for name, delta in deltas.items():
             setattr(self, name, getattr(self, name) + float(delta))
 
@@ -218,8 +227,10 @@ def _flat_grid_indices(pts: np.ndarray, m: int) -> np.ndarray:
 def _deviation_table(noise: NoiseModel, spec: GridSpec) -> np.ndarray:
     """The seeded per-point deviations of ``perturb``, drawn once per (noise, spec).
 
-    Estimators that perturb one phase per outer repetition on the same grid
-    reuse the last table instead of redrawing it; the array is read-only.
+    Stored as their unit-modulus factors e^{i*delta}, flat and row-major over
+    the lattice: the one m^d table a perturbed round reads.  Estimators that
+    perturb one phase per outer repetition on the same grid reuse the last
+    table instead of redrawing it; the array is read-only.
     """
     n_points = spec.points
     rng = np.random.default_rng(noise.seed)
@@ -230,8 +241,9 @@ def _deviation_table(noise: NoiseModel, spec: GridSpec) -> np.ndarray:
     if n_bad > 0:
         bad = np.argpartition(scores, n_bad - 1)[:n_bad]
         deviations[bad] = rng.uniform(-np.pi, np.pi, n_bad)
-    deviations.flags.writeable = False
-    return deviations
+    table = np.exp(1j * deviations)
+    table.flags.writeable = False
+    return table
 
 
 def perturb(phase: PhaseFunction, noise: NoiseModel, spec: GridSpec) -> PhaseFunction:
@@ -240,20 +252,24 @@ def perturb(phase: PhaseFunction, noise: NoiseModel, spec: GridSpec) -> PhaseFun
     IDEAL returns the phase unchanged.  PERTURBED draws one deviation per grid
     point (deterministic in the seed): uniform within the |2 sin(delta/2)| <=
     eps band on good points, uniform in (-pi, pi] on the <= ceil(eta/2*|G|)
-    bad points selected by seeded ranking.  The result is non-separable, so it
-    forces full-state simulation and is subject to the lattice cap, which is
-    checked before the table is drawn.
+    bad points selected by seeded ranking.  The result is non-separable and
+    subject to the lattice cap, which is checked before the table is drawn.
+    A linear phase keeps its ``coeffs`` and carries the read-only table of
+    factors e^{i*delta} as its ``overlay``, so a round samples it from one
+    table and one FFT (:func:`qmeanlab.gridqft.linear_phase_joint`); any
+    other phase is known only by ``evaluate`` and runs the register.
     """
     if noise.mode == "ideal":
         return phase
     check_lattice_cap(spec)
-    deviations = _deviation_table(noise, spec)
+    table = _deviation_table(noise, spec)
     base = phase.evaluate
 
     def evaluate(pts: np.ndarray) -> np.ndarray:
-        return np.asarray(base(pts), dtype=float) + deviations[_flat_grid_indices(pts, spec.m)]
+        return np.asarray(base(pts), dtype=float) + np.angle(table[_flat_grid_indices(pts, spec.m)])
 
-    return PhaseFunction(evaluate=evaluate, separable=False)
+    overlay = None if phase.coeffs is None else table
+    return PhaseFunction(evaluate=evaluate, separable=False, coeffs=phase.coeffs, overlay=overlay)
 
 
 def quantile_oracle(

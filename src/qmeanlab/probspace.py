@@ -235,7 +235,7 @@ def parse_distribution_spec(text: str) -> RandomVariable:
             raise ValueError(f"values row {k} must have length d={d}")
         if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row):
             raise ValueError(f"values row {k} must contain numbers only")
-    prob = np.asarray(prob_raw, dtype=float)
+    prob = _float_array(prob_raw, "prob")
     if np.any(prob < 0.0):
         raise ValueError("field 'prob' must be nonnegative")
     total = float(prob.sum())
@@ -253,7 +253,15 @@ def parse_distribution_spec(text: str) -> RandomVariable:
         ):
             raise ValueError("field 'omega' must be a list of strings, one per outcome")
         labels = tuple(omega)
-    return RandomVariable(prob=prob, values=np.asarray(values_raw, dtype=float), labels=labels)
+    return RandomVariable(prob=prob, values=_float_array(values_raw, "values"), labels=labels)
+
+
+def _float_array(raw: list, field: str) -> np.ndarray:
+    """``raw`` as a float64 array; a JSON integer beyond float range names its field."""
+    try:
+        return np.asarray(raw, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"field {field!r} holds an integer too large for a float") from exc
 
 
 def serialize_distribution_spec(rv: RandomVariable) -> str:

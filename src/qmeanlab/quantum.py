@@ -6,7 +6,9 @@ grid Fourier transform, measure, rescale, and median-combine repetitions.
 They differ in which oracle supplies the phase and how budgets are split.
 The phase alone decides how a round is simulated: an ideal linear phase (one
 that carries its coeffs) skips the register and samples the closed-form Born
-marginals; any other phase runs the register, in product form when it is
+marginals; a perturbed linear phase (coeffs plus a noise overlay) skips it
+too and samples the joint Born table from one FFT; any other phase (a clamped
+binary phase, perturbed or not) runs the register, in product form when it is
 separable.
 The (n, n') regime map that the phase-model dispatcher branches on lives here.
 """
@@ -26,8 +28,10 @@ from qmeanlab.gridqft import (
     PhaseFunction,
     apply_phase_function,
     inverse_qft,
+    linear_phase_joint,
     linear_phase_marginals,
     measure,
+    sample_joint,
     sample_marginals,
     uniform_superposition,
 )
@@ -169,10 +173,13 @@ def _run_phase_reps(
     """``reps`` phase-estimation measurements of one round, scaled.
 
     A linear phase (it carries ``coeffs``) skips the register: its closed-form
-    Born marginals are sampled with the same draws :func:`measure` would make.
-    Every other phase runs uniform -> phase -> inverse QFT -> measure.
+    Born marginals, or under a noise ``overlay`` its joint Born table, are
+    sampled with the same draws :func:`measure` would make.  Every other phase
+    runs uniform -> phase -> inverse QFT -> measure.
     """
-    if phase.coeffs is not None:
+    if phase.overlay is not None:
+        points = sample_joint(linear_phase_joint(spec, phase.coeffs, phase.overlay), reps, rng)
+    elif phase.coeffs is not None:
         points = sample_marginals(linear_phase_marginals(spec, phase.coeffs), reps, rng)
     else:
         state = inverse_qft(apply_phase_function(uniform_superposition(spec), phase))
@@ -398,7 +405,8 @@ def qphase_estimator(
     """High-precision estimator from phase oracles, values in [-1/4, 1/4]^d.
 
     Resolution follows k = floor(min(n, n'/sqrt(d))); the imprinted phase is
-    exactly linear, so under IDEAL noise every round skips the register.
+    exactly linear, so every round skips the register (under PERTURBED noise
+    it samples the joint table of the overlaid phase).
     """
     d = rv.d
     log_term = _phase_log_budget(rv, n, nprime, delta)

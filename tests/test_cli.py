@@ -97,6 +97,22 @@ class TestEstimate:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ('{"d": 1, "prob": [0.5, 0.5], "values": [[1%s], [0.25]]}' % ("0" * 400), "values"),
+            ('{"d": 1, "prob": [1%s, 0.5], "values": [[0.5], [0.25]]}' % ("0" * 400), "prob"),
+        ],
+        ids=["values", "prob"],
+    )
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys, doc, field):
+        path = tmp_path / "huge.json"
+        path.write_text(doc, encoding="utf-8")
+        code = main(["estimate", "--spec", str(path), "--estimator", "classical", "--n", "8"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: field '{field}'") and err.count("\n") == 1
+
 
 class TestSweep:
     def test_grid_sweep_writes_rows(self, tmp_path, capsys):
@@ -187,6 +203,8 @@ class TestSweep:
             {"inline": {"d": 1, "prob": [0.5, 0.5], "values": [[1e400], [0.25]]}},
             # finite values whose moments overflow: the error bound is not finite
             {"battery": {"name": "ball", "d": 2, "scale": 1e308}},
+            # a JSON integer too large for a float
+            {"inline": {"d": 1, "prob": [0.5, 0.5], "values": [[10**400], [0.25]]}},
         ],
     )
     def test_malformed_rv_exits_2(self, tmp_path, capsys, rv):

@@ -23,6 +23,7 @@ from qmeanlab.gridqft import (
     grid_points,
     inverse_qft,
     lattice_cap,
+    linear_phase_joint,
     linear_phase_marginals,
     measure,
     measurement_distribution,
@@ -30,6 +31,7 @@ from qmeanlab.gridqft import (
     state_from_amplitudes,
     uniform_superposition,
 )
+from qmeanlab.oracles import NoiseModel, linear_phase_function, perturb
 
 
 def linear_phase(spec: GridSpec, slopes) -> PhaseFunction:
@@ -223,6 +225,35 @@ class TestQFT:
         assert np.allclose(prod.materialized().tensor, full.tensor, atol=1e-12)
 
 
+def random_state(spec: GridSpec, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(spec.points) + 1j * rng.standard_normal(spec.points)
+    return x / np.linalg.norm(x)
+
+
+class TestQFTProperties:
+    @settings(deadline=None, max_examples=40)
+    @given(k=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+    def test_unitary_at_random_m(self, k, seed):
+        # inner products survive the transform: <Fx, Fy> = <x, y>
+        spec = GridSpec(m=2**k, d=1)
+        x, y = random_state(spec, seed), random_state(spec, seed + 1)
+        for transform in (qft, inverse_qft):
+            fx = transform(state_from_amplitudes(spec, x)).tensor
+            fy = transform(state_from_amplitudes(spec, y)).tensor
+            assert abs(np.vdot(fx, fy) - np.vdot(x, y)) <= 1e-12
+            assert abs(np.linalg.norm(fx) - 1.0) <= 1e-12
+
+    @settings(deadline=None, max_examples=40)
+    @given(k=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_at_random_m(self, k, seed):
+        spec = GridSpec(m=2**k, d=1)
+        x = random_state(spec, seed)
+        state = state_from_amplitudes(spec, x)
+        assert np.abs(inverse_qft(qft(state)).tensor - x).max() <= 1e-12
+        assert np.abs(qft(inverse_qft(state)).tensor - x).max() <= 1e-12
+
+
 class TestMeasurement:
     def test_uniform_distribution(self):
         spec = GridSpec(m=4, d=2)
@@ -344,6 +375,51 @@ class TestLinearPhaseMarginals:
     def test_coeffs_need_a_separable_phase(self):
         with pytest.raises(ValueError, match="separable"):
             PhaseFunction(evaluate=lambda pts: pts @ [1.0], separable=False, coeffs=np.ones(1))
+
+
+@st.composite
+def perturbed_linear_phases(draw):
+    """A perturbed linear phase on a random lattice within the lattice cap."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 9).filter(lambda k: 2 ** (k * d) <= lattice_cap()))
+    spec = GridSpec(m=2**k, d=d)
+    coeffs = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d))) * spec.m
+    noise = NoiseModel.perturbed(eps=0.05, eta=0.01, seed=draw(st.integers(0, 2**32 - 1)))
+    return spec, perturb(linear_phase_function(coeffs), noise, spec)
+
+
+class TestLinearPhaseJoint:
+    @settings(deadline=None, max_examples=60)
+    @given(case=perturbed_linear_phases())
+    def test_matches_the_register(self, case):
+        spec, phase = case
+        joint = linear_phase_joint(spec, phase.coeffs, phase.overlay)
+        register = measurement_distribution(
+            inverse_qft(apply_phase_function(uniform_superposition(spec), phase))
+        )
+        assert joint.shape == (spec.m,) * spec.d
+        assert np.abs(joint.reshape(-1) - register).max() <= 1e-12
+
+    def test_off_circle_overlay_entry_drifts_the_norm(self):
+        spec = GridSpec(m=8, d=2)
+        overlay = np.ones(spec.points, dtype=complex)
+        overlay[5] = 2.0
+        with pytest.raises(ValueError, match="state norm drifted to"):
+            linear_phase_joint(spec, [3.0, -1.0], overlay)
+
+    def test_overlay_must_cover_the_lattice(self):
+        with pytest.raises(ValueError, match=r"expected \(64,\)"):
+            linear_phase_joint(GridSpec(m=8, d=2), [3.0, -1.0], np.ones(8, dtype=complex))
+
+    def test_overlay_needs_coeffs_on_a_non_separable_phase(self):
+        overlay = np.ones(4, dtype=complex)
+        with pytest.raises(ValueError, match="overlay"):
+            PhaseFunction(evaluate=lambda pts: pts[:, 0], separable=False, overlay=overlay)
+        with pytest.raises(ValueError, match="overlay"):
+            PhaseFunction(
+                evaluate=lambda pts: pts[:, 0], separable=True, axis_components=(lambda u: u,),
+                coeffs=np.ones(1), overlay=overlay,
+            )
 
 
 class TestPhaseEstimationConcentration:

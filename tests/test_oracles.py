@@ -67,12 +67,18 @@ class TestCostLedger:
 
 _COUNTERS = tuple(f.name for f in dataclasses.fields(CostLedger))
 _AMOUNTS = st.floats(min_value=0.0, allow_nan=False)
+_BAD_AMOUNTS = st.floats(max_value=-1e-300) | st.just(math.nan)
 _CHARGES = st.dictionaries(st.sampled_from(_COUNTERS), _AMOUNTS, max_size=3)
-# a merge carries the ledger built from its own list of charges
-_OPS = st.lists(st.one_of(_CHARGES, st.lists(_CHARGES, max_size=3)), max_size=8)
+# a merge carries a ledger built from its own list of charges, or one built
+# directly through the constructor (a dict of starting counters)
+_OPS = st.lists(
+    st.one_of(_CHARGES, st.lists(_CHARGES, max_size=3), st.tuples(_CHARGES)), max_size=8
+)
 
 
 def _ledger(charges) -> CostLedger:
+    if isinstance(charges, tuple):
+        return CostLedger(**charges[0])
     ledger = CostLedger()
     for deltas in charges:
         ledger.charge(**deltas)
@@ -97,7 +103,7 @@ class TestCostLedgerProperties:
     @given(
         good=_CHARGES,
         bad=st.one_of(
-            st.tuples(st.sampled_from(_COUNTERS), st.floats(max_value=-1e-300) | st.just(math.nan)),
+            st.tuples(st.sampled_from(_COUNTERS), _BAD_AMOUNTS),
             st.tuples(
                 st.sampled_from(["gates", "self", "charge", "merge", "as_dict"]) | st.text(),
                 _AMOUNTS,
@@ -111,6 +117,16 @@ class TestCostLedgerProperties:
         with pytest.raises(ValueError, match="nonnegative|unknown"):
             ledger.charge(**{**{k: 1.0 for k in _COUNTERS if k != name}, name: amount})
         assert ledger.as_dict() == before
+
+    @settings(deadline=None, max_examples=80)
+    @given(good=_CHARGES, name=st.sampled_from(_COUNTERS), amount=_BAD_AMOUNTS)
+    def test_constructor_checks_counters_as_charge_does(self, good, name, amount):
+        with pytest.raises(ValueError) as built:
+            CostLedger(**{**good, name: amount})
+        with pytest.raises(ValueError) as charged:
+            CostLedger().charge(**{name: amount})
+        assert str(built.value) == str(charged.value)
+        assert "nonnegative" in str(built.value)
 
 
 class TestBinaryPhases:
@@ -304,13 +320,29 @@ class TestPerturb:
         assert _deviation_table.cache_info().misses == 0
 
     def test_perturbed_phase_not_separable(self):
+        # a perturbed linear phase is not separable, but keeps its base coeffs
+        # and carries the one cached table as its overlay; a clamped binary
+        # phase has no coeffs to keep, so it carries no overlay either
         spec = GridSpec(m=8, d=2)
-        out = perturb(
-            linear_phase_function(np.array([1.0, 1.0])),
-            NoiseModel.perturbed(eps=0.1, eta=0.1, seed=0),
-            spec,
+        noise = NoiseModel.perturbed(eps=0.1, eta=0.1, seed=0)
+        base = linear_phase_function(np.array([1.0, -2.0]))
+        out = perturb(base, noise, spec)
+        assert not out.separable and out.axis_components is None
+        assert out.coeffs is base.coeffs
+        assert out.overlay is _deviation_table(noise, spec)
+        assert np.allclose(np.abs(out.overlay), 1.0, rtol=0, atol=1e-15)
+        pts = grid_points(spec)
+        assert np.allclose(
+            out.evaluate(pts), pts @ base.coeffs + np.angle(out.overlay), rtol=0, atol=1e-15
         )
-        assert not out.separable and out.coeffs is None
+        d = 8  # the smallest d at which a unit-norm outcome can saturate the clamp
+        clamped = directional_phases_binary(
+            uniform_rv([np.full(d, d**-0.5)]),
+            L2=1.0, m=4, alpha=0.95, eps=0.04, ledger=CostLedger(),
+        )
+        assert clamped.coeffs is None
+        noisy = perturb(clamped, noise, GridSpec(m=4, d=d))
+        assert not noisy.separable and noisy.coeffs is None and noisy.overlay is None
 
 
 class TestQuantileOracle:

@@ -308,6 +308,13 @@ class TestDistributionSpecIO:
         )
         assert abs(float(rv.prob.sum()) - 1.0) <= 1e-12
 
+    def test_rejects_integer_beyond_float_range_naming_field(self):
+        huge = "1" + "0" * 400  # 401 digits: json keeps it an int, float() overflows
+        with pytest.raises(ValueError, match="field 'values'"):
+            parse_distribution_spec(f'{{"d": 1, "prob": [1.0], "values": [[{huge}]]}}')
+        with pytest.raises(ValueError, match="field 'prob'"):
+            parse_distribution_spec(f'{{"d": 1, "prob": [{huge}], "values": [[0.5]]}}')
+
     def test_rejects_missing_field(self):
         with pytest.raises(ValueError, match="'values'"):
             parse_distribution_spec('{"d": 1, "prob": [1.0]}')

@@ -16,6 +16,7 @@ import pytest
 from qmeanlab import quantum
 from qmeanlab.gridqft import (
     GridSpec,
+    PhaseFunction,
     apply_phase_function,
     grid_axis_points,
     inverse_qft,
@@ -27,6 +28,7 @@ from qmeanlab.oracles import (
     CostLedger,
     NoiseModel,
     _deviation_table,
+    directional_phases_binary,
     linear_phase_function,
     perturb,
 )
@@ -109,20 +111,57 @@ class TestPhaseRounds:
             register = measure(state, 200, np.random.default_rng(seed))
             assert np.array_equal(closed, register)
 
-    def test_only_non_linear_phases_build_a_register(self, monkeypatch):
+    @pytest.mark.parametrize("m, d", [(2, 2), (64, 1), (512, 2)])
+    def test_perturbed_linear_round_draws_what_the_register_draws(self, m, d):
+        spec = GridSpec(m=m, d=d)
+        noise = NoiseModel.perturbed(eps=0.05, eta=0.01, seed=m)
+        coeffs = np.array([0.61, -0.23])[:d] * 2 * math.pi * m
+        phase = perturb(linear_phase_function(coeffs), noise, spec)
+        for seed in range(3):
+            native = quantum._run_phase_reps(spec, phase, 200, 1.0, np.random.default_rng(seed))
+            state = inverse_qft(apply_phase_function(uniform_superposition(spec), phase))
+            register = measure(state, 200, np.random.default_rng(seed))
+            assert np.array_equal(native, register)
+
+    @staticmethod
+    def _count_register(monkeypatch) -> dict[str, int]:
         calls = {"inverse_qft": 0, "uniform_superposition": 0}
         for name in calls:
             def counted(*args, _fn=getattr(quantum, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(quantum, name, counted)
+        return calls
+
+    def test_only_non_linear_phases_build_a_register(self, monkeypatch):
+        # a linear phase skips the register, ideal (closed-form marginals) or
+        # perturbed (one FFT of its overlay); only a phase known by evaluate
+        # alone builds one
+        calls = self._count_register(monkeypatch)
         spec = GridSpec(m=8, d=2)
         phase = linear_phase_function(np.array([3.0, -5.0]))
         quantum._run_phase_reps(spec, phase, 10, 1.0, np.random.default_rng(0))
-        assert calls == {"inverse_qft": 0, "uniform_superposition": 0}
         noisy = perturb(phase, NoiseModel.perturbed(eps=0.1, eta=0.1, seed=0), spec)
         quantum._run_phase_reps(spec, noisy, 10, 1.0, np.random.default_rng(0))
+        assert calls == {"inverse_qft": 0, "uniform_superposition": 0}
+        built = PhaseFunction(evaluate=noisy.evaluate, separable=False)
+        quantum._run_phase_reps(spec, built, 10, 1.0, np.random.default_rng(0))
         assert calls == {"inverse_qft": 1, "uniform_superposition": 1}
+
+    def test_perturbed_clamped_binary_phase_builds_a_register(self, monkeypatch):
+        d, m = 8, 4  # a unit-norm outcome saturates the clamp at the grid's corner
+        clamped = directional_phases_binary(
+            RandomVariable(prob=[1.0], values=[np.full(d, d**-0.5)]),
+            L2=1.0, m=m, alpha=0.95, eps=BINARY_ORACLE_EPS, ledger=CostLedger(),
+        )
+        assert clamped.coeffs is None
+        spec = GridSpec(m=m, d=d)
+        noisy = perturb(clamped, NoiseModel.perturbed(eps=0.05, eta=0.01, seed=1), spec)
+        calls = self._count_register(monkeypatch)
+        got = quantum._run_phase_reps(spec, noisy, 50, 1.0, np.random.default_rng(4))
+        assert calls == {"inverse_qft": 1, "uniform_superposition": 1}
+        state = inverse_qft(apply_phase_function(uniform_superposition(spec), noisy))
+        assert np.array_equal(got, measure(state, 50, np.random.default_rng(4)))
 
 
 class TestBoundedEstimator:
