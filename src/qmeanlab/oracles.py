@@ -229,8 +229,8 @@ def _deviation_table(noise: NoiseModel, spec: GridSpec) -> np.ndarray:
 
     Stored as their unit-modulus factors e^{i*delta}, flat and row-major over
     the lattice: the one m^d table a perturbed round reads.  Estimators that
-    perturb one phase per outer repetition on the same grid reuse the last
-    table instead of redrawing it; the array is read-only.
+    perturb one phase per round on the same grid reuse the last table
+    instead of redrawing it; the array is read-only.
     """
     n_points = spec.points
     rng = np.random.default_rng(noise.seed)

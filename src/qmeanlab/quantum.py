@@ -10,6 +10,8 @@ marginals; a perturbed linear phase (coeffs plus a noise overlay) skips it
 too and samples the joint Born table from one FFT; any other phase (a clamped
 binary phase, perturbed or not) runs the register, in product form when it is
 separable.
+The low-precision estimator resamples every outer repetition at once and runs
+one round per distinct empirical mean, shared by the repetitions that drew it.
 The (n, n') regime map that the phase-model dispatcher branches on lives here.
 """
 
@@ -42,6 +44,7 @@ from qmeanlab.oracles import (
     check_phase_range,
     directional_phases_binary,
     directional_phases_phase_model,
+    linear_phase_function,
     perturb,
     quantile_oracle,
 )
@@ -449,11 +452,15 @@ def qlowprec_estimator(
     """Low-precision analog estimator: phase-estimate empirical resamples.
 
     Each of ceil(32*log2(d/delta)) outer repetitions draws k' classical
-    samples, builds their empirical distribution P-bar, and runs one
-    phase-oracle round against P-bar at resolution derived from k = 2n'/sqrt(d).
-    The k' draws are physical experiments (charged as such); the inner round's
-    state preparations act on the empirical surrogate, so only its phase
-    queries carry over to the run ledger.
+    samples, forms their empirical distribution P-bar, and makes one
+    phase-estimation measurement of the phase-oracle round against P-bar at
+    resolution derived from k = 2n'/sqrt(d).  A round depends on P-bar only
+    through its mean, so all outer*k' draws are made at once and repetitions
+    that share an empirical mean share one round (one phase, one Born table):
+    ``diagnostics["tables"]`` counts those rounds.  The k' draws are physical
+    experiments (charged as such); the rounds' state preparations act on the
+    empirical surrogates, so only their phase queries (one oracle
+    construction per repetition) carry over to the run ledger.
     """
     d = rv.d
     log_term = _phase_log_budget(rv, n, nprime, delta)
@@ -464,15 +471,24 @@ def qlowprec_estimator(
     spec = GridSpec(m=m, d=d)
 
     ledger = CostLedger()
+    ledger.charge(classical_samples=float(outer * k_prime), experiments=float(outer * k_prime))
+    rounds = CostLedger()
+    directional_phases_phase_model(rv, m, PHASE_ORACLE_EPS, PHASE_ORACLE_ETA, rounds, outer)
+    ledger.charge(phase_queries=rounds.phase_queries)
+
+    # every resample's counts over the drawn support, in ascending outcome
+    # order, so one multiset always yields the same float mean row
+    draws = rng.choice(rv.size, size=(outer, k_prime), p=rv.prob)
+    support, col = np.unique(draws, return_inverse=True)
+    cells = np.arange(outer)[:, None] * support.size + col.reshape(outer, k_prime)
+    counts = np.bincount(cells.ravel(), minlength=outer * support.size).reshape(outer, -1)
+    means, group = np.unique((counts / k_prime) @ rv.values[support], axis=0, return_inverse=True)
+    group = group.reshape(-1)  # numpy 2.0.0 returns it with a trailing axis
     per_rep = np.empty((outer, d))
-    for r in range(outer):
-        pbar = empirical_rv(rv, k_prime, rng)
-        ledger.charge(classical_samples=float(k_prime), experiments=float(k_prime))
-        inner = CostLedger()
-        phase = directional_phases_phase_model(pbar, m, PHASE_ORACLE_EPS, PHASE_ORACLE_ETA, inner)
-        ledger.charge(phase_queries=inner.phase_queries)
-        compute_phase = perturb(phase, noise, spec)
-        per_rep[r] = _run_phase_reps(spec, compute_phase, 1, 2.0 * math.pi, rng)[0]
+    for g, mu in enumerate(means):
+        rows = group == g
+        phase = perturb(linear_phase_function(m * mu), noise, spec)
+        per_rep[rows] = _run_phase_reps(spec, phase, int(rows.sum()), 2.0 * math.pi, rng)
     estimate = coordinate_median(per_rep)
     params = _params(noise, n=float(n), nprime=float(nprime), delta=float(delta))
     return _report(
@@ -481,7 +497,7 @@ def qlowprec_estimator(
         ledger,
         "qlowprec",
         params,
-        {"k_prime": k_prime, "outer": outer, "inner_k": inner_k, "m": m},
+        {"k_prime": k_prime, "outer": outer, "inner_k": inner_k, "m": m, "tables": len(means)},
     )
 
 

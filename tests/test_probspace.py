@@ -43,6 +43,16 @@ def point_mass(value) -> RandomVariable:
     return uniform_rv([np.atleast_1d(value)])
 
 
+@st.composite
+def _unit_box_rvs(draw, scale: float) -> RandomVariable:
+    """Random variables of 1-6 outcomes in d <= 4 with values in [-scale, scale]."""
+    k = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 4))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    values = draw(st.lists(st.floats(-scale, scale), min_size=k * d, max_size=k * d))
+    return RandomVariable(prob=weights / weights.sum(), values=np.reshape(values, (k, d)))
+
+
 class TestRandomVariable:
     def test_rejects_bad_probability_sum(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -265,6 +275,25 @@ class TestTruncateNormalized:
             total += rv.prob @ np.where(beyond[:, None], rv.values, 0.0)
             assert np.linalg.norm(total - mean(rv), ord=np.inf) < 1e-12
 
+    @settings(deadline=None, max_examples=80)
+    @given(data=st.data(), bounds=st.tuples(st.floats(0.0, 4.0), st.floats(1e-3, 4.0)))
+    def test_shell_properties(self, data, bounds):
+        rv = data.draw(_unit_box_rvs(scale=3.0), label="rv")
+        a_lo, width = bounds
+        a_hi = a_lo + width
+        out = truncate_normalized(rv, a_lo, a_hi)
+        assert np.array_equal(out.prob, rv.prob)
+        out_norms = np.linalg.norm(out.values, axis=1)
+        assert np.all(out_norms <= 1.0 + 1e-12)
+        norms = np.linalg.norm(rv.values, axis=1)
+        inside = (a_lo < norms) & (norms <= a_hi)
+        assert np.array_equal(out.values[~inside], np.zeros_like(out.values[~inside]))
+        for row, new in zip(rv.values[inside], out.values[inside]):
+            # same direction, length scaled by 1/a_hi
+            assert abs(np.linalg.norm(new) - np.linalg.norm(row) / a_hi) <= 1e-12
+            cross = new * np.linalg.norm(row) - row * np.linalg.norm(new)
+            assert np.abs(cross).max() <= 1e-12
+
 
 class TestNormShift:
     def test_norm_rv(self):
@@ -281,6 +310,13 @@ class TestNormShift:
         eta = rng.standard_normal(2)
         assert np.allclose(mean(shift(rv, eta)), mean(rv) - eta, atol=1e-15)
         assert np.array_equal(shift(rv, np.zeros(2)).values, rv.values)
+
+    @settings(deadline=None, max_examples=80)
+    @given(data=st.data())
+    def test_shift_moves_mean_by_eta(self, data):
+        rv = data.draw(_unit_box_rvs(scale=1.0), label="rv")
+        eta = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=rv.d, max_size=rv.d)))
+        assert np.abs(mean(shift(rv, eta)) - (mean(rv) - eta)).max() <= 1e-12
 
     def test_shift_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):

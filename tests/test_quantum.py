@@ -12,8 +12,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from qmeanlab import quantum
+from qmeanlab.classical import coordinate_median
 from qmeanlab.gridqft import (
     GridSpec,
     PhaseFunction,
@@ -24,11 +26,13 @@ from qmeanlab.gridqft import (
     measurement_distribution,
     uniform_superposition,
 )
+from qmeanlab.hardness import fractional_phase_rv
 from qmeanlab.oracles import (
     CostLedger,
     NoiseModel,
     _deviation_table,
     directional_phases_binary,
+    directional_phases_phase_model,
     linear_phase_function,
     perturb,
 )
@@ -450,6 +454,8 @@ class TestQLowPrecEstimator:
         mu = np.array([0.1, -0.2])
         rep = qlowprec_estimator(point_mass(mu), 20.0, 40.0, 0.1, IDEAL, np.random.default_rng(2))
         assert rep.err_inf <= 8.0 * math.pi / rep.diagnostics["m"]
+        # every resample of a point mass has the same mean: one round serves all
+        assert rep.diagnostics["tables"] == 1
 
     def test_estimate_tracks_mean_of_mixture(self):
         rv = RandomVariable(prob=[0.5, 0.5], values=[[0.25, 0.0], [0.0, 0.25]])
@@ -457,6 +463,9 @@ class TestQLowPrecEstimator:
         # resampling noise dominates: k' = 2n/log2(d/delta) samples per
         # repetition, median over ~170 repetitions
         assert rep.err_inf <= 0.06
+        # at most one round per multiset of k' outcomes out of the two
+        k_prime, outer = rep.diagnostics["k_prime"], rep.diagnostics["outer"]
+        assert rep.diagnostics["tables"] <= math.comb(rv.size + k_prime - 1, k_prime) < outer
 
     def test_empirical_rv_unbiased(self):
         rv = RandomVariable(prob=[0.3, 0.7], values=[[-0.25], [0.25]])
@@ -470,16 +479,17 @@ class TestQLowPrecEstimator:
         assert abs(avg - 0.1) <= 3 * sigma
 
     def test_perturbed_run_draws_one_noise_table(self):
-        # every outer repetition perturbs its phase on the same grid with the
-        # same noise seed, so the m^d deviation table is drawn once per run
+        # every round perturbs its phase on the same grid with the same noise
+        # seed, so the m^d deviation table is drawn once per run and each
+        # further round reads it from the cache
         _deviation_table.cache_clear()
         noise = NoiseModel.perturbed(eps=0.05, eta=0.01, seed=3)
         rv = basis_rv(2, scale=0.25)
         rep = qlowprec_estimator(rv, 4.0, 16.0, 0.4, noise, np.random.default_rng(5))
         info = _deviation_table.cache_info()
-        assert rep.diagnostics["outer"] > 1
+        assert rep.diagnostics["outer"] > rep.diagnostics["tables"] > 1
         assert info.misses == 1
-        assert info.hits == rep.diagnostics["outer"] - 1
+        assert info.hits == rep.diagnostics["tables"] - 1
 
     def test_determinism(self):
         rv = basis_rv(2, scale=0.25)
@@ -487,6 +497,64 @@ class TestQLowPrecEstimator:
         b = qlowprec_estimator(rv, 20.0, 30.0, 0.1, IDEAL, np.random.default_rng(4))
         assert np.array_equal(a.estimate, b.estimate)
         assert a.ledger.as_dict() == b.ledger.as_dict()
+
+
+def per_repetition_qlowprec(rv, noise, diagnostics, rng) -> tuple[float, CostLedger]:
+    """Reference: the low-precision outer loop one repetition at a time.
+
+    Each repetition draws its own empirical resample, builds the phase-oracle
+    phase of that resample, perturbs it and makes one measurement, with k',
+    the repetition count and m taken from the batched run's diagnostics.
+    Returns the l_inf error and the ledger the loop charges.
+    """
+    k_prime, outer, m = diagnostics["k_prime"], diagnostics["outer"], diagnostics["m"]
+    spec = GridSpec(m=m, d=rv.d)
+    ledger = CostLedger()
+    per_rep = np.empty((outer, rv.d))
+    for r in range(outer):
+        pbar = empirical_rv(rv, k_prime, rng)
+        ledger.charge(classical_samples=float(k_prime), experiments=float(k_prime))
+        inner = CostLedger()
+        phase = directional_phases_phase_model(pbar, m, PHASE_ORACLE_EPS, PHASE_ORACLE_ETA, inner)
+        ledger.charge(phase_queries=inner.phase_queries)
+        round_phase = perturb(phase, noise, spec)
+        per_rep[r] = quantum._run_phase_reps(spec, round_phase, 1, 2 * math.pi, rng)[0]
+    return float(np.abs(coordinate_median(per_rep) - mean(rv)).max()), ledger
+
+
+class TestQLowPrecMatchesPerRepetitionLoop:
+    """The batched outer loop draws from the same error law as the per-repetition one.
+
+    Seeded streams differ between the two, so the check is a two-sample KS
+    test on per-trial l_inf errors over 200 seeds, plus exact ledgers.
+    """
+
+    @pytest.mark.parametrize(
+        "rv, n, nprime, delta, noise",
+        [
+            (RandomVariable(prob=[0.3, 0.7], values=[[0.25, 0.0], [0.0, -0.25]]),
+             20.0, 30.0, 0.1, IDEAL),
+            (fractional_phase_rv(2, 4.0, [1, 0]), 4.0, 4.0, 0.4,
+             NoiseModel.perturbed(eps=0.05, eta=0.01, seed=11)),
+        ],
+        ids=["ideal", "perturbed"],
+    )
+    def test_error_law_and_ledger(self, rv, n, nprime, delta, noise):
+        log_factor = math.ceil(math.log2(1.0 / (PHASE_ORACLE_EPS * PHASE_ORACLE_ETA)))
+        batched, looped = [], []
+        for seed in range(200):
+            rep = qlowprec_estimator(rv, n, nprime, delta, noise, np.random.default_rng(seed))
+            err, ledger = per_repetition_qlowprec(
+                rv, noise, rep.diagnostics, np.random.default_rng(10_000 + seed)
+            )
+            batched.append(rep.err_inf)
+            looped.append(err)
+            outer, k_prime, m = (rep.diagnostics[k] for k in ("outer", "k_prime", "m"))
+            assert rep.ledger.classical_samples == rep.ledger.experiments == outer * k_prime
+            assert rep.ledger.phase_queries == outer * rv.d * m * log_factor**4
+            assert rep.ledger.as_dict() == ledger.as_dict()
+            assert 1 <= rep.diagnostics["tables"] <= outer
+        assert ks_2samp(batched, looped).pvalue > 0.01
 
 
 class TestPhaseModelDispatch:
