@@ -476,13 +476,16 @@ def qlowprec_estimator(
     directional_phases_phase_model(rv, m, PHASE_ORACLE_EPS, PHASE_ORACLE_ETA, rounds, outer)
     ledger.charge(phase_queries=rounds.phase_queries)
 
-    # every resample's counts over the drawn support, in ascending outcome
-    # order, so one multiset always yields the same float mean row
+    # every resample's counts over the drawn support, summed against the
+    # values elementwise in ascending outcome order (no BLAS blocking), so one
+    # multiset always yields the same float mean row; distinct multisets that
+    # share a mean (outcomes that share a value) share a row too
     draws = rng.choice(rv.size, size=(outer, k_prime), p=rv.prob)
     support, col = np.unique(draws, return_inverse=True)
     cells = np.arange(outer)[:, None] * support.size + col.reshape(outer, k_prime)
     counts = np.bincount(cells.ravel(), minlength=outer * support.size).reshape(outer, -1)
-    means, group = np.unique((counts / k_prime) @ rv.values[support], axis=0, return_inverse=True)
+    sums = (counts[:, :, None] * rv.values[support]).sum(axis=1)
+    means, group = np.unique(sums / k_prime, axis=0, return_inverse=True)
     group = group.reshape(-1)  # numpy 2.0.0 returns it with a trailing axis
     per_rep = np.empty((outer, d))
     for g, mu in enumerate(means):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -466,6 +467,21 @@ class TestQLowPrecEstimator:
         # at most one round per multiset of k' outcomes out of the two
         k_prime, outer = rep.diagnostics["k_prime"], rep.diagnostics["outer"]
         assert rep.diagnostics["tables"] <= math.comb(rv.size + k_prime - 1, k_prime) < outer
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_round_per_exactly_distinct_mean(self, seed):
+        # the resample indices are the estimator's first draws from rng; two
+        # of the four outcomes share the value 0, so multisets outnumber means.
+        # Counting the means in exact arithmetic checks that no multiset is
+        # split across rounds and no two different means share one.
+        rv = fractional_phase_rv(2, 4.0, [1, 0])
+        rep = qlowprec_estimator(rv, 4.0, 16.0, 0.4, IDEAL, np.random.default_rng(seed))
+        outer, k_prime = rep.diagnostics["outer"], rep.diagnostics["k_prime"]
+        draws = np.random.default_rng(seed).choice(rv.size, size=(outer, k_prime), p=rv.prob)
+        exact = {tuple(sum(Fraction(float(v)) for v in rv.values[row, j]) for j in range(rv.d))
+                 for row in draws}
+        assert rep.diagnostics["tables"] == len(exact)
+        assert len(exact) < len({tuple(sorted(row)) for row in draws})
 
     def test_empirical_rv_unbiased(self):
         rv = RandomVariable(prob=[0.3, 0.7], values=[[-0.25], [0.25]])

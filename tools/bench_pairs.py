@@ -5,7 +5,9 @@
         --claim noisy_d2:trials_per_s --trace noisy_d2:901
 
 Every pair runs ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` once in each tree with the same seed, one run after the other;
+--trace 0`` once in the parent tree and once in the tree this tool sits in
+(the change), with the same seed and T = ``run_seconds`` of the change's
+``BENCHMARK.json``, one run after the other;
 the side that runs first alternates (pair 0 runs the parent first).  A
 ``--workload NAME:PAIRS:FIRST_SEED`` spec runs PAIRS pairs on the seeds
 FIRST_SEED, FIRST_SEED+1, ....  A ``--trace NAME:SEED`` spec adds one traced
@@ -13,7 +15,8 @@ pass per side (``--trace 1``, 10 s) and records every span either side
 called.  Nothing here times or imports the program: each tree's own
 ``perfbench/run.py`` does the measuring.
 
-The record goes to ``BENCH_<label>.json`` in the change tree.  Per workload it
+The record goes to ``BENCH_<label>.json`` in the change tree, with the
+machine as the change tree's first run recorded it.  Per workload it
 holds every pair's end-to-end metrics and, per metric of the change tree's
 ``BENCHMARK.json``: both sides' quartiles (numpy linear percentiles), the
 ratio of the medians, how many pairs the change won (ties count for
@@ -27,8 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -121,37 +122,29 @@ def _trace(parent: Path, change: Path, workload: str, seed: int) -> dict:
     }
 
 
-def _machine() -> dict:
-    cpu = "unknown"
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            models = (line.split(":", 1)[1].strip() for line in fh if line.startswith("model name"))
-            cpu = next(models, cpu)
-    except OSError:
-        pass
-    return {"cpu": cpu, "vcpus": len(os.sched_getaffinity(0)), "python": platform.python_version(),
-            "numpy": np.__version__, "blas_threads": 1}
+def _machine(tree: Path, workload: str, seed: int) -> dict:
+    """The ``environment`` block of one run's record, less its commit."""
+    record = tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
+    env = json.loads(record.read_text(encoding="utf-8"))["environment"]
+    return {k: v for k, v in env.items() if k != "git_commit"}
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="the record is written to BENCH_<label>.json")
     ap.add_argument("--parent", type=Path, required=True, help="source tree of the parent commit")
-    ap.add_argument("--change", type=Path, default=ROOT, help="source tree of the change")
     ap.add_argument("--workload", type=lambda t: _spec(t, 3), action="append", required=True,
                     metavar="NAME:PAIRS:FIRST_SEED")
     ap.add_argument("--claim", type=lambda t: _spec(t, 2), action="append", default=[],
                     metavar="NAME:METRIC")
     ap.add_argument("--trace", type=lambda t: _spec(t, 2), action="append", default=[],
                     metavar="NAME:SEED")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: run_seconds of BENCHMARK.json)")
     ap.add_argument("--note", default="", help="what the change does, stored as 'change'")
     args = ap.parse_args(argv)
 
-    parent, change = args.parent.resolve(), args.change.resolve()
+    parent, change = args.parent.resolve(), ROOT
     bench = json.loads((change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     claims: dict[str, set[str]] = {}
     for name, metric in args.claim:
         claims.setdefault(name, set()).add(metric)
@@ -188,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         "method": "alternating parent/change pairs on the same machine, one after the other; "
                   "the side that runs first alternates by pair (pair 0: parent); "
                   "quartiles are numpy linear percentiles; a win is a strictly better value",
-        "machine": _machine(),
+        "machine": _machine(change, args.workload[0][0], int(args.workload[0][2])),
         "workloads": workloads,
     }
     out = change / f"BENCH_{args.label}.json"
