@@ -7,7 +7,6 @@ charge every draw to the ledger, so error-per-budget comparisons are direct.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +14,6 @@ from qmeanlab.oracles import CostLedger
 from qmeanlab.probspace import RandomVariable
 
 __all__ = [
-    "SampleBatch",
     "sample",
     "empirical_mean",
     "coordinate_median",
@@ -25,35 +23,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """i.i.d. draws from a random variable."""
-
-    draws: np.ndarray
-
-    def __post_init__(self) -> None:
-        draws = np.atleast_2d(np.asarray(self.draws, dtype=float))
-        draws.flags.writeable = False
-        object.__setattr__(self, "draws", draws)
-
-    @property
-    def count(self) -> int:
-        return self.draws.shape[0]
-
-
 def sample(
     rv: RandomVariable,
     count: int,
     rng: np.random.Generator,
     ledger: CostLedger | None = None,
-) -> SampleBatch:
-    """Draw ``count`` i.i.d. outcomes; charges ``count`` classical samples."""
+) -> np.ndarray:
+    """Draw ``count`` i.i.d. outcomes as a read-only (count, d) array.
+
+    Charges ``count`` classical samples.
+    """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     idx = rng.choice(rv.size, size=count, p=rv.prob)
     if ledger is not None:
         ledger.charge(classical_samples=float(count))
-    return SampleBatch(draws=rv.values[idx])
+    draws = rv.values[idx]
+    draws.flags.writeable = False
+    return draws
 
 
 def _shifted_mean(rows: np.ndarray) -> np.ndarray:
@@ -62,10 +49,11 @@ def _shifted_mean(rows: np.ndarray) -> np.ndarray:
     return rows[0] + (rows - rows[0]).mean(axis=0)
 
 
-def empirical_mean(batch: SampleBatch) -> np.ndarray:
-    if batch.count == 0:
+def empirical_mean(draws: np.ndarray) -> np.ndarray:
+    """Mean of a (count, d) array of draws."""
+    if draws.shape[0] == 0:
         raise ValueError("empty batch")
-    return _shifted_mean(batch.draws)
+    return _shifted_mean(draws)
 
 
 def coordinate_median(estimates) -> np.ndarray:
@@ -77,21 +65,22 @@ def coordinate_median(estimates) -> np.ndarray:
     return np.sort(arr, axis=0)[(r - 1) // 2]
 
 
-def median_of_means(batch: SampleBatch, groups: int) -> np.ndarray:
-    """Coordinate-wise median of contiguous-block means.
+def median_of_means(draws: np.ndarray, groups: int) -> np.ndarray:
+    """Coordinate-wise median of contiguous-block means of (count, d) draws.
 
     Blocks have size count // groups; the remainder is appended to the last
-    block.  Fixed grouping keeps the output deterministic given the batch.
+    block.  Fixed grouping keeps the output deterministic given the draws.
     """
+    count = draws.shape[0]
     if groups < 1:
         raise ValueError(f"groups must be at least 1, got {groups}")
-    if groups > batch.count:
-        raise ValueError(f"groups={groups} exceeds the batch size {batch.count}")
-    block = batch.count // groups
-    means = np.empty((groups, batch.draws.shape[1]))
+    if groups > count:
+        raise ValueError(f"groups={groups} exceeds the batch size {count}")
+    block = count // groups
+    means = np.empty((groups, draws.shape[1]))
     for g in range(groups):
-        stop = (g + 1) * block if g < groups - 1 else batch.count
-        means[g] = _shifted_mean(batch.draws[g * block : stop])
+        stop = (g + 1) * block if g < groups - 1 else count
+        means[g] = _shifted_mean(draws[g * block : stop])
     return coordinate_median(means)
 
 
@@ -113,12 +102,12 @@ def subgaussian_estimate(
     delta: float,
     rng: np.random.Generator,
     ledger: CostLedger | None = None,
-) -> tuple[np.ndarray, SampleBatch]:
-    """Median-of-means baseline: draws exactly n samples, returns (estimate, batch)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Median-of-means baseline: draws exactly n samples, returns (estimate, draws)."""
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta!r}")
     needed = max(1, math.ceil(math.log2(1.0 / delta))) if delta < 1 else 1
     if n < needed:
         raise ValueError(f"n={n} is below ceil(log2(1/delta)) = {needed}")
-    batch = sample(rv, n, rng, ledger)
-    return median_of_means(batch, subgaussian_groups(n, delta)), batch
+    draws = sample(rv, n, rng, ledger)
+    return median_of_means(draws, subgaussian_groups(n, delta)), draws

@@ -2,20 +2,22 @@
 
 The register lives on G = {(2a+1-m)/(2m) : a in 0..m-1}^d, a centered lattice
 in (-1/2, 1/2)^d.  States are either a full rank-d tensor of amplitudes or,
-when every applied phase is separable, d independent per-axis vectors (the
-fast path that makes large-m sweeps affordable).  The Fourier transform over
-G has kernel e^{2*pi*i*m*<u,v>}/m^{d/2}; per axis it reduces to a standard
-radix-2 FFT conjugated by diagonal twiddle factors.
+when every applied phase is separable, d independent per-axis vectors.  The
+Fourier transform over G has kernel e^{2*pi*i*m*<u,v>}/m^{d/2}; per axis it
+reduces to a standard radix-2 FFT conjugated by diagonal twiddle factors.
 
-A linear phase c_j*u_j needs no register at all: the Born law after the
-inverse transform is the closed-form Fejer kernel of
-:func:`linear_phase_marginals`, and :func:`sample_marginals` inverts it with
-the same per-axis draws :func:`measure` makes on a product state.  A linear
-phase overlaid with a table of unit-modulus factors (a perturbed linear
-phase) needs no register either: :func:`linear_phase_joint` forms its
-amplitudes from the table and d per-axis vectors and runs one d-axis FFT, and
-:func:`sample_joint` draws from the joint table as :func:`measure` draws from
-a full state.  Only phases known by ``evaluate`` alone run the register.
+Estimators never build the register: every phase they imprint is linear.  A
+linear phase c_j*u_j has as Born law after the inverse transform the
+closed-form Fejer kernel of :func:`linear_phase_marginals`, and
+:func:`sample_marginals` inverts it with the same per-axis draws
+:func:`measure` makes on a product state.  A linear phase overlaid with a
+table of unit-modulus factors (a perturbed linear phase) has its amplitudes
+formed by :func:`linear_phase_joint` from the table and d per-axis vectors
+and one d-axis FFT, and :func:`sample_joint` draws from the joint table as
+:func:`measure` draws from a full state.  The register (:class:`GridState`,
+:func:`apply_phase_function`, :func:`qft`, :func:`measure`) is the reference
+those samplers are tested against, and what the acceptance gate's transform
+numerics run.
 """
 
 from __future__ import annotations
@@ -66,11 +68,16 @@ def lattice_cap() -> int:
 
 
 def check_lattice_cap(spec: GridSpec) -> None:
-    """Refuse, before anything is allocated, an m^d table above the lattice cap."""
+    """Refuse, before anything is allocated, an m^d table above the lattice cap.
+
+    The size is reported as a power of two (m is one), so the message stays
+    one short line at any d.
+    """
     cap = lattice_cap()
     if spec.points > cap:
+        log2_points = spec.d * (spec.m.bit_length() - 1)
         raise ValueError(
-            f"lattice cap exceeded: m^d = {spec.m}^{spec.d} = {spec.points} > {cap} amplitudes"
+            f"lattice cap exceeded: m^d = {spec.m}^{spec.d} = 2^{log2_points} > {cap} amplitudes"
         )
 
 

@@ -116,15 +116,22 @@ def linear_phase_function(coeffs: np.ndarray) -> PhaseFunction:
     )
 
 
-def binary_phase_is_linear(rv: RandomVariable, alpha: float, m: int) -> bool:
-    """Certificate that the clamp in the binary-model phase never fires.
+def _clamp_argument_bound(rv: RandomVariable, alpha: float, m: int) -> float:
+    # the largest |alpha <u, x>| over the grid: the corner u_j = sign(x_j)(1/2 - 1/(2m))
+    # of the outcome with the largest ||x||_1
+    return alpha * (0.5 - 0.5 / m) * float(np.abs(rv.values).sum(axis=1).max(initial=0.0))
 
-    |alpha <u, x>| <= alpha * max_j|u_j| * ||x||_1 and the grid's largest
-    axis coordinate is 1/2 - 1/(2m); if that product stays <= 1 for the
-    worst outcome, the clamped phase equals the linear phase everywhere.
+
+def binary_phase_is_linear(rv: RandomVariable, alpha: float, m: int) -> bool:
+    """Whether the clamp in the binary-model phase never fires on the m-point grid.
+
+    Over the grid, alpha*<u, x> is largest at the corner u_j = sign(x_j) *
+    (1/2 - 1/(2m)), where it equals alpha*(1/2 - 1/(2m))*||x||_1.  So this is
+    an exact condition, not only a sufficient one: it holds exactly when no
+    grid point and outcome have |alpha <u, x>| > 1, that is, exactly when the
+    clamped phase equals the linear phase m*alpha*<u, mean(rv)> everywhere.
     """
-    max_l1 = float(np.abs(rv.values).sum(axis=1).max(initial=0.0))
-    return alpha * (0.5 - 0.5 / m) * max_l1 <= 1.0
+    return _clamp_argument_bound(rv, alpha, m) <= 1.0
 
 
 def check_binary_model(rv: RandomVariable, L2: float) -> None:
@@ -161,33 +168,32 @@ def directional_phases_binary(
     ledger: CostLedger,
     reps: int = 1,
 ) -> PhaseFunction:
-    """Clamped directional-mean phase built from binary oracle queries.
+    """Directional-mean phase built from binary oracle queries.
 
-    theta_u = m * sum_omega P(omega) * clamp_scalar(alpha*<u, X(omega)>, 0, 1).
-    Charges m*sqrt(L2)*ceil(log2(1/eps))^2 model units to experiments and
-    binary queries for each of the ``reps`` repetitions that use the phase.
-    When :func:`binary_phase_is_linear` certifies that the clamp never fires
-    on the m-point grid, the phase is exactly m*alpha*<u, mean(rv)> and is
-    returned separable, so a product-form register stays in product form at
-    any m; otherwise the clamped phase is non-separable.
+    The construction's phase is the clamped sum theta_u = m * sum_omega
+    P(omega) * clamp_scalar(alpha*<u, X(omega)>, 0, 1).  Only the case where
+    the clamp never fires on the m-point grid (:func:`binary_phase_is_linear`)
+    is supported; there the phase is exactly the linear m*alpha*<u, mean(rv)>.
+    A phase whose clamp fires is refused with a ValueError before anything is
+    charged: no estimator reaches one below d = 42 (``bounded_estimator``'s
+    alpha <= 0.312 and ||x||_1 <= sqrt(d)), and above it the m >= 128 register
+    it would need is far over the lattice cap.  Charges
+    m*sqrt(L2)*ceil(log2(1/eps))^2 model units to experiments and binary
+    queries for each of the ``reps`` repetitions that use the phase.
     """
     check_binary_model(rv, L2)
     if not (0 < alpha < 1):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if m < 1.0 / L2:
         raise ValueError(f"m={m} is below 1/L2 = {1.0 / L2!r}")
+    if not binary_phase_is_linear(rv, alpha, m):
+        raise ValueError(
+            "the binary-model clamp fires on this grid: alpha*(1/2 - 1/(2m))*max||X||_1"
+            f" = {_clamp_argument_bound(rv, alpha, m):.6g} > 1"
+        )
     cost = m * math.sqrt(L2) * math.ceil(math.log2(1 / eps)) ** 2
     ledger.charge(experiments=reps * cost, binary_queries=reps * cost)
-    if binary_phase_is_linear(rv, alpha, m):
-        return linear_phase_function(m * alpha * mean(rv))
-    values, prob = rv.values, rv.prob
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        z = alpha * (pts @ values.T)
-        np.multiply(z, np.abs(z) <= 1.0, out=z)
-        return m * (z @ prob)
-
-    return PhaseFunction(evaluate=evaluate, separable=False)
+    return linear_phase_function(m * alpha * mean(rv))
 
 
 def directional_phases_phase_model(
@@ -247,17 +253,19 @@ def _deviation_table(noise: NoiseModel, spec: GridSpec) -> np.ndarray:
 
 
 def perturb(phase: PhaseFunction, noise: NoiseModel, spec: GridSpec) -> PhaseFunction:
-    """Overlay the noise model's seeded phase deviations onto a phase function.
+    """Overlay the noise model's seeded phase deviations onto a linear phase.
 
     IDEAL returns the phase unchanged.  PERTURBED draws one deviation per grid
     point (deterministic in the seed): uniform within the |2 sin(delta/2)| <=
     eps band on good points, uniform in (-pi, pi] on the <= ceil(eta/2*|G|)
     bad points selected by seeded ranking.  The result is non-separable and
     subject to the lattice cap, which is checked before the table is drawn.
-    A linear phase keeps its ``coeffs`` and carries the read-only table of
+    It keeps the phase's ``coeffs`` and carries the read-only table of
     factors e^{i*delta} as its ``overlay``, so a round samples it from one
-    table and one FFT (:func:`qmeanlab.gridqft.linear_phase_joint`); any
-    other phase is known only by ``evaluate`` and runs the register.
+    table and one FFT (:func:`qmeanlab.gridqft.linear_phase_joint`); a phase
+    without ``coeffs`` is refused, as :class:`PhaseFunction` refuses an
+    overlay on it.  ``evaluate`` gives the perturbed phase pointwise, for the
+    register the tests compare rounds against.
     """
     if noise.mode == "ideal":
         return phase
@@ -268,8 +276,7 @@ def perturb(phase: PhaseFunction, noise: NoiseModel, spec: GridSpec) -> PhaseFun
     def evaluate(pts: np.ndarray) -> np.ndarray:
         return np.asarray(base(pts), dtype=float) + np.angle(table[_flat_grid_indices(pts, spec.m)])
 
-    overlay = None if phase.coeffs is None else table
-    return PhaseFunction(evaluate=evaluate, separable=False, coeffs=phase.coeffs, overlay=overlay)
+    return PhaseFunction(evaluate=evaluate, separable=False, coeffs=phase.coeffs, overlay=table)
 
 
 def quantile_oracle(

@@ -4,12 +4,10 @@ Four estimators share the same skeleton: prepare a uniform grid superposition,
 imprint a directional-mean phase through a simulated oracle, apply the inverse
 grid Fourier transform, measure, rescale, and median-combine repetitions.
 They differ in which oracle supplies the phase and how budgets are split.
-The phase alone decides how a round is simulated: an ideal linear phase (one
-that carries its coeffs) skips the register and samples the closed-form Born
-marginals; a perturbed linear phase (coeffs plus a noise overlay) skips it
-too and samples the joint Born table from one FFT; any other phase (a clamped
-binary phase, perturbed or not) runs the register, in product form when it is
-separable.
+Every phase an estimator imprints is linear (a binary phase whose clamp
+would fire is refused by its oracle), so no round builds a register: an ideal
+linear phase samples the closed-form Born marginals, and a perturbed one
+(coeffs plus a noise overlay) samples the joint Born table from one FFT.
 The low-precision estimator resamples every outer repetition at once and runs
 one round per distinct empirical mean, shared by the repetitions that drew it.
 The (n, n') regime map that the phase-model dispatcher branches on lives here.
@@ -28,14 +26,10 @@ from qmeanlab.classical import coordinate_median, subgaussian_estimate
 from qmeanlab.gridqft import (
     GridSpec,
     PhaseFunction,
-    apply_phase_function,
-    inverse_qft,
     linear_phase_joint,
     linear_phase_marginals,
-    measure,
     sample_joint,
     sample_marginals,
-    uniform_superposition,
 )
 from qmeanlab.oracles import (
     CostLedger,
@@ -175,18 +169,17 @@ def _run_phase_reps(
 ) -> np.ndarray:
     """``reps`` phase-estimation measurements of one round, scaled.
 
-    A linear phase (it carries ``coeffs``) skips the register: its closed-form
-    Born marginals, or under a noise ``overlay`` its joint Born table, are
-    sampled with the same draws :func:`measure` would make.  Every other phase
-    runs uniform -> phase -> inverse QFT -> measure.
+    The phase is linear (it carries ``coeffs``), so no register is built: its
+    closed-form Born marginals, or under a noise ``overlay`` its joint Born
+    table, are sampled with the same draws :func:`qmeanlab.gridqft.measure`
+    makes on the register uniform -> phase -> inverse QFT.
     """
+    if phase.coeffs is None:
+        raise TypeError("a phase-estimation round samples only linear phases (with coeffs)")
     if phase.overlay is not None:
         points = sample_joint(linear_phase_joint(spec, phase.coeffs, phase.overlay), reps, rng)
-    elif phase.coeffs is not None:
-        points = sample_marginals(linear_phase_marginals(spec, phase.coeffs), reps, rng)
     else:
-        state = inverse_qft(apply_phase_function(uniform_superposition(spec), phase))
-        points = measure(state, reps, rng)
+        points = sample_marginals(linear_phase_marginals(spec, phase.coeffs), reps, rng)
     return scale * points
 
 
@@ -226,9 +219,7 @@ def bounded_estimator(
     reps = math.ceil(18.0 * math.log2(d / delta))
     spec = GridSpec(m=m, d=d)
 
-    # one oracle construction, charged once per repetition that uses it; it
-    # comes back linear (sampled without a register at any m) when the clamp
-    # never fires
+    # one oracle construction, charged once per repetition that uses it
     phase = directional_phases_binary(rv, L2, m, alpha, BINARY_ORACLE_EPS, ledger, reps)
     compute_phase = perturb(phase, noise, spec)
 

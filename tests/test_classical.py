@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from qmeanlab.classical import (
-    SampleBatch,
     coordinate_median,
     empirical_mean,
     median_of_means,
@@ -27,14 +26,14 @@ def basis_rv(d: int) -> RandomVariable:
 class TestSample:
     def test_point_mass_draws_are_constant(self):
         rv = RandomVariable(prob=[1.0], values=[[0.25, -0.5]])
-        batch = sample(rv, 17, np.random.default_rng(0))
-        assert batch.count == 17
-        assert np.all(batch.draws == np.array([0.25, -0.5]))
+        draws = sample(rv, 17, np.random.default_rng(0))
+        assert draws.shape == (17, 2)
+        assert np.all(draws == np.array([0.25, -0.5]))
 
     def test_seed_determinism(self):
         rv = basis_rv(3)
-        a = sample(rv, 50, np.random.default_rng(42)).draws
-        b = sample(rv, 50, np.random.default_rng(42)).draws
+        a = sample(rv, 50, np.random.default_rng(42))
+        b = sample(rv, 50, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
     def test_ledger_charges_count(self):
@@ -49,9 +48,9 @@ class TestSample:
         prob = np.array([0.5, 0.3, 0.2])
         rv = RandomVariable(prob=prob, values=[[0.0], [1.0], [2.0]])
         n = 100_000
-        batch = sample(rv, n, np.random.default_rng(7))
+        draws = sample(rv, n, np.random.default_rng(7))
         for k, p in enumerate(prob):
-            freq = np.mean(batch.draws[:, 0] == float(k))
+            freq = np.mean(draws[:, 0] == float(k))
             sigma = math.sqrt(p * (1 - p) / n)
             assert abs(freq - p) <= 3 * sigma
 
@@ -60,20 +59,20 @@ class TestSample:
             sample(basis_rv(2), 0, np.random.default_rng(0))
 
     def test_draws_read_only(self):
-        batch = sample(basis_rv(2), 5, np.random.default_rng(0))
+        draws = sample(basis_rv(2), 5, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            batch.draws[0, 0] = 99.0
+            draws[0, 0] = 99.0
 
 
 class TestEmpiricalMean:
     def test_matches_numpy_mean(self):
         draws = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 0.0]])
-        assert np.allclose(empirical_mean(SampleBatch(draws)), [3.0, 2.0])
+        assert np.allclose(empirical_mean(draws), [3.0, 2.0])
 
     def test_converges_to_true_mean(self):
         rv = basis_rv(4)
-        batch = sample(rv, 200_000, np.random.default_rng(3))
-        est = empirical_mean(batch)
+        draws = sample(rv, 200_000, np.random.default_rng(3))
+        est = empirical_mean(draws)
         assert np.linalg.norm(est - moments(rv).mean) < 0.01
 
 
@@ -106,18 +105,18 @@ class TestCoordinateMedian:
 
 class TestMedianOfMeans:
     def test_one_group_is_empirical_mean(self):
-        batch = sample(basis_rv(3), 40, np.random.default_rng(5))
-        assert np.array_equal(median_of_means(batch, 1), empirical_mean(batch))
+        draws = sample(basis_rv(3), 40, np.random.default_rng(5))
+        assert np.array_equal(median_of_means(draws, 1), empirical_mean(draws))
 
     def test_n_groups_is_coordinate_median(self):
-        batch = sample(basis_rv(3), 12, np.random.default_rng(6))
-        got = median_of_means(batch, batch.count)
-        assert np.array_equal(got, coordinate_median(batch.draws))
+        draws = sample(basis_rv(3), 12, np.random.default_rng(6))
+        got = median_of_means(draws, draws.shape[0])
+        assert np.array_equal(got, coordinate_median(draws))
 
     def test_remainder_goes_to_last_block(self):
         # 7 draws, 3 groups -> blocks of sizes 2, 2, 3.
         draws = np.arange(7.0).reshape(7, 1)
-        got = median_of_means(SampleBatch(draws), 3)
+        got = median_of_means(draws, 3)
         block_means = [0.5, 2.5, 5.0]
         assert got[0] == sorted(block_means)[1]
 
@@ -129,36 +128,36 @@ class TestMedianOfMeans:
         clean = rng.uniform(-0.5, 0.5, size=(30, 2))
         corrupted = clean.copy()
         corrupted[0] += 1000.0
-        mom_clean = median_of_means(SampleBatch(clean), 5)
-        mom_bad = median_of_means(SampleBatch(corrupted), 5)
+        mom_clean = median_of_means(clean, 5)
+        mom_bad = median_of_means(corrupted, 5)
         emp_shift = np.linalg.norm(
-            empirical_mean(SampleBatch(corrupted)) - empirical_mean(SampleBatch(clean))
+            empirical_mean(corrupted) - empirical_mean(clean)
         )
         mom_shift = np.linalg.norm(mom_bad - mom_clean)
         assert emp_shift > 40.0  # ~ 1000*sqrt(2)/30
         assert mom_shift < emp_shift / 5
 
     def test_rejects_bad_group_counts(self):
-        batch = SampleBatch(np.zeros((4, 1)))
+        draws = np.zeros((4, 1))
         with pytest.raises(ValueError, match="groups"):
-            median_of_means(batch, 0)
+            median_of_means(draws, 0)
         with pytest.raises(ValueError, match="exceeds"):
-            median_of_means(batch, 5)
+            median_of_means(draws, 5)
 
 
 class TestSubgaussianEstimate:
     def test_point_mass_is_exact(self):
         rv = RandomVariable(prob=[1.0], values=[[0.125, -0.375, 0.0]])
-        est, batch = subgaussian_estimate(rv, 16, 0.05, np.random.default_rng(0))
+        est, draws = subgaussian_estimate(rv, 16, 0.05, np.random.default_rng(0))
         assert np.array_equal(est, [0.125, -0.375, 0.0])
-        assert batch.count == 16
+        assert draws.shape == (16, 3)
 
     def test_vacuous_delta_reduces_to_empirical_mean(self):
         rv = basis_rv(2)
         rng = np.random.default_rng(21)
-        est, batch = subgaussian_estimate(rv, 25, 1.0, rng)
+        est, draws = subgaussian_estimate(rv, 25, 1.0, rng)
         assert subgaussian_groups(25, 1.0) == 1
-        assert np.array_equal(est, empirical_mean(batch))
+        assert np.array_equal(est, empirical_mean(draws))
 
     def test_group_count_formula(self):
         # 8 * ceil(log2(2/delta)), clamped to [1, n].

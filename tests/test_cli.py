@@ -260,6 +260,21 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: sweep config root") and err.count("\n") == 1
 
+    def test_clamped_binary_phase_exits_2_with_one_short_line(self, tmp_path, capsys):
+        # at d = 256 a unit-ball outcome fires the bounded estimator's clamp
+        config_doc = {
+            "rv": {"battery": {"name": "ball", "d": 256}},
+            "estimator": "bounded", "trials": 2, "seed": 0, "n": 4096,
+        }
+        config_path = tmp_path / "clamped.json"
+        config_path.write_text(json.dumps(config_doc), encoding="utf-8")
+        assert main(["sweep", "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("error: all 2 trials failed") and err.count("\n") == 1
+        assert "clamp fires" in err and len(err) < 300
+
 
 class TestHard:
     def test_out_writes_spec_and_sidecar(self, tmp_path):

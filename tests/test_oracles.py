@@ -7,10 +7,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qmeanlab.gridqft import GridSpec, grid_points
+from qmeanlab.gridqft import GridSpec, PhaseFunction, grid_points
 from qmeanlab.oracles import (
     CostLedger,
     NoiseModel,
@@ -140,16 +140,19 @@ class TestBinaryPhases:
         assert theta.separable  # the clamp never fires here, so the oracle returns it linear
         assert np.array_equal(theta.coeffs, 8 * 0.5 * mu)
 
-    def test_clamp_zeroes_saturated_direction(self):
+    def test_refuses_a_phase_whose_clamp_fires(self):
         d = 9
-        x = np.full(d, 1.0 / 3.0)  # unit norm
-        rv = uniform_rv([x])
+        x = np.full(d, 1.0 / 3.0)  # unit norm, ||x||_1 = 3
         m, alpha = 16, 0.8
-        theta = directional_phases_binary(rv, L2=1.0, m=m, alpha=alpha, eps=0.04, ledger=CostLedger())
-        corner = np.full((1, d), 0.5 - 0.5 / m)
-        assert alpha * float((corner @ x)[0]) > 1.0  # the clamp fires here
-        assert theta.evaluate(corner)[0] == 0.0
-        assert theta.coeffs is None  # so no round may sample it as linear
+        corner = np.full(d, 0.5 - 0.5 / m)
+        assert alpha * float(corner @ x) > 1.0  # the clamp fires here
+        ledger = CostLedger()
+        with pytest.raises(ValueError, match=r"clamp fires .* = 1\.125 > 1") as info:
+            directional_phases_binary(
+                uniform_rv([x]), L2=1.0, m=m, alpha=alpha, eps=0.04, ledger=ledger
+            )
+        assert len(str(info.value)) < 200 and "\n" not in str(info.value)
+        assert ledger.as_dict() == CostLedger().as_dict()
 
     def test_two_outcome_matches_brute_sum(self):
         rng = np.random.default_rng(15)
@@ -208,6 +211,27 @@ class TestBinaryPhases:
         x = np.array([budget / 2, budget / 2])  # ||x||_1 = budget
         assert binary_phase_is_linear(uniform_rv([x]), alpha, m)
         assert not binary_phase_is_linear(uniform_rv([x * 1.01]), alpha, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.sampled_from([2, 4, 8]),
+        values=st.integers(1, 3).flatmap(
+            lambda d: st.lists(
+                st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d), min_size=1, max_size=4
+            )
+        ),
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_linear_exactly_when_no_grid_point_clamps(self, m, values, alpha):
+        # outcomes range over a box, not the unit ball: at d <= 3 a unit-ball
+        # outcome has alpha*(1/2 - 1/(2m))*||x||_1 < 0.76, so the clamp could
+        # never fire and only one side of the equivalence would be tested
+        rv = uniform_rv(values)
+        corner_bound = alpha * (0.5 - 0.5 / m) * float(np.abs(rv.values).sum(axis=1).max())
+        assume(abs(corner_bound - 1.0) >= 1e-9)
+        pts = grid_points(GridSpec(m=m, d=rv.d))
+        clamps = bool((np.abs(alpha * (pts @ rv.values.T)) > 1.0).any())
+        assert binary_phase_is_linear(rv, alpha, m) == (not clamps)
 
 
 class TestPhaseModelPhases:
@@ -311,7 +335,8 @@ class TestPerturb:
     def test_lattice_cap_checked_before_the_table_is_drawn(self, monkeypatch):
         monkeypatch.setenv("QMEANLAB_LATTICE_CAP", "64")
         _deviation_table.cache_clear()
-        with pytest.raises(ValueError, match=r"lattice cap exceeded: m\^d = 16\^2 = 256 > 64"):
+        cap_line = r"lattice cap exceeded: m\^d = 16\^2 = 2\^8 > 64 amplitudes$"
+        with pytest.raises(ValueError, match=cap_line):
             perturb(
                 linear_phase_function(np.array([1.0, 1.0])),
                 NoiseModel.perturbed(eps=0.1, eta=0.1, seed=0),
@@ -321,8 +346,8 @@ class TestPerturb:
 
     def test_perturbed_phase_not_separable(self):
         # a perturbed linear phase is not separable, but keeps its base coeffs
-        # and carries the one cached table as its overlay; a clamped binary
-        # phase has no coeffs to keep, so it carries no overlay either
+        # and carries the one cached table as its overlay; a phase without
+        # coeffs cannot carry one, so it is refused
         spec = GridSpec(m=8, d=2)
         noise = NoiseModel.perturbed(eps=0.1, eta=0.1, seed=0)
         base = linear_phase_function(np.array([1.0, -2.0]))
@@ -335,14 +360,8 @@ class TestPerturb:
         assert np.allclose(
             out.evaluate(pts), pts @ base.coeffs + np.angle(out.overlay), rtol=0, atol=1e-15
         )
-        d = 8  # the smallest d at which a unit-norm outcome can saturate the clamp
-        clamped = directional_phases_binary(
-            uniform_rv([np.full(d, d**-0.5)]),
-            L2=1.0, m=4, alpha=0.95, eps=0.04, ledger=CostLedger(),
-        )
-        assert clamped.coeffs is None
-        noisy = perturb(clamped, noise, GridSpec(m=4, d=d))
-        assert not noisy.separable and noisy.coeffs is None and noisy.overlay is None
+        with pytest.raises(ValueError, match="overlay needs linear coeffs"):
+            perturb(PhaseFunction(evaluate=base.evaluate, separable=False), noise, spec)
 
 
 class TestQuantileOracle:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from qmeanlab import quantum
+from qmeanlab import gridqft, quantum
 from qmeanlab.classical import coordinate_median
 from qmeanlab.gridqft import (
     GridSpec,
@@ -32,14 +32,12 @@ from qmeanlab.oracles import (
     CostLedger,
     NoiseModel,
     _deviation_table,
-    directional_phases_binary,
     directional_phases_phase_model,
     linear_phase_function,
     perturb,
 )
 from qmeanlab.probspace import RandomVariable, mean, moments
 from qmeanlab.quantum import (
-    BINARY_ORACLE_EPS,
     PHASE_ORACLE_EPS,
     PHASE_ORACLE_ETA,
     EstimateReport,
@@ -128,45 +126,24 @@ class TestPhaseRounds:
             register = measure(state, 200, np.random.default_rng(seed))
             assert np.array_equal(native, register)
 
-    @staticmethod
-    def _count_register(monkeypatch) -> dict[str, int]:
-        calls = {"inverse_qft": 0, "uniform_superposition": 0}
-        for name in calls:
-            def counted(*args, _fn=getattr(quantum, name), _name=name):
-                calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(quantum, name, counted)
-        return calls
+    def test_no_linear_round_builds_a_register(self, monkeypatch):
+        # ideal (closed-form marginals) or perturbed (one FFT of its overlay),
+        # a round builds no register state; a phase without coeffs is refused
+        register = {"apply_phase_function", "inverse_qft", "measure", "uniform_superposition"}
+        assert not register & set(vars(quantum))
 
-    def test_only_non_linear_phases_build_a_register(self, monkeypatch):
-        # a linear phase skips the register, ideal (closed-form marginals) or
-        # perturbed (one FFT of its overlay); only a phase known by evaluate
-        # alone builds one
-        calls = self._count_register(monkeypatch)
+        def no_state(*args, **kwargs):
+            raise AssertionError("a linear round built a register state")
+
+        monkeypatch.setattr(gridqft, "GridState", no_state)
         spec = GridSpec(m=8, d=2)
         phase = linear_phase_function(np.array([3.0, -5.0]))
-        quantum._run_phase_reps(spec, phase, 10, 1.0, np.random.default_rng(0))
         noisy = perturb(phase, NoiseModel.perturbed(eps=0.1, eta=0.1, seed=0), spec)
-        quantum._run_phase_reps(spec, noisy, 10, 1.0, np.random.default_rng(0))
-        assert calls == {"inverse_qft": 0, "uniform_superposition": 0}
+        for round_phase in (phase, noisy):
+            quantum._run_phase_reps(spec, round_phase, 10, 1.0, np.random.default_rng(0))
         built = PhaseFunction(evaluate=noisy.evaluate, separable=False)
-        quantum._run_phase_reps(spec, built, 10, 1.0, np.random.default_rng(0))
-        assert calls == {"inverse_qft": 1, "uniform_superposition": 1}
-
-    def test_perturbed_clamped_binary_phase_builds_a_register(self, monkeypatch):
-        d, m = 8, 4  # a unit-norm outcome saturates the clamp at the grid's corner
-        clamped = directional_phases_binary(
-            RandomVariable(prob=[1.0], values=[np.full(d, d**-0.5)]),
-            L2=1.0, m=m, alpha=0.95, eps=BINARY_ORACLE_EPS, ledger=CostLedger(),
-        )
-        assert clamped.coeffs is None
-        spec = GridSpec(m=m, d=d)
-        noisy = perturb(clamped, NoiseModel.perturbed(eps=0.05, eta=0.01, seed=1), spec)
-        calls = self._count_register(monkeypatch)
-        got = quantum._run_phase_reps(spec, noisy, 50, 1.0, np.random.default_rng(4))
-        assert calls == {"inverse_qft": 1, "uniform_superposition": 1}
-        state = inverse_qft(apply_phase_function(uniform_superposition(spec), noisy))
-        assert np.array_equal(got, measure(state, 50, np.random.default_rng(4)))
+        with pytest.raises(TypeError, match="only linear phases"):
+            quantum._run_phase_reps(spec, built, 10, 1.0, np.random.default_rng(0))
 
 
 class TestBoundedEstimator:
@@ -233,10 +210,16 @@ class TestBoundedEstimator:
     def test_lattice_cap_reports_offending_size(self, monkeypatch):
         monkeypatch.setenv("QMEANLAB_LATTICE_CAP", "1024")
         noise = NoiseModel.perturbed(eps=1.0 / 25.0, eta=1.0 / 288.0, seed=5)
-        with pytest.raises(ValueError, match=r"lattice cap exceeded: m\^d = 256\^2 = 65536"):
+        with pytest.raises(ValueError, match=r"lattice cap exceeded: m\^d = 256\^2 = 2\^16 > 1024"):
             bounded_estimator(
                 point_mass([0.25, -0.1]), 1.0, 8.0, 0.1, noise, np.random.default_rng(2)
             )
+        # the size is a power of two, so the line stays short at any d
+        monkeypatch.delenv("QMEANLAB_LATTICE_CAP")
+        cap_line = r"m\^d = 4096\^64 = 2\^768 > 4194304 amplitudes$"
+        with pytest.raises(ValueError, match=cap_line) as info:
+            bounded_estimator(basis_rv(64), 1.0, 256.0, 0.05, noise, np.random.default_rng(2))
+        assert len(str(info.value)) < 200
 
     def test_ideal_fast_path_ignores_lattice_cap(self, monkeypatch):
         # Product form never materializes m^d amplitudes, so the cap does not
