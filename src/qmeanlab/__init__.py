@@ -3,184 +3,8 @@
 Finite random variables with exact moments, a centered-lattice Fourier
 transform simulator, semantic oracle models with cost accounting, quantum and
 classical mean estimators, hard instance generators, and a sweep harness.
+Each name is imported from its own module (``qmeanlab.quantum``,
+``qmeanlab.harness``, ...); the package itself re-exports nothing.
 """
-
-from qmeanlab.classical import (
-    coordinate_median,
-    empirical_mean,
-    median_of_means,
-    sample,
-    subgaussian_estimate,
-    subgaussian_groups,
-)
-from qmeanlab.gridqft import (
-    GridSpec,
-    GridState,
-    PhaseFunction,
-    apply_phase_function,
-    dense_qft_matrix,
-    grid_axis_points,
-    grid_points,
-    inverse_qft,
-    lattice_cap,
-    measure,
-    measurement_distribution,
-    qft,
-    state_from_amplitudes,
-    uniform_superposition,
-)
-from qmeanlab.hardness import (
-    SearchParityInstance,
-    designed_mean_fractional_phase,
-    designed_mean_high_precision,
-    designed_mean_low_precision,
-    fractional_phase_rv,
-    hadamard,
-    hard_rv_high_precision,
-    hard_rv_low_precision,
-    search_parity_instance,
-)
-from qmeanlab.harness import (
-    COST_ENVELOPE_CPRIME,
-    ESTIMATOR_IDS,
-    SWEEP_COLUMNS,
-    BatteryResult,
-    ExperimentConfig,
-    SweepRow,
-    battery_ball,
-    battery_basis,
-    battery_heavylight,
-    cost_envelope,
-    error_bound,
-    export,
-    expected_branch,
-    fit_slope,
-    load_rows,
-    regime_classify,
-    report_to_dict,
-    run_sweep,
-    run_trials,
-    standard_battery,
-)
-from qmeanlab.oracles import (
-    CostLedger,
-    NoiseModel,
-    binary_phase_is_linear,
-    directional_phases_binary,
-    directional_phases_phase_model,
-    linear_phase_function,
-    perturb,
-    quantile_oracle,
-)
-from qmeanlab.probspace import (
-    MomentSummary,
-    RandomVariable,
-    clamp_scalar,
-    exact_quantile,
-    mean,
-    moments,
-    norm_rv,
-    parse_distribution_spec,
-    serialize_distribution_spec,
-    shift,
-    truncate_normalized,
-)
-from qmeanlab.quantum import (
-    BINARY_ORACLE_EPS,
-    PHASE_ORACLE_EPS,
-    PHASE_ORACLE_ETA,
-    QUANTILE_C,
-    EstimateReport,
-    bounded_estimator,
-    empirical_rv,
-    euclidean_estimator,
-    near_optimal_estimator,
-    phase_model_dispatch,
-    qlowprec_estimator,
-    qphase_estimator,
-)
-
-__all__ = [
-    "BINARY_ORACLE_EPS",
-    "COST_ENVELOPE_CPRIME",
-    "ESTIMATOR_IDS",
-    "PHASE_ORACLE_EPS",
-    "PHASE_ORACLE_ETA",
-    "QUANTILE_C",
-    "SWEEP_COLUMNS",
-    "BatteryResult",
-    "CostLedger",
-    "EstimateReport",
-    "ExperimentConfig",
-    "GridSpec",
-    "GridState",
-    "MomentSummary",
-    "NoiseModel",
-    "PhaseFunction",
-    "RandomVariable",
-    "SearchParityInstance",
-    "SweepRow",
-    "apply_phase_function",
-    "battery_ball",
-    "battery_basis",
-    "battery_heavylight",
-    "binary_phase_is_linear",
-    "bounded_estimator",
-    "clamp_scalar",
-    "coordinate_median",
-    "cost_envelope",
-    "dense_qft_matrix",
-    "designed_mean_fractional_phase",
-    "designed_mean_high_precision",
-    "designed_mean_low_precision",
-    "directional_phases_binary",
-    "directional_phases_phase_model",
-    "empirical_mean",
-    "empirical_rv",
-    "error_bound",
-    "euclidean_estimator",
-    "exact_quantile",
-    "expected_branch",
-    "export",
-    "fit_slope",
-    "fractional_phase_rv",
-    "grid_axis_points",
-    "grid_points",
-    "hadamard",
-    "hard_rv_high_precision",
-    "hard_rv_low_precision",
-    "inverse_qft",
-    "lattice_cap",
-    "linear_phase_function",
-    "load_rows",
-    "mean",
-    "measure",
-    "measurement_distribution",
-    "median_of_means",
-    "moments",
-    "near_optimal_estimator",
-    "norm_rv",
-    "parse_distribution_spec",
-    "perturb",
-    "phase_model_dispatch",
-    "qft",
-    "qlowprec_estimator",
-    "qphase_estimator",
-    "quantile_oracle",
-    "regime_classify",
-    "report_to_dict",
-    "run_sweep",
-    "run_trials",
-    "sample",
-    "search_parity_instance",
-    "serialize_distribution_spec",
-    "shift",
-    "standard_battery",
-    "state_from_amplitudes",
-    "subgaussian_estimate",
-    "subgaussian_groups",
-    "truncate_normalized",
-    "uniform_superposition",
-]
 
 __version__ = "0.1.0"

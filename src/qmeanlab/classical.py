@@ -1,4 +1,4 @@
-"""Classical sampling baselines: empirical mean and median-of-means.
+"""Classical sampling baselines: median-of-means (one group: the empirical mean).
 
 These run against the same random variables as the quantum estimators and
 charge every draw to the ledger, so error-per-budget comparisons are direct.
@@ -15,7 +15,6 @@ from qmeanlab.probspace import RandomVariable
 
 __all__ = [
     "sample",
-    "empirical_mean",
     "coordinate_median",
     "median_of_means",
     "subgaussian_groups",
@@ -49,13 +48,6 @@ def _shifted_mean(rows: np.ndarray) -> np.ndarray:
     return rows[0] + (rows - rows[0]).mean(axis=0)
 
 
-def empirical_mean(draws: np.ndarray) -> np.ndarray:
-    """Mean of a (count, d) array of draws."""
-    if draws.shape[0] == 0:
-        raise ValueError("empty batch")
-    return _shifted_mean(draws)
-
-
 def coordinate_median(estimates) -> np.ndarray:
     """Per coordinate, the ceil(r/2)-th smallest of r values (lower median)."""
     arr = np.atleast_2d(np.asarray(estimates, dtype=float))
@@ -84,16 +76,17 @@ def median_of_means(draws: np.ndarray, groups: int) -> np.ndarray:
     return coordinate_median(means)
 
 
+def _check_delta(delta: float) -> None:
+    if not (0 < delta < 1):
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+
+
 def subgaussian_groups(n: int, delta: float) -> int:
     """Group count for the sub-Gaussian baseline: 8*ceil(log2(2/delta)).
 
-    Clamped into [1, n] so the grouping is always feasible; delta >= 1 (a
-    vacuous failure budget) degenerates to a single group, i.e. the plain
-    empirical mean.
+    For delta in (0, 1); clamped to n so the grouping is always feasible.
     """
-    if delta >= 1.0:
-        return 1
-    return max(1, min(8 * math.ceil(math.log2(2.0 / delta)), n))
+    return min(8 * math.ceil(math.log2(2.0 / delta)), n)
 
 
 def subgaussian_estimate(
@@ -103,10 +96,12 @@ def subgaussian_estimate(
     rng: np.random.Generator,
     ledger: CostLedger | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Median-of-means baseline: draws exactly n samples, returns (estimate, draws)."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
-    needed = max(1, math.ceil(math.log2(1.0 / delta))) if delta < 1 else 1
+    """Median-of-means baseline: draws exactly n samples, returns (estimate, draws).
+
+    ``delta`` must lie in (0, 1) and n must be at least ceil(log2(1/delta)).
+    """
+    _check_delta(delta)
+    needed = math.ceil(math.log2(1.0 / delta))
     if n < needed:
         raise ValueError(f"n={n} is below ceil(log2(1/delta)) = {needed}")
     draws = sample(rv, n, rng, ledger)

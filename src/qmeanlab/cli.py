@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,7 @@ from .harness import (
     standard_battery,
 )
 from .hardness import (
+    _high_precision_columns,
     designed_mean_fractional_phase,
     designed_mean_high_precision,
     designed_mean_low_precision,
@@ -91,20 +92,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-_SWEEP_KEYS = {
-    "rv",
-    "estimator",
-    "trials",
-    "seed",
-    "delta",
-    "n",
-    "n_grid",
-    "nprime",
-    "nprime_grid",
-    "l2",
-    "noise",
-    "output",
-}
+_SWEEP_KEYS = {f.name for f in fields(ExperimentConfig)} | {"output"}
 
 
 def _rv_body(kind: str, body, required: set, optional: set) -> dict:
@@ -276,7 +264,7 @@ def _build_hard(family: str, params: dict):
         alpha = int(params.get("alpha", 4))
         normalization = params.get("normalization", "d2")
         rng = np.random.default_rng(params.get("seed", 0))
-        inst = search_parity_instance(d, alpha * n // d, rng)
+        inst = search_parity_instance(d, _high_precision_columns(n, d, alpha), rng)
         rv = hard_rv_high_precision(n, d, sigma, inst, alpha, normalization)
         designed = designed_mean_high_precision(n, d, sigma, inst, alpha, normalization)
         used = {

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,19 +51,13 @@ __all__ = [
     "measure",
 ]
 
-_DEFAULT_LATTICE_CAP = 2**22
+_LATTICE_CAP = 2**22
 _EVAL_CHUNK = 1 << 16
 
 
 def lattice_cap() -> int:
-    """Full-state amplitude budget; QMEANLAB_LATTICE_CAP overrides the default."""
-    raw = os.environ.get("QMEANLAB_LATTICE_CAP")
-    if raw is None:
-        return _DEFAULT_LATTICE_CAP
-    cap = int(raw)
-    if cap < 2:
-        raise ValueError(f"QMEANLAB_LATTICE_CAP must be at least 2, got {cap}")
-    return cap
+    """Full-state amplitude budget: 2^22 amplitudes."""
+    return _LATTICE_CAP
 
 
 def check_lattice_cap(spec: GridSpec) -> None:

@@ -140,6 +140,27 @@ def designed_mean_low_precision(n: int, d: int, sigma: float, b, alpha: int) -> 
     return sigma / math.sqrt(n * (alpha**2 * n - alpha) / 2.0) * (b @ rows)
 
 
+def _high_precision_columns(n: int, d: int, alpha: int) -> int:
+    """M = alpha*n/d of the high-precision family, once n, alpha and d are checked.
+
+    It runs before the (d, M) search instance is built, so bad shapes fail here.
+    """
+    if n < 1 or alpha < 1:
+        raise ValueError(f"n and alpha must be positive integers, got {n}, {alpha}")
+    if d < 2 or d % 2 != 0:
+        raise ValueError(f"d must be even and at least 2, got {d}")
+    count = alpha * n
+    if count % d != 0:
+        raise ValueError(f"alpha*n = {count} must be a multiple of d = {d}")
+    M = count // d
+    if M % 2 != 0:
+        raise ValueError(
+            f"alpha*n/d = {M} must be even (odd column counts shift every row "
+            "parity and the mean no longer indicates the heavy rows)"
+        )
+    return M
+
+
 def hard_rv_high_precision(
     n: int,
     d: int,
@@ -156,19 +177,8 @@ def hard_rv_high_precision(
     selects D = (alpha n)^2 - d^2 ("d2") or (alpha n)^2 - 2 d^2 ("2d2"); with
     "d2", Tr of the covariance equals sigma^2 exactly iff d = 2.
     """
-    if n < 1 or alpha < 1:
-        raise ValueError(f"n and alpha must be positive integers, got {n}, {alpha}")
-    if d < 2 or d % 2 != 0:
-        raise ValueError(f"d must be even and at least 2, got {d}")
+    M = _high_precision_columns(n, d, alpha)
     count = alpha * n
-    if count % d != 0:
-        raise ValueError(f"alpha*n = {count} must be a multiple of d = {d}")
-    M = count // d
-    if M % 2 != 0:
-        raise ValueError(
-            f"alpha*n/d = {M} must be even (odd column counts shift every row "
-            "parity and the mean no longer indicates the heavy rows)"
-        )
     if inst.N != d or inst.M != M:
         raise ValueError(
             f"instance shape ({inst.N}, {inst.M}) does not match (d, alpha*n/d) = ({d}, {M})"

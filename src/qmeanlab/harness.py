@@ -15,12 +15,12 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any
 
 import numpy as np
 
-from qmeanlab.classical import subgaussian_estimate
+from qmeanlab.classical import _check_delta, subgaussian_estimate
 from qmeanlab.oracles import CostLedger, NoiseModel
 from qmeanlab.probspace import RandomVariable, mean, moments
 from qmeanlab.quantum import (
@@ -107,31 +107,27 @@ class SweepRow:
             raise ValueError("error medians must be nonnegative")
 
 
-SWEEP_COLUMNS = (
-    "estimator",
-    "n",
-    "nprime",
-    "d",
-    "delta",
-    "median_err_inf",
-    "median_err_l2",
-    "fail_rate",
-    "experiments",
-    "binary_queries",
-    "phase_queries",
-    "classical_samples",
-    "seed_base",
-)
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
+
+
+# Largest budget: every integer up to 2^53 is a float.  Far above it the
+# estimators' formulas overflow instead of failing with a domain error
+# (bounded's alpha becomes 0, an infinite lattice size has no int, a draw
+# count leaves int64).
+_MAX_BUDGET = 2.0**53
 
 
 def _budget(name: str, value) -> float:
-    """``value`` as a float budget; it must be finite and positive."""
+    """``value`` as a float budget; it must be finite, positive and at most 2^53."""
     try:
         budget = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a number, got {value!r}") from None
     if not (math.isfinite(budget) and budget > 0.0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    # an int compares exactly, so 2^53 + 1 is refused although it rounds to 2^53
+    if budget > _MAX_BUDGET or (isinstance(value, int) and value > _MAX_BUDGET):
+        raise ValueError(f"{name} must be at most 2^53, got {value!r}")
     return budget
 
 
@@ -155,12 +151,12 @@ class ExperimentConfig:
 
     Exactly one of ``n`` / ``n_grid`` supplies the experiment budget; the
     phase-model estimators additionally need ``nprime`` or ``nprime_grid``.
-    ``trials`` and ``seed`` must be integers, ``delta`` and ``l2`` real
-    numbers (bool rejected).  Every budget is converted to float here and
-    must be finite and positive; grids must be strictly increasing.  Trial t
-    of any battery uses the generator seeded with ``seed + t``; sweeps advance
-    the base by ``trials`` per grid point so no two trials anywhere share a
-    stream.
+    ``trials`` and ``seed`` must be integers (``seed`` at least 0), ``delta``
+    and ``l2`` real numbers (bool rejected).  Every budget is converted to
+    float here and must be finite, positive and at most 2^53; grids must be
+    strictly increasing.  Trial t of any battery uses the generator seeded
+    with ``seed + t``; sweeps advance the base by ``trials`` per grid point so
+    no two trials anywhere share a stream.
     """
 
     rv: RandomVariable
@@ -184,9 +180,10 @@ class ExperimentConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         object.__setattr__(self, "delta", _real("delta", self.delta))
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
+        _check_delta(self.delta)
         for name in ("n", "nprime"):
             value = getattr(self, name)
             if value is not None:
@@ -244,17 +241,8 @@ def _single_run(
     # classical baseline: exactly int(n) draws through the sub-Gaussian routine
     ledger = CostLedger()
     estimate, _ = subgaussian_estimate(rv, int(n), config.delta, rng, ledger)
-    truth = mean(rv)
-    diff = estimate - truth
-    return EstimateReport(
-        estimate=estimate,
-        truth=truth,
-        err_inf=float(np.max(np.abs(diff), initial=0.0)),
-        err_l2=float(np.linalg.norm(diff)),
-        ledger=ledger,
-        estimator_id="classical",
-        params={"n": float(n), "delta": float(config.delta)},
-    )
+    params = {"n": float(n), "delta": float(config.delta)}
+    return EstimateReport(estimate, mean(rv), ledger, "classical", params)
 
 
 def error_bound(

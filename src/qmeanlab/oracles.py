@@ -83,7 +83,8 @@ class NoiseModel:
 
     Under PERTURBED, at most ceil(eta/2 * |G|) grid points are "bad" (their
     phase deviation is arbitrary in (-pi, pi]); every other point gets a
-    deviation delta with |2 sin(delta/2)| <= eps.
+    deviation delta with |2 sin(delta/2)| <= eps.  The seed is an integer
+    at least 0 (bool refused).
     """
 
     mode: str = "ideal"
@@ -96,6 +97,10 @@ class NoiseModel:
             raise ValueError(f"mode must be 'ideal' or 'perturbed', got {self.mode!r}")
         if self.mode == "perturbed" and not (0 < self.eps < 1 and 0 < self.eta < 1):
             raise ValueError(f"perturbed noise needs eps, eta in (0,1), got {self.eps}, {self.eta}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"noise seed must be an integer at least 0, got {seed!r}")
+        object.__setattr__(self, "seed", int(seed))
 
     @classmethod
     def ideal(cls) -> NoiseModel:

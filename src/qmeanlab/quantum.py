@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from qmeanlab.classical import coordinate_median, subgaussian_estimate
+from qmeanlab.classical import _check_delta, coordinate_median, subgaussian_estimate
 from qmeanlab.gridqft import (
     GridSpec,
     PhaseFunction,
@@ -83,16 +83,20 @@ QUANTILE_C = 0.25
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """One estimator run: the estimate, the exact truth, errors, and costs."""
+    """One estimator run: the estimate, the exact truth, costs, and the errors.
+
+    ``err_inf`` and ``err_l2`` are not arguments: they are computed here from
+    read-only copies of ``estimate`` and ``truth``, so they always agree.
+    """
 
     estimate: np.ndarray
     truth: np.ndarray
-    err_inf: float
-    err_l2: float
     ledger: CostLedger
     estimator_id: str
     params: dict[str, Any]
     diagnostics: dict[str, Any] = field(default_factory=dict)
+    err_inf: float = field(init=False)
+    err_l2: float = field(init=False)
 
     def __post_init__(self) -> None:
         est = np.asarray(self.estimate, dtype=float).copy()
@@ -102,42 +106,14 @@ class EstimateReport:
         object.__setattr__(self, "estimate", est)
         object.__setattr__(self, "truth", tru)
         diff = est - tru
-        if abs(float(np.max(np.abs(diff), initial=0.0)) - self.err_inf) > 1e-12:
-            raise ValueError("err_inf does not match estimate/truth")
-        if abs(float(np.linalg.norm(diff)) - self.err_l2) > 1e-12:
-            raise ValueError("err_l2 does not match estimate/truth")
-
-
-def _report(
-    estimate: np.ndarray,
-    truth: np.ndarray,
-    ledger: CostLedger,
-    estimator_id: str,
-    params: dict[str, Any],
-    diagnostics: dict[str, Any],
-) -> EstimateReport:
-    diff = np.asarray(estimate, dtype=float) - np.asarray(truth, dtype=float)
-    return EstimateReport(
-        estimate=estimate,
-        truth=truth,
-        err_inf=float(np.max(np.abs(diff), initial=0.0)),
-        err_l2=float(np.linalg.norm(diff)),
-        ledger=ledger,
-        estimator_id=estimator_id,
-        params=params,
-        diagnostics=diagnostics,
-    )
+        object.__setattr__(self, "err_inf", float(np.max(np.abs(diff), initial=0.0)))
+        object.__setattr__(self, "err_l2", float(np.linalg.norm(diff)))
 
 
 def _params(noise: NoiseModel, **fields: Any) -> dict[str, Any]:
     """The report's input echo: ``fields`` in order, then the noise model."""
     echo = {"mode": noise.mode, "eps": noise.eps, "eta": noise.eta, "seed": noise.seed}
     return {**fields, "noise": echo}
-
-
-def _check_delta(delta: float) -> None:
-    if not (0 < delta < 1):
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
 
 
 def _log_budget(n: float, d: int, delta: float) -> float:
@@ -210,9 +186,7 @@ def bounded_estimator(
     params = _params(noise, n=float(n), L2=float(L2), delta=float(delta))
 
     if n <= math.log2(d / delta) / math.sqrt(L2):
-        return _report(
-            np.zeros(d), truth, ledger, "bounded", params, {"early_exit": True}
-        )
+        return EstimateReport(np.zeros(d), truth, ledger, "bounded", params, {"early_exit": True})
 
     alpha = 1.0 / math.sqrt(math.log2(400.0 * math.pi * n * math.sqrt(d)))
     m = 2 ** math.ceil(math.log2(8.0 * math.pi / alpha * n / (math.sqrt(L2) * math.log2(d / delta))))
@@ -224,15 +198,10 @@ def bounded_estimator(
     compute_phase = perturb(phase, noise, spec)
 
     per_rep = _run_phase_reps(spec, compute_phase, reps, 2.0 * math.pi / alpha, rng)
-    estimate = coordinate_median(per_rep)
-    return _report(
-        estimate,
-        truth,
-        ledger,
-        "bounded",
-        params,
-        {"early_exit": False, "alpha": alpha, "m": m, "reps": reps, "fast_path": compute_phase.separable},
-    )
+    diagnostics = {
+        "early_exit": False, "alpha": alpha, "m": m, "reps": reps, "fast_path": compute_phase.separable
+    }
+    return EstimateReport(coordinate_median(per_rep), truth, ledger, "bounded", params, diagnostics)
 
 
 def near_optimal_estimator(
@@ -312,7 +281,7 @@ def near_optimal_estimator(
         diagnostics["structural"] = _structural_checks(
             Y, [s["a"] for s in shells], k, c, center, truth
         )
-    return _report(estimate, truth, ledger, "near_optimal", params, diagnostics)
+    return EstimateReport(estimate, truth, ledger, "near_optimal", params, diagnostics)
 
 
 def _structural_checks(
@@ -374,18 +343,10 @@ def euclidean_estimator(
     if n <= d:
         ledger = CostLedger()
         estimate, _ = subgaussian_estimate(rv, int(n), delta, rng, ledger)
-        return _report(
-            estimate, truth, ledger, "euclidean", params, {"branch": "classical"}
-        )
+        return EstimateReport(estimate, truth, ledger, "euclidean", params, {"branch": "classical"})
     sub = near_optimal_estimator(rv, n, delta, noise, rng)
-    return _report(
-        sub.estimate,
-        truth,
-        sub.ledger,
-        "euclidean",
-        params,
-        {"branch": "quantum", "inner": sub.diagnostics},
-    )
+    diagnostics = {"branch": "quantum", "inner": sub.diagnostics}
+    return EstimateReport(sub.estimate, truth, sub.ledger, "euclidean", params, diagnostics)
 
 
 def qphase_estimator(
@@ -413,16 +374,9 @@ def qphase_estimator(
     compute_phase = perturb(phase, noise, GridSpec(m=m, d=d))
 
     per_rep = _run_phase_reps(GridSpec(m=m, d=d), compute_phase, reps, 2.0 * math.pi, rng)
-    estimate = coordinate_median(per_rep)
     params = _params(noise, n=float(n), nprime=float(nprime), delta=float(delta))
-    return _report(
-        estimate,
-        mean(rv),
-        ledger,
-        "qphase",
-        params,
-        {"k": k, "m": m, "reps": reps, "eps": PHASE_ORACLE_EPS, "eta": PHASE_ORACLE_ETA},
-    )
+    diagnostics = {"k": k, "m": m, "reps": reps, "eps": PHASE_ORACLE_EPS, "eta": PHASE_ORACLE_ETA}
+    return EstimateReport(coordinate_median(per_rep), mean(rv), ledger, "qphase", params, diagnostics)
 
 
 def empirical_rv(rv: RandomVariable, count: int, rng: np.random.Generator) -> RandomVariable:
@@ -483,16 +437,9 @@ def qlowprec_estimator(
         rows = group == g
         phase = perturb(linear_phase_function(m * mu), noise, spec)
         per_rep[rows] = _run_phase_reps(spec, phase, int(rows.sum()), 2.0 * math.pi, rng)
-    estimate = coordinate_median(per_rep)
     params = _params(noise, n=float(n), nprime=float(nprime), delta=float(delta))
-    return _report(
-        estimate,
-        mean(rv),
-        ledger,
-        "qlowprec",
-        params,
-        {"k_prime": k_prime, "outer": outer, "inner_k": inner_k, "m": m, "tables": len(means)},
-    )
+    diagnostics = {"k_prime": k_prime, "outer": outer, "inner_k": inner_k, "m": m, "tables": len(means)}
+    return EstimateReport(coordinate_median(per_rep), mean(rv), ledger, "qlowprec", params, diagnostics)
 
 
 def regime_classify(n: float, nprime: float, d: int, delta: float) -> str:
@@ -543,18 +490,12 @@ def phase_model_dispatch(
     branch = expected_branch(n, nprime, d, delta)
     params = _params(noise, n=float(n), nprime=float(nprime), delta=float(delta))
     if branch == "trivial":
-        return _report(
+        return EstimateReport(
             np.zeros(d), mean(rv), CostLedger(), "phase_dispatch", params, {"branch": branch}
         )
     if branch == "low_precision":
         sub = qlowprec_estimator(rv, n, nprime, delta, noise, rng)
     else:
         sub = qphase_estimator(rv, n, nprime, delta, noise, rng)
-    return _report(
-        sub.estimate,
-        sub.truth,
-        sub.ledger,
-        "phase_dispatch",
-        params,
-        {"branch": branch, "inner": sub.diagnostics},
-    )
+    diagnostics = {"branch": branch, "inner": sub.diagnostics}
+    return EstimateReport(sub.estimate, sub.truth, sub.ledger, "phase_dispatch", params, diagnostics)

@@ -9,7 +9,6 @@ import pytest
 
 from qmeanlab.classical import (
     coordinate_median,
-    empirical_mean,
     median_of_means,
     sample,
     subgaussian_estimate,
@@ -65,14 +64,15 @@ class TestSample:
 
 
 class TestEmpiricalMean:
+    # the empirical mean is median_of_means with one group
     def test_matches_numpy_mean(self):
         draws = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 0.0]])
-        assert np.allclose(empirical_mean(draws), [3.0, 2.0])
+        assert np.allclose(median_of_means(draws, 1), [3.0, 2.0])
 
     def test_converges_to_true_mean(self):
         rv = basis_rv(4)
         draws = sample(rv, 200_000, np.random.default_rng(3))
-        est = empirical_mean(draws)
+        est = median_of_means(draws, 1)
         assert np.linalg.norm(est - moments(rv).mean) < 0.01
 
 
@@ -106,7 +106,10 @@ class TestCoordinateMedian:
 class TestMedianOfMeans:
     def test_one_group_is_empirical_mean(self):
         draws = sample(basis_rv(3), 40, np.random.default_rng(5))
-        assert np.array_equal(median_of_means(draws, 1), empirical_mean(draws))
+        assert np.allclose(median_of_means(draws, 1), draws.mean(axis=0), rtol=0, atol=1e-15)
+        # exact, not only close, when every draw is the same point
+        same = np.full((7, 2), 0.1)
+        assert np.array_equal(median_of_means(same, 1), [0.1, 0.1])
 
     def test_n_groups_is_coordinate_median(self):
         draws = sample(basis_rv(3), 12, np.random.default_rng(6))
@@ -130,9 +133,7 @@ class TestMedianOfMeans:
         corrupted[0] += 1000.0
         mom_clean = median_of_means(clean, 5)
         mom_bad = median_of_means(corrupted, 5)
-        emp_shift = np.linalg.norm(
-            empirical_mean(corrupted) - empirical_mean(clean)
-        )
+        emp_shift = np.linalg.norm(median_of_means(corrupted, 1) - median_of_means(clean, 1))
         mom_shift = np.linalg.norm(mom_bad - mom_clean)
         assert emp_shift > 40.0  # ~ 1000*sqrt(2)/30
         assert mom_shift < emp_shift / 5
@@ -152,15 +153,15 @@ class TestSubgaussianEstimate:
         assert np.array_equal(est, [0.125, -0.375, 0.0])
         assert draws.shape == (16, 3)
 
-    def test_vacuous_delta_reduces_to_empirical_mean(self):
-        rv = basis_rv(2)
-        rng = np.random.default_rng(21)
-        est, draws = subgaussian_estimate(rv, 25, 1.0, rng)
-        assert subgaussian_groups(25, 1.0) == 1
-        assert np.array_equal(est, empirical_mean(draws))
+    @pytest.mark.parametrize("delta", [0.0, -0.1, 1.0, 1.5, float("nan")])
+    def test_refuses_delta_outside_the_unit_interval(self, delta):
+        ledger = CostLedger()
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+            subgaussian_estimate(basis_rv(2), 25, delta, np.random.default_rng(21), ledger)
+        assert ledger.classical_samples == 0
 
     def test_group_count_formula(self):
-        # 8 * ceil(log2(2/delta)), clamped to [1, n].
+        # 8 * ceil(log2(2/delta)), clamped to n.
         assert subgaussian_groups(1000, 0.05) == 8 * math.ceil(math.log2(40.0))
         assert subgaussian_groups(1000, 0.05) == 48
         assert subgaussian_groups(10, 0.05) == 10  # clamped by n

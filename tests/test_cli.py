@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmeanlab.cli import NOISE_SEED_OFFSET, _parse_noise, build_parser, main
 from qmeanlab.harness import (
+    ESTIMATOR_IDS,
     ExperimentConfig,
     battery_ball,
     load_rows,
@@ -238,6 +246,7 @@ class TestSweep:
             {"n_grid": 5},
             {"output": 5, "n": 8},
             {"output": "rows.txt", "n": 8},
+            {"seed": -1, "n": 8},
         ],
     )
     def test_bad_budget_fails_before_any_trial(self, tmp_path, capsys, budget):
@@ -251,6 +260,35 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {next(iter(budget))}") and err.count("\n") == 1
         assert "trials failed" not in err
+
+    # a finite budget above 2^53 used to end in a traceback inside the trial:
+    # ZeroDivisionError (alpha underflows to 0) or OverflowError (an infinite
+    # grid size or draw count), depending on the estimator
+    @pytest.mark.parametrize(
+        "estimator, budget",
+        [
+            ("bounded", {"n": 1e308}),
+            ("near_optimal", {"n": 1e308}),
+            ("euclidean", {"n": 2**53 + 1}),
+            ("classical", {"n": 2.0**63}),
+            ("qphase", {"n": 1e308, "nprime": 1e308}),
+            ("qlowprec", {"nprime": 1e308, "n": 64}),
+            ("phase_model", {"nprime_grid": [64, 2.0**60], "n": 64}),
+        ],
+    )
+    def test_budget_above_2_pow_53_exits_2(self, tmp_path, capsys, estimator, budget):
+        config_doc = {
+            "rv": {"battery": {"name": "basis", "d": 2, "scale": 0.25}},
+            "estimator": estimator, "trials": 1, "seed": 0, **budget,
+        }
+        config_path = tmp_path / "huge.json"
+        config_path.write_text(json.dumps(config_doc), encoding="utf-8")
+        assert main(["sweep", "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith(f"error: {next(iter(budget))} must be at most 2^53")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("root", [None, 5, [[1]], "rows.json"])
     def test_config_root_must_be_an_object(self, tmp_path, capsys, root):
@@ -314,6 +352,28 @@ class TestHard:
         heavy = mean_vec > mean_vec.max() / 2
         assert "".join("1" if h else "0" for h in heavy) == b
 
+    # the family's shape checks run before the search instance is built:
+    # d=0 used to divide by zero and alpha=0 to blame the instance's N and M
+    @pytest.mark.parametrize(
+        "params, name",
+        [({"n": 2, "d": 0}, "d"), ({"n": 2, "d": 2, "alpha": 0}, "alpha")],
+    )
+    def test_bad_high_family_shape_exits_2(self, tmp_path, capsys, params, name):
+        pairs = [f"{key}={value}" for key, value in params.items()]
+        assert main(["hard", "--family", "high", "--params", *pairs]) == 2
+        config_doc = {
+            "rv": {"hard": {"family": "high", "params": params}},
+            "estimator": "classical", "trials": 1, "seed": 0, "n": 8,
+        }
+        config_path = tmp_path / "high.json"
+        config_path.write_text(json.dumps(config_doc), encoding="utf-8")
+        assert main(["sweep", "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 2 and lines[0] == lines[1]
+        assert lines[0].startswith("error:") and re.search(rf"\b{name}\b", lines[0])
+
     def test_fractional_n_allowed_only_for_fracphase(self, capsys):
         assert main(["hard", "--family", "fracphase", "--params", "d=2", "n=3.5", "b=00"]) == 0
         assert main(["hard", "--family", "low", "--params", "n=3.5", "d=16"]) == 2
@@ -332,3 +392,139 @@ class TestHard:
     def test_bad_param_key(self, capsys):
         assert main(["hard", "--family", "low", "--params", "waffles=3"]) == 2
         assert "waffles" in capsys.readouterr().err
+
+
+# --- fuzzed sweep documents ------------------------------------------------
+#
+# A document starts mostly valid and then has up to two entries dropped or
+# replaced by an edge value or junk.  Budgets come from a few cheap values
+# plus the edge ones (mid-size budgets build large lattices, and the property
+# is about input handling, not scale), dimensions from 0 to 4.
+
+_JUNK = st.sampled_from([None, True, -1, 0.5, math.nan, math.inf, -math.inf, "x", [], {}, [8]])
+_EDGE = [0, -1, 2**53 + 1, 1e308]
+_BUDGET = st.sampled_from([1, 8, 16, 32, 8, 16, *_EDGE])
+_GRID = st.lists(_BUDGET, min_size=1, max_size=3, unique=True).map(sorted)
+_HARD = {
+    "low": st.fixed_dictionaries(
+        {"n": st.sampled_from([1, 2]), "d": st.integers(0, 4), "alpha": st.sampled_from([0, 1, 2, 4])}
+    ),
+    "high": st.fixed_dictionaries(
+        {"n": st.sampled_from([2, 4]), "d": st.integers(0, 4), "alpha": st.sampled_from([0, 2, 4])},
+        optional={"normalization": st.sampled_from(["d2", "2d2"])},
+    ),
+    "fracphase": st.fixed_dictionaries(
+        {"n": st.sampled_from([4, 8.0]), "d": st.integers(0, 4)},
+        optional={"b": st.sampled_from(["0000", "0110"])},
+    ),
+}
+_EDGE_PARAM = {
+    "n": st.sampled_from([0, -1, 2.5]),
+    "d": st.integers(0, 4),
+    "alpha": st.sampled_from([0, -1, 3]),
+    "sigma": st.sampled_from([0, -1.0]),
+    "seed": st.just(-1),
+    "b": st.sampled_from(["", "01", "2"]),
+    "normalization": st.just("d3"),
+    "waffles": st.just(1),
+}
+
+
+@st.composite
+def _rv_doc(draw):
+    kind = draw(st.sampled_from(["battery", "hard", "inline"]))
+    if kind == "battery":
+        body = {
+            "name": draw(st.sampled_from(["ball", "basis", "heavylight"])),
+            "d": draw(st.integers(0, 4)),
+            "scale": draw(st.sampled_from([0.25, 1.0])),
+        }
+    elif kind == "hard":
+        family = draw(st.sampled_from(sorted(_HARD)))
+        body = {"family": family, "params": draw(_HARD[family])}
+        if draw(st.integers(0, 3)) == 0:
+            key = draw(st.sampled_from(sorted(_EDGE_PARAM)))
+            body["params"][key] = draw(_EDGE_PARAM[key] | _JUNK)
+    else:
+        body = {"d": 1, "prob": [0.5, 0.5], "values": [[0.2], [-0.1]]}
+    if draw(st.integers(0, 3)):
+        return {kind: body}
+    # one entry of the body made bad
+    edge = {
+        "battery": {"name": st.just("cube"), "d": st.just(0), "scale": st.sampled_from([0, -1.0])},
+        "hard": {"family": st.just("mid"), "params": st.just("n=2")},
+        "inline": {"d": st.just(2), "prob": st.just([0.5]), "values": st.just([[1e400]])},
+    }[kind]
+    key = draw(st.sampled_from(sorted(edge)))
+    if draw(st.booleans()):
+        del body[key]
+    else:
+        body[key] = draw(edge[key] | _JUNK)
+    return {kind: body}
+
+
+_EDGE_ENTRY = {
+    "rv": _JUNK,
+    "estimator": st.just("magic"),
+    "trials": st.sampled_from([0, -1, 2.0]),
+    "seed": st.sampled_from([-1, 1.5, "0"]),
+    "delta": st.sampled_from([0, 1, 1.5]),
+    "n": st.sampled_from(_EDGE),
+    "nprime": st.sampled_from(_EDGE),
+    "n_grid": st.lists(_BUDGET, max_size=3),
+    "nprime_grid": st.lists(_BUDGET, max_size=3),
+    "l2": st.sampled_from([0, 1.5]),
+    "noise": st.sampled_from(["perturbed:0.1", "perturbed:2,0.5", "perturbed:a,b", "loud"]),
+    "output": st.sampled_from(["rows.txt", "", "sub/rows.csv"]),
+    "colour": st.just("red"),
+}
+
+
+@st.composite
+def _sweep_doc(draw):
+    estimator = draw(st.sampled_from(ESTIMATOR_IDS))
+    doc = {
+        "rv": draw(_rv_doc()),
+        "estimator": estimator,
+        "trials": draw(st.sampled_from([1, 2])),
+        "seed": draw(st.sampled_from([0, 3])),
+    }
+    for key, grid in (("n", "n_grid"), ("nprime", "nprime_grid")):
+        if key == "nprime" and estimator not in ("qphase", "qlowprec", "phase_model"):
+            continue
+        if draw(st.booleans()):
+            doc[key] = draw(_BUDGET)
+        else:
+            doc[grid] = draw(_GRID)
+    optional = {
+        "delta": st.sampled_from([0.05, 0.2]),
+        "l2": st.sampled_from([0.5, 1]),
+        "noise": st.sampled_from(["ideal", "perturbed:0.05,0.01"]),
+        "output": st.sampled_from(["rows.csv", "rows.json"]),
+    }
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            doc[key] = draw(values)
+    bad = draw(st.sampled_from([0, 0, 1, 2]))
+    for key in draw(st.lists(st.sampled_from(sorted(_EDGE_ENTRY)), min_size=bad, max_size=bad, unique=True)):
+        if draw(st.booleans()) and key in doc:
+            del doc[key]
+        else:
+            doc[key] = draw(_EDGE_ENTRY[key] | _JUNK)
+    return doc
+
+
+@settings(deadline=None, max_examples=300)
+@given(doc=_sweep_doc())
+def test_fuzzed_sweep_document_runs_or_exits_2_with_one_line(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = Path(tmp) / "sweep.json"
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["sweep", "--config", str(config_path)])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 2
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1

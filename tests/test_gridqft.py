@@ -447,14 +447,13 @@ class TestPhaseEstimationConcentration:
 
 
 class TestLatticeCap:
-    def test_cap_blocks_materialization(self, monkeypatch):
-        monkeypatch.setenv("QMEANLAB_LATTICE_CAP", "256")
-        assert lattice_cap() == 256
-        state = uniform_superposition(GridSpec(m=32, d=2))
-        with pytest.raises(ValueError, match="lattice cap"):
+    def test_cap_blocks_materialization(self):
+        # 4096^2 = 2^24 amplitudes: the product state holds two 4096-vectors,
+        # and the full tensor is refused before it is allocated
+        state = uniform_superposition(GridSpec(m=4096, d=2))
+        with pytest.raises(ValueError, match=r"lattice cap exceeded: m\^d = 4096\^2 = 2\^24"):
             state.materialized()
 
-    def test_default_cap(self, monkeypatch):
-        monkeypatch.delenv("QMEANLAB_LATTICE_CAP", raising=False)
+    def test_default_cap(self):
         assert lattice_cap() == 2**22
 

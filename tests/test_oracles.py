@@ -332,15 +332,14 @@ class TestPerturb:
         table = _deviation_table(noise, spec)
         assert table.shape == (spec.points,) and not table.flags.writeable
 
-    def test_lattice_cap_checked_before_the_table_is_drawn(self, monkeypatch):
-        monkeypatch.setenv("QMEANLAB_LATTICE_CAP", "64")
+    def test_lattice_cap_checked_before_the_table_is_drawn(self):
         _deviation_table.cache_clear()
-        cap_line = r"lattice cap exceeded: m\^d = 16\^2 = 2\^8 > 64 amplitudes$"
+        cap_line = r"lattice cap exceeded: m\^d = 4096\^2 = 2\^24 > 4194304 amplitudes$"
         with pytest.raises(ValueError, match=cap_line):
             perturb(
                 linear_phase_function(np.array([1.0, 1.0])),
                 NoiseModel.perturbed(eps=0.1, eta=0.1, seed=0),
-                GridSpec(m=16, d=2),
+                GridSpec(m=4096, d=2),
             )
         assert _deviation_table.cache_info().misses == 0
 
@@ -477,3 +476,11 @@ def test_noise_model_validation():
         NoiseModel(mode="loud")
     with pytest.raises(ValueError, match="eps"):
         NoiseModel.perturbed(eps=1.5, eta=0.1, seed=0)
+    # a negative seed used to pass here and fail each trial inside numpy
+    for seed in (-2, -1, 1.5, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match="^noise seed must be an integer at least 0"):
+            NoiseModel.perturbed(0.05, 0.01, seed)
+        with pytest.raises(ValueError, match="^noise seed"):
+            NoiseModel(seed=seed)
+    noise = NoiseModel.perturbed(0.05, 0.01, np.uint16(7))
+    assert noise.seed == 7 and type(noise.seed) is int

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from qmeanlab.gridqft import (
     apply_phase_function,
     grid_axis_points,
     inverse_qft,
+    lattice_cap,
     measure,
     measurement_distribution,
     uniform_superposition,
@@ -78,29 +80,22 @@ def concentration_probability(mu: np.ndarray, alpha_times_m: float, m: int) -> n
 
 class TestEstimateReport:
     def test_error_fields_must_match(self):
-        with pytest.raises(ValueError, match="err_inf"):
-            EstimateReport(
-                estimate=np.array([1.0]),
-                truth=np.array([0.0]),
-                err_inf=0.5,
-                err_l2=1.0,
-                ledger=CostLedger(),
-                estimator_id="x",
-                params={},
-            )
+        # the errors are computed from estimate and truth, never passed in
+        rep = EstimateReport(np.array([1.0, -2.0]), np.array([0.0, 1.0]), CostLedger(), "x", {})
+        assert rep.err_inf == 3.0 and rep.err_l2 == math.sqrt(10.0)
+        with pytest.raises(TypeError, match="err_inf"):
+            EstimateReport(np.array([1.0]), np.array([0.0]), CostLedger(), "x", {}, err_inf=0.5)
+        with pytest.raises(ValueError, match="init=False"):
+            replace(rep, err_l2=0.0)
+        assert replace(rep, estimate=np.array([0.0, 1.0])).err_l2 == 0.0
 
     def test_arrays_read_only(self):
-        rep = EstimateReport(
-            estimate=np.array([1.0]),
-            truth=np.array([0.0]),
-            err_inf=1.0,
-            err_l2=1.0,
-            ledger=CostLedger(),
-            estimator_id="x",
-            params={},
-        )
+        estimate = np.array([1.0])
+        rep = EstimateReport(estimate, np.array([0.0]), CostLedger(), "x", {})
         with pytest.raises(ValueError):
             rep.estimate[0] = 2.0
+        estimate[0] = 5.0  # the report keeps its own copy
+        assert rep.estimate[0] == 1.0 and rep.err_inf == 1.0
 
 
 class TestPhaseRounds:
@@ -207,28 +202,29 @@ class TestBoundedEstimator:
         # loose sanity bound: the stated error guarantee at n = 8
         assert rep.err_inf <= math.log2(2 / 0.1) / 8.0
 
-    def test_lattice_cap_reports_offending_size(self, monkeypatch):
-        monkeypatch.setenv("QMEANLAB_LATTICE_CAP", "1024")
+    def test_lattice_cap_reports_offending_size(self):
+        # n=128 gives m=4096 per axis: 2^24 amplitudes at d=2, refused before
+        # the perturbation table is drawn
         noise = NoiseModel.perturbed(eps=1.0 / 25.0, eta=1.0 / 288.0, seed=5)
-        with pytest.raises(ValueError, match=r"lattice cap exceeded: m\^d = 256\^2 = 2\^16 > 1024"):
+        cap_line = r"lattice cap exceeded: m\^d = 4096\^2 = 2\^24 > 4194304 amplitudes$"
+        with pytest.raises(ValueError, match=cap_line):
             bounded_estimator(
-                point_mass([0.25, -0.1]), 1.0, 8.0, 0.1, noise, np.random.default_rng(2)
+                point_mass([0.25, -0.1]), 1.0, 128.0, 0.1, noise, np.random.default_rng(2)
             )
         # the size is a power of two, so the line stays short at any d
-        monkeypatch.delenv("QMEANLAB_LATTICE_CAP")
         cap_line = r"m\^d = 4096\^64 = 2\^768 > 4194304 amplitudes$"
         with pytest.raises(ValueError, match=cap_line) as info:
             bounded_estimator(basis_rv(64), 1.0, 256.0, 0.05, noise, np.random.default_rng(2))
         assert len(str(info.value)) < 200
 
-    def test_ideal_fast_path_ignores_lattice_cap(self, monkeypatch):
+    def test_ideal_fast_path_ignores_lattice_cap(self):
         # Product form never materializes m^d amplitudes, so the cap does not
-        # bind on the certified-linear path.
-        monkeypatch.setenv("QMEANLAB_LATTICE_CAP", "1024")
+        # bind on the certified-linear path: 4096^2 = 2^24 is above it.
         rep = bounded_estimator(
-            point_mass([0.25, -0.1]), 1.0, 8.0, 0.1, IDEAL, np.random.default_rng(2)
+            point_mass([0.25, -0.1]), 1.0, 128.0, 0.1, IDEAL, np.random.default_rng(2)
         )
         assert rep.diagnostics["fast_path"] is True
+        assert rep.diagnostics["m"] ** 2 > lattice_cap()
 
     def test_determinism(self):
         rv = basis_rv(3)
