@@ -49,12 +49,16 @@ def _shifted_mean(rows: np.ndarray) -> np.ndarray:
 
 
 def coordinate_median(estimates) -> np.ndarray:
-    """Per coordinate, the ceil(r/2)-th smallest of r values (lower median)."""
+    """Per coordinate, the ceil(r/2)-th smallest of r values (lower median).
+
+    The result owns its data: a row view would keep the whole sorted (r, d)
+    block alive for as long as the caller keeps the median.
+    """
     arr = np.atleast_2d(np.asarray(estimates, dtype=float))
     r = arr.shape[0]
     if r == 0:
         raise ValueError("empty estimate list")
-    return np.sort(arr, axis=0)[(r - 1) // 2]
+    return np.sort(arr, axis=0)[(r - 1) // 2].copy()
 
 
 def median_of_means(draws: np.ndarray, groups: int) -> np.ndarray:

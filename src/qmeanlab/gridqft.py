@@ -11,13 +11,14 @@ linear phase c_j*u_j has as Born law after the inverse transform the
 closed-form Fejer kernel of :func:`linear_phase_marginals`, and
 :func:`sample_marginals` inverts it with the same per-axis draws
 :func:`measure` makes on a product state.  A linear phase overlaid with a
-table of unit-modulus factors (a perturbed linear phase) has its amplitudes
-formed by :func:`linear_phase_joint` from the table and d per-axis vectors
-and one d-axis FFT, and :func:`sample_joint` draws from the joint table as
-:func:`measure` draws from a full state.  The register (:class:`GridState`,
-:func:`apply_phase_function`, :func:`qft`, :func:`measure`) is the reference
-those samplers are tested against, and what the acceptance gate's transform
-numerics run.
+table of unit-modulus factors (a perturbed linear phase) is drawn by
+:func:`sample_linear_overlay` through the chain rule: the amplitudes are
+transformed along the first axis only, their row norms give the first
+coordinate, and only the rows drawn are transformed over the other axes for
+the remaining coordinates; no m^d table of probabilities is formed.  The
+register (:class:`GridState`, :func:`apply_phase_function`, :func:`qft`,
+:func:`measure`) is the reference those samplers are tested against, and what
+the acceptance gate's transform numerics run.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ __all__ = [
     "dense_qft_matrix",
     "measurement_distribution",
     "linear_phase_marginals",
-    "linear_phase_joint",
     "sample_marginals",
     "sample_joint",
+    "sample_linear_overlay",
     "measure",
 ]
 
@@ -105,7 +106,7 @@ class PhaseFunction:
     linear phase overlaid with seeded deviations, theta_u = <coeffs, u> +
     delta_u, is not separable; it keeps ``coeffs`` and carries ``overlay``,
     the flat row-major table of the m^d unit-modulus factors e^{i*delta_u},
-    which lets a round sample it from :func:`linear_phase_joint`.
+    which lets a round sample it through :func:`sample_linear_overlay`.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -333,47 +334,37 @@ def linear_phase_marginals(spec: GridSpec, coeffs) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def linear_phase_joint(spec: GridSpec, coeffs, overlay: np.ndarray) -> np.ndarray:
-    """Exact joint Born table, shape (m,)*d, of a linear phase under an overlay.
-
-    Equal to ``measurement_distribution(inverse_qft(apply_phase_function(
-    uniform_superposition(spec), theta)))`` for theta_u = <coeffs, u> +
-    arg(overlay_u), where ``overlay`` is the flat row-major table of m^d
-    unit-modulus factors.  The inverse transform's pre-twiddles fold into the
-    per-axis vectors w_j = e^{i*c_j*u} * conj(t_j) / sqrt(m), so the amplitudes
-    before one unitary d-axis FFT are overlay * (w_1 x ... x w_d); its
-    post-twiddles have modulus 1 and drop out of the Born law.  No state and
-    no lattice points are built.  The raw mass is checked against 1 as
-    :class:`GridState` checks its norm, so an overlay entry off the unit
-    circle is refused.
-    """
-    m = spec.m
-    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    if coeffs.shape != (spec.d,):
-        raise ValueError(f"linear phase has {coeffs.shape[0]} coefficients, expected {spec.d}")
-    if overlay.shape != (spec.points,):
-        raise ValueError(f"overlay has shape {overlay.shape}, expected ({spec.points},)")
-    axis = grid_axis_points(m)
-    pre = np.conj(_axis_twiddle(m)[0]) / math.sqrt(m)
-    amps = functools.reduce(np.multiply.outer, [np.exp(1j * c * axis) * pre for c in coeffs])
-    amps *= overlay.reshape(amps.shape)
-    p = np.abs(np.fft.fftn(amps, norm="ortho")) ** 2
-    nrm = math.sqrt(float(p.sum()))
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"state norm drifted to {nrm!r}")
-    return p
-
-
 def _draw_indices(p: np.ndarray, reps: int, rng: np.random.Generator) -> np.ndarray:
     """``reps`` indices into ``p`` drawn by inverting its normalised cumulative sum.
 
-    One ``rng.random(reps)`` draw and searchsorted (side="right"); the single
-    CDF inversion behind every Born sampler here.  Searching all but the last
+    One ``rng.random(reps)`` draw and searchsorted (side="right"); the CDF
+    inversion behind every Born sampler here (:func:`_draw_in_rows` is its
+    form over several rows at once).  Searching all but the last
     CDF entry clamps to the last index a draw that rounding leaves at or above
     the final sum, without a second pass.
     """
     cdf = p / p.sum()
     return np.searchsorted(np.cumsum(cdf, out=cdf)[:-1], rng.random(reps), side="right")
+
+
+def _draw_in_rows(p: np.ndarray, which: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """For each entry g of ``which``, an index into row g of ``p``, drawn from that row.
+
+    The rows are normalised and laid end to end in one cumulative sum, so row
+    g's CDF runs from s_g to s_{g+1} (about g to g+1).  One ``rng.random``
+    draw u per entry goes to s_g + u*(s_{g+1} - s_g) and is inverted with
+    searchsorted (side="right") as in :func:`_draw_indices`; a draw that
+    rounding leaves at or past its row's end is clamped to the row's last
+    index.  One call draws from every row, with no loop over the rows.
+    """
+    width = p.shape[1]
+    cdf = (p / p.sum(axis=1, keepdims=True)).reshape(-1)
+    np.cumsum(cdf, out=cdf)
+    ends = cdf[width - 1 :: width]
+    starts = np.concatenate(([0.0], ends[:-1]))
+    target = starts[which] + rng.random(which.size) * (ends - starts)[which]
+    first = which * width
+    return np.minimum(np.searchsorted(cdf, target, side="right"), first + width - 1) - first
 
 
 def sample_marginals(marginals, reps: int, rng: np.random.Generator) -> np.ndarray:
@@ -397,6 +388,63 @@ def sample_joint(joint: np.ndarray, reps: int, rng: np.random.Generator) -> np.n
     m = joint.shape[0]
     flat = _draw_indices(joint.reshape(-1), reps, rng)
     idx = np.column_stack(np.unravel_index(flat, joint.shape))
+    return (2 * idx + 1 - m) / (2 * m)  # grid_axis_points(m)[idx]
+
+
+def sample_linear_overlay(
+    spec: GridSpec, coeffs, overlay: np.ndarray, reps: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw ``reps`` lattice points from a linear phase under an overlay, as (reps, d).
+
+    The Born law is that of ``measure(inverse_qft(apply_phase_function(
+    uniform_superposition(spec), theta)), ...)`` for theta_u = <coeffs, u> +
+    arg(overlay_u), where ``overlay`` is the flat row-major table of m^d
+    unit-modulus factors.  The inverse transform's pre-twiddles fold into the
+    unit-modulus axis vectors w_j = e^{i*c_j*u} * conj(t_j), so its amplitudes
+    are overlay * (w_1 x ... x w_d) / m^{d/2} before a unitary d-axis FFT,
+    whose post-twiddles drop out of the Born law.  The law is drawn by the
+    chain rule, with no m^d table of probabilities:
+
+    - the FFT along axis 0 alone, in place, leaves rows whose squared norms
+      are the exact marginal of the first coordinate: the rest of the
+      transform is unitary on each row (Parseval), and w_2..w_d only rotate
+      its entries;
+    - those row masses give every point's first coordinate through one CDF
+      inversion (:func:`_draw_indices`);
+    - each distinct drawn row takes w_2..w_d and the FFT over the remaining
+      axes, and its squared moduli are the conditional law of the other
+      coordinates of the points that drew it.
+
+    d = 1 is the first stage alone.  The total row mass is checked against 1
+    as :class:`GridState` checks its norm, so an overlay entry off the unit
+    circle is refused.  No state and no lattice points are built.
+    """
+    m, d = spec.m, spec.d
+    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    if coeffs.shape != (d,):
+        raise ValueError(f"linear phase has {coeffs.shape[0]} coefficients, expected {d}")
+    if overlay.shape != (spec.points,):
+        raise ValueError(f"overlay has shape {overlay.shape}, expected ({spec.points},)")
+    axis = grid_axis_points(m)
+    pre = np.conj(_axis_twiddle(m)[0])
+    w = [np.exp(1j * c * axis) * pre for c in coeffs]
+    rows = overlay.reshape(m, -1) * (w[0] / math.sqrt(spec.points))[:, None]
+    np.fft.fft(rows, axis=0, norm="ortho", out=rows)
+    parts = rows.view(np.float64)  # re, im interleaved: |z|^2 summed without a copy
+    mass = np.einsum("ij,ij->i", parts, parts)
+    nrm = math.sqrt(float(mass.sum()))
+    if abs(nrm - 1.0) > 1e-9:
+        raise ValueError(f"state norm drifted to {nrm!r}")
+    idx = np.empty((reps, d), dtype=np.int64)
+    idx[:, 0] = _draw_indices(mass, reps, rng)
+    if d > 1:
+        drawn, which = np.unique(idx[:, 0], return_inverse=True)
+        tail_shape = (m,) * (d - 1)
+        tails = rows[drawn].reshape((drawn.size,) + tail_shape)
+        tails *= functools.reduce(np.multiply.outer, w[1:])
+        tails = np.fft.fftn(tails, axes=tuple(range(1, d)), norm="ortho")
+        flat = _draw_in_rows(np.abs(tails.reshape(drawn.size, -1)) ** 2, which, rng)
+        idx[:, 1:] = np.stack(np.unravel_index(flat, tail_shape), axis=1)
     return (2 * idx + 1 - m) / (2 * m)  # grid_axis_points(m)[idx]
 
 

@@ -118,15 +118,12 @@ _MAX_BUDGET = 2.0**53
 
 
 def _budget(name: str, value) -> float:
-    """``value`` as a float budget; it must be finite, positive and at most 2^53."""
-    try:
-        budget = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    """``value`` as a float budget: a real number (not bool), finite, positive, at most 2^53."""
+    budget = _real(name, value)
     if not (math.isfinite(budget) and budget > 0.0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    # an int compares exactly, so 2^53 + 1 is refused although it rounds to 2^53
-    if budget > _MAX_BUDGET or (isinstance(value, int) and value > _MAX_BUDGET):
+    # an integer compares exactly, so 2^53 + 1 is refused although it rounds to 2^53
+    if budget > _MAX_BUDGET or (isinstance(value, numbers.Integral) and int(value) > _MAX_BUDGET):
         raise ValueError(f"{name} must be at most 2^53, got {value!r}")
     return budget
 
@@ -152,8 +149,9 @@ class ExperimentConfig:
     Exactly one of ``n`` / ``n_grid`` supplies the experiment budget; the
     phase-model estimators additionally need ``nprime`` or ``nprime_grid``.
     ``trials`` and ``seed`` must be integers (``seed`` at least 0), ``delta``
-    and ``l2`` real numbers (bool rejected).  Every budget is converted to
-    float here and must be finite, positive and at most 2^53; grids must be
+    and ``l2`` real numbers (bool rejected).  Every budget must be a real
+    number too (bool and numeric strings rejected); it is converted to float
+    here and must be finite, positive and at most 2^53; grids must be
     strictly increasing.  Trial t of any battery uses the generator seeded
     with ``seed + t``; sweeps advance the base by ``trials`` per grid point so
     no two trials anywhere share a stream.

@@ -238,21 +238,25 @@ def _flat_grid_indices(pts: np.ndarray, m: int) -> np.ndarray:
 def _deviation_table(noise: NoiseModel, spec: GridSpec) -> np.ndarray:
     """The seeded per-point deviations of ``perturb``, drawn once per (noise, spec).
 
-    Stored as their unit-modulus factors e^{i*delta}, flat and row-major over
-    the lattice: the one m^d table a perturbed round reads.  Estimators that
-    perturb one phase per round on the same grid reuse the last table
-    instead of redrawing it; the array is read-only.
+    Every point draws a deviation uniform in the eps band; then
+    ceil(eta/2 * m^d) distinct points, chosen uniformly without replacement,
+    redraw theirs uniform in (-pi, pi].  Stored as their unit-modulus factors
+    cos(delta) + i*sin(delta) (equal bit for bit to e^{i*delta}), flat and
+    row-major over the lattice: the one m^d table a perturbed round reads.
+    Estimators that perturb one phase per round on the same grid reuse the
+    last table instead of redrawing it; the array is read-only.
     """
     n_points = spec.points
     rng = np.random.default_rng(noise.seed)
-    scores = rng.random(n_points)
     n_bad = math.ceil(noise.eta / 2.0 * n_points)
     band = 2.0 * math.asin(noise.eps / 2.0)
     deviations = rng.uniform(-band, band, n_points)
     if n_bad > 0:
-        bad = np.argpartition(scores, n_bad - 1)[:n_bad]
+        bad = rng.choice(n_points, n_bad, replace=False)
         deviations[bad] = rng.uniform(-np.pi, np.pi, n_bad)
-    table = np.exp(1j * deviations)
+    table = np.empty(n_points, dtype=complex)
+    np.cos(deviations, out=table.real)
+    np.sin(deviations, out=table.imag)
     table.flags.writeable = False
     return table
 
@@ -262,15 +266,15 @@ def perturb(phase: PhaseFunction, noise: NoiseModel, spec: GridSpec) -> PhaseFun
 
     IDEAL returns the phase unchanged.  PERTURBED draws one deviation per grid
     point (deterministic in the seed): uniform within the |2 sin(delta/2)| <=
-    eps band on good points, uniform in (-pi, pi] on the <= ceil(eta/2*|G|)
-    bad points selected by seeded ranking.  The result is non-separable and
-    subject to the lattice cap, which is checked before the table is drawn.
-    It keeps the phase's ``coeffs`` and carries the read-only table of
-    factors e^{i*delta} as its ``overlay``, so a round samples it from one
-    table and one FFT (:func:`qmeanlab.gridqft.linear_phase_joint`); a phase
-    without ``coeffs`` is refused, as :class:`PhaseFunction` refuses an
-    overlay on it.  ``evaluate`` gives the perturbed phase pointwise, for the
-    register the tests compare rounds against.
+    eps band on good points, uniform in (-pi, pi] on ceil(eta/2*|G|) bad
+    points drawn uniformly without replacement.  The result is non-separable
+    and subject to the lattice cap, which is checked before the table is
+    drawn.  It keeps the phase's ``coeffs`` and carries the read-only table
+    of factors e^{i*delta} as its ``overlay``, from which a round samples it
+    by the chain rule (:func:`qmeanlab.gridqft.sample_linear_overlay`); a
+    phase without ``coeffs`` is refused, as :class:`PhaseFunction` refuses
+    an overlay on it.  ``evaluate`` gives the perturbed phase pointwise, for
+    the register the tests compare rounds against.
     """
     if noise.mode == "ideal":
         return phase

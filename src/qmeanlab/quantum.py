@@ -7,7 +7,8 @@ They differ in which oracle supplies the phase and how budgets are split.
 Every phase an estimator imprints is linear (a binary phase whose clamp
 would fire is refused by its oracle), so no round builds a register: an ideal
 linear phase samples the closed-form Born marginals, and a perturbed one
-(coeffs plus a noise overlay) samples the joint Born table from one FFT.
+(coeffs plus a noise overlay) samples its Born law by the chain rule, from
+one first-axis FFT of the overlaid amplitudes and the rows it draws.
 The low-precision estimator resamples every outer repetition at once and runs
 one round per distinct empirical mean, shared by the repetitions that drew it.
 The (n, n') regime map that the phase-model dispatcher branches on lives here.
@@ -26,9 +27,8 @@ from qmeanlab.classical import _check_delta, coordinate_median, subgaussian_esti
 from qmeanlab.gridqft import (
     GridSpec,
     PhaseFunction,
-    linear_phase_joint,
     linear_phase_marginals,
-    sample_joint,
+    sample_linear_overlay,
     sample_marginals,
 )
 from qmeanlab.oracles import (
@@ -145,15 +145,16 @@ def _run_phase_reps(
 ) -> np.ndarray:
     """``reps`` phase-estimation measurements of one round, scaled.
 
-    The phase is linear (it carries ``coeffs``), so no register is built: its
-    closed-form Born marginals, or under a noise ``overlay`` its joint Born
-    table, are sampled with the same draws :func:`qmeanlab.gridqft.measure`
-    makes on the register uniform -> phase -> inverse QFT.
+    The phase is linear (it carries ``coeffs``), so no register is built.
+    Its closed-form Born marginals are sampled with the same draws
+    :func:`qmeanlab.gridqft.measure` makes on the register uniform -> phase
+    -> inverse QFT; under a noise ``overlay`` the same Born law is drawn by
+    the chain rule (:func:`qmeanlab.gridqft.sample_linear_overlay`).
     """
     if phase.coeffs is None:
         raise TypeError("a phase-estimation round samples only linear phases (with coeffs)")
     if phase.overlay is not None:
-        points = sample_joint(linear_phase_joint(spec, phase.coeffs, phase.overlay), reps, rng)
+        points = sample_linear_overlay(spec, phase.coeffs, phase.overlay, reps, rng)
     else:
         points = sample_marginals(linear_phase_marginals(spec, phase.coeffs), reps, rng)
     return scale * points
@@ -361,7 +362,7 @@ def qphase_estimator(
 
     Resolution follows k = floor(min(n, n'/sqrt(d))); the imprinted phase is
     exactly linear, so every round skips the register (under PERTURBED noise
-    it samples the joint table of the overlaid phase).
+    it samples the overlaid phase by the chain rule).
     """
     d = rv.d
     log_term = _phase_log_budget(rv, n, nprime, delta)
@@ -401,7 +402,7 @@ def qlowprec_estimator(
     phase-estimation measurement of the phase-oracle round against P-bar at
     resolution derived from k = 2n'/sqrt(d).  A round depends on P-bar only
     through its mean, so all outer*k' draws are made at once and repetitions
-    that share an empirical mean share one round (one phase, one Born table):
+    that share an empirical mean share one round (one phase, one sampler call):
     ``diagnostics["tables"]`` counts those rounds.  The k' draws are physical
     experiments (charged as such); the rounds' state preparations act on the
     empirical surrogates, so only their phase queries (one oracle

@@ -102,6 +102,11 @@ class TestCoordinateMedian:
         with pytest.raises(ValueError, match="empty"):
             coordinate_median(np.empty((0, 2)))
 
+    def test_result_owns_its_data(self):
+        # a view would pin the whole sorted (40, 2) block behind a 2-vector
+        med = coordinate_median(np.random.default_rng(3).normal(size=(40, 2)))
+        assert med.base is None and med.flags.owndata and med.shape == (2,)
+
 
 class TestMedianOfMeans:
     def test_one_group_is_empirical_mean(self):

@@ -232,6 +232,9 @@ class TestSweep:
         [
             {"n": float("nan")},
             {"n": "many"},
+            {"n": True},
+            {"n": "64"},
+            {"n_grid": [8, "64"]},
             {"n_grid": [-1, 8]},
             {"trials": [2], "n": 8},
             {"trials": 2.5, "n": 8},

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmeanlab import gridqft
 from qmeanlab.gridqft import (
     GridSpec,
     GridState,
@@ -23,11 +24,11 @@ from qmeanlab.gridqft import (
     grid_points,
     inverse_qft,
     lattice_cap,
-    linear_phase_joint,
     linear_phase_marginals,
     measure,
     measurement_distribution,
     qft,
+    sample_linear_overlay,
     state_from_amplitudes,
     uniform_superposition,
 )
@@ -388,28 +389,73 @@ def perturbed_linear_phases(draw):
     return spec, perturb(linear_phase_function(coeffs), noise, spec)
 
 
+def sampled_law(spec: GridSpec, phase: PhaseFunction, reps: int):
+    """What :func:`sample_linear_overlay` draws from, caught at its two CDF inversions.
+
+    Returns the first-coordinate masses, the distinct first indices drawn and
+    the unnormalised conditional rows of those indices, reshaped (rows, m^(d-1)).
+    """
+    seen = {}
+    draw_indices, draw_in_rows = gridqft._draw_indices, gridqft._draw_in_rows
+
+    def first(p, count, rng):
+        idx = draw_indices(p, count, rng)
+        seen["first"], seen["drawn"] = p.copy(), np.unique(idx)
+        return idx
+
+    def rest(p, which, rng):
+        seen["rows"] = p.copy()
+        return draw_in_rows(p, which, rng)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gridqft, "_draw_indices", first)
+        mp.setattr(gridqft, "_draw_in_rows", rest)
+        rng = np.random.default_rng(0)
+        pts = sample_linear_overlay(spec, phase.coeffs, phase.overlay, reps, rng)
+    assert pts.shape == (reps, spec.d)
+    return seen["first"], seen["drawn"], seen.get("rows")
+
+
 class TestLinearPhaseJoint:
+    """The Born law of a perturbed linear phase, drawn by :func:`sample_linear_overlay`."""
+
     @settings(deadline=None, max_examples=60)
     @given(case=perturbed_linear_phases())
     def test_matches_the_register(self, case):
+        # the chain rule: the first-coordinate masses are the register's
+        # marginal, and each drawn row is the register's joint row
         spec, phase = case
-        joint = linear_phase_joint(spec, phase.coeffs, phase.overlay)
         register = measurement_distribution(
             inverse_qft(apply_phase_function(uniform_superposition(spec), phase))
-        )
-        assert joint.shape == (spec.m,) * spec.d
-        assert np.abs(joint.reshape(-1) - register).max() <= 1e-12
+        ).reshape(spec.m, -1)
+        first, drawn, rows = sampled_law(spec, phase, reps=spec.m)
+        assert np.abs(first - register.sum(axis=1)).max() <= 1e-12
+        if spec.d == 1:
+            assert rows is None
+        else:
+            assert rows.shape == (drawn.size, register.shape[1])
+            assert np.abs(rows - register[drawn]).max() <= 1e-12
 
     def test_off_circle_overlay_entry_drifts_the_norm(self):
         spec = GridSpec(m=8, d=2)
         overlay = np.ones(spec.points, dtype=complex)
         overlay[5] = 2.0
         with pytest.raises(ValueError, match="state norm drifted to"):
-            linear_phase_joint(spec, [3.0, -1.0], overlay)
+            sample_linear_overlay(spec, [3.0, -1.0], overlay, 10, np.random.default_rng(0))
 
     def test_overlay_must_cover_the_lattice(self):
         with pytest.raises(ValueError, match=r"expected \(64,\)"):
-            linear_phase_joint(GridSpec(m=8, d=2), [3.0, -1.0], np.ones(8, dtype=complex))
+            sample_linear_overlay(
+                GridSpec(m=8, d=2), [3.0, -1.0], np.ones(8, dtype=complex), 10,
+                np.random.default_rng(0),
+            )
+
+    def test_rows_draw_their_own_point_masses(self):
+        # each entry draws from the row it names, whatever the row's scale
+        p = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [1e-300, 0.0, 0.0]])
+        which = np.random.default_rng(1).integers(0, 3, 500)
+        out = gridqft._draw_in_rows(p, which, np.random.default_rng(2))
+        assert np.array_equal(out, np.array([1, 2, 0])[which])
 
     def test_overlay_needs_coeffs_on_a_non_separable_phase(self):
         overlay = np.ones(4, dtype=complex)

@@ -95,14 +95,23 @@ class TestExperimentConfig:
 
     def test_budgets_are_checked_once_at_construction(self):
         rv = battery_ball(2)
-        for bad in (float("nan"), float("inf"), 0.0, -4.0, "many", [8], 2**53 + 1, 1e308):
+        for bad in (float("nan"), float("inf"), 0.0, -4.0, "many", [8], 2**53 + 1, 1e308,
+                    True, "64", np.int64(2**53 + 1)):
             with pytest.raises(ValueError, match="nprime"):
                 ExperimentConfig(rv=rv, estimator="qphase", trials=1, seed=0, n=8, nprime=bad)
         with pytest.raises(ValueError, match="finite and positive"):
             ExperimentConfig(rv=rv, estimator="bounded", trials=1, seed=0, n=float("nan"))
         with pytest.raises(ValueError, match="n_grid"):
             ExperimentConfig(rv=rv, estimator="bounded", trials=1, seed=0, n_grid=(4, math.inf))
-        cfg = ExperimentConfig(rv=rv, estimator="qphase", trials=1, seed=0, n="64", nprime=32)
+        # a bool or a numeric string is not a budget, alone or in a grid
+        for bad in (True, "64", "1e3"):
+            with pytest.raises(ValueError, match=f"n must be a number, got {bad!r}"):
+                ExperimentConfig(rv=rv, estimator="qphase", trials=1, seed=0, n=bad, nprime=32)
+            with pytest.raises(ValueError, match="n_grid must be a number"):
+                ExperimentConfig(rv=rv, estimator="bounded", trials=1, seed=0, n_grid=(4, bad))
+        cfg = ExperimentConfig(
+            rv=rv, estimator="qphase", trials=1, seed=0, n=np.int64(64), nprime=np.float32(32)
+        )
         assert (cfg.n, cfg.nprime) == (64.0, 32.0)
         cfg = ExperimentConfig(rv=rv, estimator="classical", trials=1, seed=0, n=2**53)
         assert cfg.n == 2.0**53  # the largest budget

@@ -332,6 +332,35 @@ class TestPerturb:
         table = _deviation_table(noise, spec)
         assert table.shape == (spec.points,) and not table.flags.writeable
 
+    @pytest.mark.parametrize("m, d, eta", [(64, 2, 0.1), (8, 3, 0.02), (512, 1, 0.5)])
+    def test_table_is_exp_of_the_seeded_deviations(self, m, d, eta):
+        # the table writes cos/sin of the deviations the seeded stream draws;
+        # that equals np.exp(1j*delta) bit for bit
+        spec = GridSpec(m=m, d=d)
+        noise = NoiseModel.perturbed(eps=0.1, eta=eta, seed=m + d)
+        rng = np.random.default_rng(noise.seed)
+        n_bad = math.ceil(eta / 2 * spec.points)
+        band = 2 * math.asin(0.1 / 2)
+        delta = rng.uniform(-band, band, spec.points)
+        bad = rng.choice(spec.points, n_bad, replace=False)
+        delta[bad] = rng.uniform(-np.pi, np.pi, n_bad)
+        table = _deviation_table(noise, spec)
+        assert np.array_equal(table.view(np.uint64), np.exp(1j * delta).view(np.uint64))
+
+    @pytest.mark.parametrize("m, d, eta", [(64, 2, 0.1), (8, 3, 0.02), (512, 1, 0.5)])
+    def test_table_has_exactly_the_bad_points(self, m, d, eta):
+        # |e^{i delta} - 1| = |2 sin(delta/2)|: with a band of 1e-6 a bad point
+        # lands inside it with probability ~3e-7, so exactly ceil(eta/2 * m^d)
+        # points leave the band and every other one stays inside it
+        spec = GridSpec(m=m, d=d)
+        eps = 1e-6
+        for seed in range(3):
+            table = _deviation_table(NoiseModel.perturbed(eps=eps, eta=eta, seed=seed), spec)
+            size = np.abs(table - 1.0)
+            outside = size > eps * (1 + 1e-9)
+            assert int(outside.sum()) == math.ceil(eta / 2 * spec.points)
+            assert size[~outside].max() <= eps * (1 + 1e-9)
+
     def test_lattice_cap_checked_before_the_table_is_drawn(self):
         _deviation_table.cache_clear()
         cap_line = r"lattice cap exceeded: m\^d = 4096\^2 = 2\^24 > 4194304 amplitudes$"

@@ -24,6 +24,12 @@ neither), the parent's interquartile range and whether the change's median
 is within the metric's bound.  A claimed metric is met when the change wins
 at least nine tenths of the pairs and its median beats the parent's by more
 than the parent's interquartile range.
+
+A run that fails its correctness gate (``correct: false``, failed trials)
+still yields metrics, so each workload also records, per side, the share of
+failed trials over all its paired runs (failed / attempted) and an
+``all_correct`` flag over its paired and traced runs.  The tool exits 1,
+after writing the record, when any run was incorrect.
 """
 
 from __future__ import annotations
@@ -89,6 +95,16 @@ def _summarize(pairs: list[dict], metrics: list[dict], claimed: set[str]) -> dic
         if name in claimed:
             row["claim_met"] = bool(wins >= 0.9 * len(pairs) and gain > iqr)
         out[name] = row
+    return out
+
+
+def _failed_share(pairs: list[dict]) -> dict:
+    """Per side, failed trials over attempted trials, summed over the pairs."""
+    out = {}
+    for side in ("parent", "change"):
+        attempted = sum(p[side]["attempted"] for p in pairs)
+        failed = sum(p[side]["failed"] for p in pairs)
+        out[side] = round(failed / attempted, 4) if attempted else 0.0
     return out
 
 
@@ -167,11 +183,17 @@ def main(argv: list[str] | None = None) -> int:
             })
         workloads[name] = {
             "claimed": sorted(claims.get(name, ())),
+            "failed_share": _failed_share(pairs),
+            "all_correct": all(p[side]["correct"] for p in pairs for side in ("parent", "change")),
             "pairs": pairs,
             "metrics": _summarize(pairs, bench["end_to_end"], claims.get(name, set())),
         }
     for name, seed in args.trace:
-        workloads.setdefault(name, {})["trace"] = _trace(parent, change, name, int(seed))
+        entry = workloads.setdefault(name, {})
+        entry["trace"] = _trace(parent, change, name, int(seed))
+        entry["all_correct"] = entry.get("all_correct", True) and all(
+            entry["trace"]["correct"].values()
+        )
 
     record = {
         "label": args.label,
@@ -187,6 +209,10 @@ def main(argv: list[str] | None = None) -> int:
     out = change / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
+    incorrect = sorted(name for name, w in workloads.items() if not w["all_correct"])
+    if incorrect:
+        print(f"error: incorrect runs on {', '.join(incorrect)}", file=sys.stderr)
+        return 1
     return 0
 
 
