@@ -12,10 +12,14 @@ closed-form Fejer kernel of :func:`linear_phase_marginals`, and
 :func:`sample_marginals` inverts it with the same per-axis draws
 :func:`measure` makes on a product state.  A linear phase overlaid with a
 table of unit-modulus factors (a perturbed linear phase) is drawn by
-:func:`sample_linear_overlay` through the chain rule: the amplitudes are
-transformed along the first axis only, their row norms give the first
-coordinate, and only the rows drawn are transformed over the other axes for
-the remaining coordinates; no m^d table of probabilities is formed.  The
+:func:`sample_linear_overlay` through the chain rule, for a whole block of
+coefficient rows that share the overlay in one call: the amplitudes are
+transformed along the last, contiguous axis only (once per distinct last
+coefficient), their column norms give the last coordinate, and only the
+(row, column) slices drawn are transformed over the other axes for the
+remaining coordinates; no m^d table of probabilities is formed.  The closed
+form refuses an axis past its precision wall (m > 2^52) or memory wall
+(2^30 bytes per axis array) before allocating it.  The
 register (:class:`GridState`, :func:`apply_phase_function`, :func:`qft`,
 :func:`measure`) is the reference those samplers are tested against, and what
 the acceptance gate's transform numerics run.
@@ -23,7 +27,6 @@ the acceptance gate's transform numerics run.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -54,11 +57,32 @@ __all__ = [
 
 _LATTICE_CAP = 2**22
 _EVAL_CHUNK = 1 << 16
+# Per-axis walls of the closed form: the lattice points (2b+1-m)/(2m) are
+# exact in float64 only for m <= 2^52, and one float64 array over an axis may
+# take at most 2^30 bytes (m <= 2^27, above the 2^26 of near_optimal at
+# n = 2048 on the d=2 ball battery).
+_AXIS_PRECISION_LOG2 = 52
+_AXIS_BYTES_LOG2 = 30
 
 
 def lattice_cap() -> int:
     """Full-state amplitude budget: 2^22 amplitudes."""
     return _LATTICE_CAP
+
+
+def _check_axis_walls(m: int) -> None:
+    """Refuse, before anything is allocated, an axis past the precision or memory wall."""
+    log2_m = m.bit_length() - 1
+    if log2_m > _AXIS_PRECISION_LOG2:
+        raise ValueError(
+            f"per-axis precision wall: m = 2^{log2_m} > 2^{_AXIS_PRECISION_LOG2} lattice points"
+            " are not exact in float64"
+        )
+    if log2_m + 3 > _AXIS_BYTES_LOG2:
+        raise ValueError(
+            f"per-axis memory wall: m = 2^{log2_m} needs 2^{log2_m + 3} bytes per axis"
+            f" > 2^{_AXIS_BYTES_LOG2}"
+        )
 
 
 def check_lattice_cap(spec: GridSpec) -> None:
@@ -303,12 +327,15 @@ def linear_phase_marginals(spec: GridSpec, coeffs) -> tuple[np.ndarray, ...]:
     stays exact when c lies within rounding of a lattice hit.  An exact hit
     (sin y_b = 0) is a point mass; m = 1 has the single outcome 0.  Real
     float64 arithmetic throughout; the raw mass of every axis is checked
-    against 1, as :class:`GridState` checks its norm.
+    against 1, as :class:`GridState` checks its norm.  An m whose lattice
+    points are not exact in float64 (m > 2^52) or whose per-axis arrays would
+    pass 2^30 bytes (m > 2^27) is refused before anything is allocated.
     """
     m = spec.m
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
     if coeffs.shape != (spec.d,):
         raise ValueError(f"linear phase has {coeffs.shape[0]} coefficients, expected {spec.d}")
+    _check_axis_walls(m)
     if m == 1:
         return (np.ones(1),) * spec.d
     pi_v = np.pi * grid_axis_points(m)
@@ -392,59 +419,88 @@ def sample_joint(joint: np.ndarray, reps: int, rng: np.random.Generator) -> np.n
 
 
 def sample_linear_overlay(
-    spec: GridSpec, coeffs, overlay: np.ndarray, reps: int, rng: np.random.Generator
+    spec: GridSpec, coeffs, overlay: np.ndarray, reps, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw ``reps`` lattice points from a linear phase under an overlay, as (reps, d).
+    """Draw lattice points from linear phases under one shared overlay, row by row.
 
-    The Born law is that of ``measure(inverse_qft(apply_phase_function(
-    uniform_superposition(spec), theta)), ...)`` for theta_u = <coeffs, u> +
-    arg(overlay_u), where ``overlay`` is the flat row-major table of m^d
-    unit-modulus factors.  The inverse transform's pre-twiddles fold into the
-    unit-modulus axis vectors w_j = e^{i*c_j*u} * conj(t_j), so its amplitudes
-    are overlay * (w_1 x ... x w_d) / m^{d/2} before a unitary d-axis FFT,
-    whose post-twiddles drop out of the Born law.  The law is drawn by the
-    chain rule, with no m^d table of probabilities:
+    ``coeffs`` is a (G, d) block of coefficient rows c_g and ``reps`` a (G,)
+    count per row; a (d,) row with an int count is the G = 1 case.  Returns
+    the (sum(reps), d) points in row order: row g's reps[g] points follow
+    those of the rows before it.  Row g's points are drawn from the Born law
+    of ``measure(inverse_qft(apply_phase_function(uniform_superposition(spec),
+    theta_g)), ...)`` for theta_g(u) = <c_g, u> + arg(overlay_u), where
+    ``overlay`` is the flat row-major table of m^d unit-modulus factors.  The
+    inverse transform's pre-twiddles fold into the unit-modulus axis vectors
+    w_j = e^{i*c_j*u} * conj(t_j), so the amplitudes are overlay * (w_1 x ... x
+    w_d) / m^{d/2} before a unitary d-axis FFT, whose post-twiddles drop out of
+    the Born law.  The law is drawn by the chain rule, last axis first, with
+    no m^d table of probabilities:
 
-    - the FFT along axis 0 alone, in place, leaves rows whose squared norms
-      are the exact marginal of the first coordinate: the rest of the
-      transform is unitary on each row (Parseval), and w_2..w_d only rotate
-      its entries;
-    - those row masses give every point's first coordinate through one CDF
-      inversion (:func:`_draw_indices`);
-    - each distinct drawn row takes w_2..w_d and the FFT over the remaining
-      axes, and its squared moduli are the conditional law of the other
-      coordinates of the points that drew it.
+    - the last axis is the contiguous one of the row-major overlay, so one
+      in-place FFT along it, of the overlay times w_d, leaves columns whose
+      squared norms are the exact marginal of the last coordinate: the rest of
+      the transform is unitary on each column (Parseval), and w_1..w_{d-1}
+      only rotate its entries;
+    - that stage depends on a row only through its last coefficient, so rows
+      that share one share one transform and one marginal, from which all
+      their points draw their last coordinate in one CDF inversion
+      (:func:`_draw_indices`);
+    - every distinct (row, drawn column) pair takes the column, the row's
+      w_1..w_{d-1} and the FFT over the other axes, all pairs in one
+      ``fftn``; its squared moduli are the conditional law of the other
+      coordinates of the row's points that drew the column, all drawn in one
+      call (:func:`_draw_in_rows`).
 
-    d = 1 is the first stage alone.  The total row mass is checked against 1
-    as :class:`GridState` checks its norm, so an overlay entry off the unit
+    d = 1 is the first stage alone.  The m^d transforms are made one at a
+    time, and only their drawn columns are kept.  Each marginal's total mass is checked against 1 as
+    :class:`GridState` checks its norm, so an overlay entry off the unit
     circle is refused.  No state and no lattice points are built.
     """
     m, d = spec.m, spec.d
-    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    if coeffs.shape != (d,):
-        raise ValueError(f"linear phase has {coeffs.shape[0]} coefficients, expected {d}")
+    block = np.array(coeffs, dtype=float, ndmin=2)
+    counts = np.array(reps, dtype=np.int64, ndmin=1)
+    if block.ndim != 2 or block.shape[1] != d:
+        raise ValueError(f"linear phase has {block.shape[-1]} coefficients, expected {d}")
+    if counts.shape != block.shape[:1]:
+        raise ValueError(f"{counts.size} repetition counts for {block.shape[0]} coefficient rows")
     if overlay.shape != (spec.points,):
         raise ValueError(f"overlay has shape {overlay.shape}, expected ({spec.points},)")
     axis = grid_axis_points(m)
     pre = np.conj(_axis_twiddle(m)[0])
-    w = [np.exp(1j * c * axis) * pre for c in coeffs]
-    rows = overlay.reshape(m, -1) * (w[0] / math.sqrt(spec.points))[:, None]
-    np.fft.fft(rows, axis=0, norm="ortho", out=rows)
-    parts = rows.view(np.float64)  # re, im interleaved: |z|^2 summed without a copy
-    mass = np.einsum("ij,ij->i", parts, parts)
-    nrm = math.sqrt(float(mass.sum()))
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"state norm drifted to {nrm!r}")
-    idx = np.empty((reps, d), dtype=np.int64)
-    idx[:, 0] = _draw_indices(mass, reps, rng)
+    pre_last = pre / math.sqrt(spec.points)
+    table = overlay.reshape(-1, m)
+    point_row = np.repeat(np.arange(block.shape[0]), counts)
+    lasts, by_last = np.unique(block[:, -1], return_inverse=True)
+    point_last = by_last[point_row]
+    idx = np.empty((point_row.size, d), dtype=np.int64)
+    which = np.empty(point_row.size, dtype=np.int64)  # each point's (row, column) pair
+    columns, pair_rows = [], []
+    for k, c in enumerate(lasts):
+        cols = table * (np.exp(1j * c * axis) * pre_last)
+        np.fft.fft(cols, axis=-1, norm="ortho", out=cols)
+        parts = cols.view(np.float64)  # re, im interleaved: |z|^2 summed without a copy
+        sq = np.einsum("ij,ij->j", parts, parts)
+        mass = sq[0::2] + sq[1::2]
+        nrm = math.sqrt(float(mass.sum()))
+        if abs(nrm - 1.0) > 1e-9:
+            raise ValueError(f"state norm drifted to {nrm!r}")
+        mine = np.flatnonzero(point_last == k)
+        idx[mine, -1] = _draw_indices(mass, mine.size, rng)
+        if d > 1:
+            pairs, inverse = np.unique(point_row[mine] * m + idx[mine, -1], return_inverse=True)
+            which[mine] = inverse + sum(p.size for p in pair_rows)
+            columns.append(cols[:, pairs % m].T)
+            pair_rows.append(pairs // m)
     if d > 1:
-        drawn, which = np.unique(idx[:, 0], return_inverse=True)
-        tail_shape = (m,) * (d - 1)
-        tails = rows[drawn].reshape((drawn.size,) + tail_shape)
-        tails *= functools.reduce(np.multiply.outer, w[1:])
-        tails = np.fft.fftn(tails, axes=tuple(range(1, d)), norm="ortho")
-        flat = _draw_in_rows(np.abs(tails.reshape(drawn.size, -1)) ** 2, which, rng)
-        idx[:, 1:] = np.stack(np.unravel_index(flat, tail_shape), axis=1)
+        rows = np.concatenate(pair_rows)
+        head_shape = (m,) * (d - 1)
+        heads = np.concatenate(columns).reshape((rows.size,) + head_shape)
+        for j in range(d - 1):
+            w = np.exp(1j * block[:, j, None] * axis) * pre
+            heads *= w[rows].reshape((rows.size,) + (1,) * j + (m,) + (1,) * (d - 2 - j))
+        np.fft.fftn(heads, axes=tuple(range(1, d)), norm="ortho", out=heads)
+        flat = _draw_in_rows(np.abs(heads.reshape(rows.size, -1)) ** 2, which, rng)
+        idx[:, :-1] = np.stack(np.unravel_index(flat, head_shape), axis=1)
     return (2 * idx + 1 - m) / (2 * m)  # grid_axis_points(m)[idx]
 
 

@@ -8,9 +8,10 @@ Every phase an estimator imprints is linear (a binary phase whose clamp
 would fire is refused by its oracle), so no round builds a register: an ideal
 linear phase samples the closed-form Born marginals, and a perturbed one
 (coeffs plus a noise overlay) samples its Born law by the chain rule, from
-one first-axis FFT of the overlaid amplitudes and the rows it draws.
-The low-precision estimator resamples every outer repetition at once and runs
-one round per distinct empirical mean, shared by the repetitions that drew it.
+one last-axis FFT of the overlaid amplitudes and the slices it draws.
+The low-precision estimator resamples every outer repetition at once, runs
+one round per distinct empirical mean, shared by the repetitions that drew it,
+and draws all of those rounds in one block under one perturbed oracle phase.
 The (n, n') regime map that the phase-model dispatcher branches on lives here.
 """
 
@@ -38,7 +39,6 @@ from qmeanlab.oracles import (
     check_phase_range,
     directional_phases_binary,
     directional_phases_phase_model,
-    linear_phase_function,
     perturb,
     quantile_oracle,
 )
@@ -139,24 +139,34 @@ def _phase_log_budget(rv: RandomVariable, n: float, nprime: float, delta: float)
 def _run_phase_reps(
     spec: GridSpec,
     phase: PhaseFunction,
-    reps: int,
+    reps,
     scale: float,
     rng: np.random.Generator,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``reps`` phase-estimation measurements of one round, scaled.
+    """Scaled phase-estimation measurements of one round or of a block of rounds.
 
     The phase is linear (it carries ``coeffs``), so no register is built.
-    Its closed-form Born marginals are sampled with the same draws
-    :func:`qmeanlab.gridqft.measure` makes on the register uniform -> phase
-    -> inverse QFT; under a noise ``overlay`` the same Born law is drawn by
-    the chain rule (:func:`qmeanlab.gridqft.sample_linear_overlay`).
+    By default the round imprints the phase's own ``coeffs`` and ``reps`` is
+    an int.  ``rows`` is a (G, d) block of coefficient rows imprinted under
+    the phase's noise overlay in its place, with ``reps`` a (G,) count per
+    row; the result holds each row's measurements in row order.  Under ideal
+    noise each row, in order, samples its closed-form Born marginals with the
+    same draws :func:`qmeanlab.gridqft.measure` makes on the register uniform
+    -> phase -> inverse QFT; under a noise ``overlay`` the whole block draws
+    the same Born laws by the chain rule in one call
+    (:func:`qmeanlab.gridqft.sample_linear_overlay`).
     """
     if phase.coeffs is None:
         raise TypeError("a phase-estimation round samples only linear phases (with coeffs)")
+    block = phase.coeffs if rows is None else rows
     if phase.overlay is not None:
-        points = sample_linear_overlay(spec, phase.coeffs, phase.overlay, reps, rng)
+        points = sample_linear_overlay(spec, block, phase.overlay, reps, rng)
     else:
-        points = sample_marginals(linear_phase_marginals(spec, phase.coeffs), reps, rng)
+        points = np.concatenate([
+            sample_marginals(linear_phase_marginals(spec, c), count, rng)
+            for c, count in zip(np.array(block, ndmin=2), np.array(reps, ndmin=1))
+        ])
     return scale * points
 
 
@@ -402,11 +412,15 @@ def qlowprec_estimator(
     phase-estimation measurement of the phase-oracle round against P-bar at
     resolution derived from k = 2n'/sqrt(d).  A round depends on P-bar only
     through its mean, so all outer*k' draws are made at once and repetitions
-    that share an empirical mean share one round (one phase, one sampler call):
-    ``diagnostics["tables"]`` counts those rounds.  The k' draws are physical
-    experiments (charged as such); the rounds' state preparations act on the
-    empirical surrogates, so only their phase queries (one oracle
-    construction per repetition) carry over to the run ledger.
+    that share an empirical mean share one round: ``diagnostics["tables"]``
+    counts those rounds.  The oracle's phase is perturbed once, and every
+    round imprints its mean's coefficients m*mean under that one overlay, all
+    rounds as one block (:func:`_run_phase_reps`): one sampler call under
+    perturbed noise, and under ideal noise the rounds in order of their means,
+    so seeded ideal runs draw what one call per round drew.  The k' draws
+    are physical experiments (charged as such); the rounds' state
+    preparations act on the empirical surrogates, so only their phase queries
+    (one oracle construction per repetition) carry over to the run ledger.
     """
     d = rv.d
     log_term = _phase_log_budget(rv, n, nprime, delta)
@@ -419,7 +433,9 @@ def qlowprec_estimator(
     ledger = CostLedger()
     ledger.charge(classical_samples=float(outer * k_prime), experiments=float(outer * k_prime))
     rounds = CostLedger()
-    directional_phases_phase_model(rv, m, PHASE_ORACLE_EPS, PHASE_ORACLE_ETA, rounds, outer)
+    oracle = directional_phases_phase_model(
+        rv, m, PHASE_ORACLE_EPS, PHASE_ORACLE_ETA, rounds, outer
+    )
     ledger.charge(phase_queries=rounds.phase_queries)
 
     # every resample's counts over the drawn support, summed against the
@@ -433,11 +449,15 @@ def qlowprec_estimator(
     sums = (counts[:, :, None] * rv.values[support]).sum(axis=1)
     means, group = np.unique(sums / k_prime, axis=0, return_inverse=True)
     group = group.reshape(-1)  # numpy 2.0.0 returns it with a trailing axis
+    # every round imprints its mean's phase under the one noise overlay of the
+    # oracle's grid; the block's measurements come back grouped by mean, in
+    # repetition order within a group, and the stable argsort scatters them back
+    compute_phase = perturb(oracle, noise, spec)
+    sizes = np.bincount(group, minlength=len(means))
     per_rep = np.empty((outer, d))
-    for g, mu in enumerate(means):
-        rows = group == g
-        phase = perturb(linear_phase_function(m * mu), noise, spec)
-        per_rep[rows] = _run_phase_reps(spec, phase, int(rows.sum()), 2.0 * math.pi, rng)
+    per_rep[np.argsort(group, kind="stable")] = _run_phase_reps(
+        spec, compute_phase, sizes, 2.0 * math.pi, rng, rows=m * means
+    )
     params = _params(noise, n=float(n), nprime=float(nprime), delta=float(delta))
     diagnostics = {"k_prime": k_prime, "outer": outer, "inner_k": inner_k, "m": m, "tables": len(means)}
     return EstimateReport(coordinate_median(per_rep), mean(rv), ledger, "qlowprec", params, diagnostics)

@@ -293,6 +293,25 @@ class TestSweep:
         assert err.startswith(f"error: {next(iter(budget))} must be at most 2^53")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "log2_n, wall",
+        [(53, "per-axis precision wall: m = 2^55"), (30, "per-axis memory wall: m = 2^32")],
+    )
+    def test_lattice_past_an_axis_wall_exits_2_with_one_line(self, tmp_path, capsys, log2_n, wall):
+        # the closed-form round refuses its per-axis arrays before allocating them
+        config_doc = {
+            "rv": {"battery": {"name": "basis", "d": 2, "scale": 0.25}},
+            "estimator": "phase_model", "trials": 1, "seed": 0,
+            "n": 2**log2_n, "nprime": 2**log2_n,
+        }
+        config_path = tmp_path / "wall.json"
+        config_path.write_text(json.dumps(config_doc), encoding="utf-8")
+        assert main(["sweep", "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: all 1 trials failed; first error: ValueError: ")
+        assert wall in captured.err and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("root", [None, 5, [[1]], "rows.json"])
     def test_config_root_must_be_an_object(self, tmp_path, capsys, root):
         config_path = tmp_path / "root.json"

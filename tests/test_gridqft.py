@@ -7,11 +7,13 @@ the phase-estimation concentration sweep pins the sign conventions.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from qmeanlab import gridqft
 from qmeanlab.gridqft import (
@@ -369,6 +371,23 @@ class TestLinearPhaseMarginals:
         (p,) = linear_phase_marginals(GridSpec(m=m, d=1), [0.123456789 * m])
         assert abs(float(p.sum()) - 1.0) <= 16 * m * 2.0**-52
 
+    @pytest.mark.parametrize(
+        "m, wall",
+        [(2**28, "per-axis memory wall: m = 2^28 needs 2^31 bytes per axis > 2^30"),
+         (2**53, "per-axis precision wall: m = 2^53 > 2^52 lattice points")],
+    )
+    def test_walls_refuse_before_allocating(self, monkeypatch, m, wall):
+        def no_axis(m):
+            raise AssertionError("an axis array was built past the wall")
+
+        monkeypatch.setattr(gridqft, "grid_axis_points", no_axis)
+        with pytest.raises(ValueError, match=re.escape(wall)):
+            linear_phase_marginals(GridSpec(m=m, d=2), [1.0, 2.0])
+
+    def test_walls_admit_every_m_up_to_2_27(self):
+        for k in range(28):
+            gridqft._check_axis_walls(2**k)
+
     def test_coefficient_count_must_match(self):
         with pytest.raises(ValueError, match="2 coefficients, expected 3"):
             linear_phase_marginals(GridSpec(m=4, d=3), [1.0, 2.0])
@@ -390,30 +409,51 @@ def perturbed_linear_phases(draw):
 
 
 def sampled_law(spec: GridSpec, phase: PhaseFunction, reps: int):
-    """What :func:`sample_linear_overlay` draws from, caught at its two CDF inversions.
+    """What :func:`sample_linear_overlay` draws from, caught at its CDF inversions.
 
-    Returns the first-coordinate masses, the distinct first indices drawn and
-    the unnormalised conditional rows of those indices, reshaped (rows, m^(d-1)).
+    Returns the last-coordinate masses of the first stage, the distinct last
+    indices drawn and the unnormalised conditional slices of those indices
+    (one row each, over the other coordinates in row-major order).
     """
     seen = {}
     draw_indices, draw_in_rows = gridqft._draw_indices, gridqft._draw_in_rows
 
-    def first(p, count, rng):
+    def last(p, count, rng):
         idx = draw_indices(p, count, rng)
-        seen["first"], seen["drawn"] = p.copy(), np.unique(idx)
+        seen["last"], seen["drawn"] = p.copy(), np.unique(idx)
         return idx
 
     def rest(p, which, rng):
-        seen["rows"] = p.copy()
+        seen["slices"] = p.copy()
         return draw_in_rows(p, which, rng)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gridqft, "_draw_indices", first)
+        mp.setattr(gridqft, "_draw_indices", last)
         mp.setattr(gridqft, "_draw_in_rows", rest)
         rng = np.random.default_rng(0)
         pts = sample_linear_overlay(spec, phase.coeffs, phase.overlay, reps, rng)
     assert pts.shape == (reps, spec.d)
-    return seen["first"], seen["drawn"], seen.get("rows")
+    return seen["last"], seen["drawn"], seen.get("slices")
+
+
+def register_law(spec: GridSpec, coeffs, noise: NoiseModel) -> np.ndarray:
+    """The register's exact Born table of a perturbed linear phase, flat row-major."""
+    phase = perturb(linear_phase_function(coeffs), noise, spec)
+    return measurement_distribution(
+        inverse_qft(apply_phase_function(uniform_superposition(spec), phase))
+    )
+
+
+def chisquare_pvalue(counts: np.ndarray, law: np.ndarray) -> float:
+    """Chi-square p-value of ``counts`` against ``law``, cells expected below 5 pooled."""
+    draws = counts.sum()
+    expected = law * draws / law.sum()
+    keep = expected >= 5
+    observed, expected = counts[keep], expected[keep]
+    if not keep.all():
+        observed = np.append(observed, counts[~keep].sum())
+        expected = np.append(expected, draws - expected.sum())
+    return chisquare(observed, expected).pvalue
 
 
 class TestLinearPhaseJoint:
@@ -422,19 +462,64 @@ class TestLinearPhaseJoint:
     @settings(deadline=None, max_examples=60)
     @given(case=perturbed_linear_phases())
     def test_matches_the_register(self, case):
-        # the chain rule: the first-coordinate masses are the register's
-        # marginal, and each drawn row is the register's joint row
+        # the chain rule, last axis first: the masses are the register's last
+        # marginal, and each drawn slice is the register's joint slice
         spec, phase = case
         register = measurement_distribution(
             inverse_qft(apply_phase_function(uniform_superposition(spec), phase))
-        ).reshape(spec.m, -1)
-        first, drawn, rows = sampled_law(spec, phase, reps=spec.m)
-        assert np.abs(first - register.sum(axis=1)).max() <= 1e-12
+        ).reshape(-1, spec.m)
+        last, drawn, slices = sampled_law(spec, phase, reps=spec.m)
+        assert np.abs(last - register.sum(axis=0)).max() <= 1e-12
         if spec.d == 1:
-            assert rows is None
+            assert slices is None
         else:
-            assert rows.shape == (drawn.size, register.shape[1])
-            assert np.abs(rows - register[drawn]).max() <= 1e-12
+            assert slices.shape == (drawn.size, register.shape[0])
+            assert np.abs(slices - register[:, drawn].T).max() <= 1e-12
+
+    @pytest.mark.parametrize("m, d", [(8, 2), (16, 2), (4, 3), (8, 3)])
+    def test_batched_rows_draw_their_own_register_law(self, m, d):
+        # four rows, sharing their last coefficient in pairs, drawn in one call
+        # under one overlay: each row's points follow its own register law
+        spec = GridSpec(m=m, d=d)
+        noise = NoiseModel.perturbed(eps=0.3, eta=0.2, seed=m + d)
+        base = np.random.default_rng(m * d).uniform(-4.0, 4.0, (2, d)) * m
+        rows = np.concatenate([base, base])
+        rows[2:, :-1] += [[1.3], [-0.7]]
+        counts = np.array([12_000, 8_000, 10_000, 6_000])
+        overlay = perturb(linear_phase_function(rows[0]), noise, spec).overlay
+        pts = sample_linear_overlay(spec, rows, overlay, counts, np.random.default_rng(1))
+        assert pts.shape == (counts.sum(), d)
+        idx = np.rint(m * pts + (m - 1) / 2.0).astype(np.int64)
+        flat = np.ravel_multi_index(tuple(idx.T), (m,) * d)
+        for g, chunk in enumerate(np.split(flat, np.cumsum(counts)[:-1])):
+            observed = np.bincount(chunk, minlength=spec.points)
+            assert chisquare_pvalue(observed, register_law(spec, rows[g], noise)) > 1e-3
+
+    def test_one_first_stage_transform_per_distinct_last_coefficient(self, monkeypatch):
+        spec = GridSpec(m=16, d=2)
+        overlay = perturb(
+            linear_phase_function([0.0, 0.0]), NoiseModel.perturbed(0.1, 0.1, 4), spec
+        ).overlay
+        rows = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, -7.0], [4.0, 9.0], [5.0, -7.0]])
+        calls = []
+        fft = np.fft.fft
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted)
+        sample_linear_overlay(spec, rows, overlay, [3, 4, 5, 6, 7], np.random.default_rng(0))
+        assert calls == [(16, 16)] * 3
+
+    def test_rows_and_counts_must_agree(self):
+        spec = GridSpec(m=4, d=2)
+        overlay = np.ones(spec.points, dtype=complex)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="2 repetition counts for 3 coefficient rows"):
+            sample_linear_overlay(spec, np.zeros((3, 2)), overlay, [1, 2], rng)
+        with pytest.raises(ValueError, match="3 coefficients, expected 2"):
+            sample_linear_overlay(spec, np.zeros((2, 3)), overlay, [1, 2], rng)
 
     def test_off_circle_overlay_entry_drifts_the_norm(self):
         spec = GridSpec(m=8, d=2)

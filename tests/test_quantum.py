@@ -486,18 +486,26 @@ class TestQLowPrecEstimator:
         sigma = math.sqrt(moments(rv).cov_trace / count / trials)
         assert abs(avg - 0.1) <= 3 * sigma
 
-    def test_perturbed_run_draws_one_noise_table(self):
-        # every round perturbs its phase on the same grid with the same noise
-        # seed, so the m^d deviation table is drawn once per run and each
-        # further round reads it from the cache
+    def test_perturbed_run_draws_one_noise_table(self, monkeypatch):
+        # the run perturbs the oracle's phase once: its rounds share that one
+        # overlay, so the m^d deviation table is drawn once and never re-read
+        # from the cache
         _deviation_table.cache_clear()
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return perturb(*args)
+
+        monkeypatch.setattr(quantum, "perturb", counted)
         noise = NoiseModel.perturbed(eps=0.05, eta=0.01, seed=3)
         rv = basis_rv(2, scale=0.25)
         rep = qlowprec_estimator(rv, 4.0, 16.0, 0.4, noise, np.random.default_rng(5))
         info = _deviation_table.cache_info()
         assert rep.diagnostics["outer"] > rep.diagnostics["tables"] > 1
+        assert len(calls) == 1
         assert info.misses == 1
-        assert info.hits == rep.diagnostics["tables"] - 1
+        assert info.hits == 0
 
     def test_determinism(self):
         rv = basis_rv(2, scale=0.25)

@@ -25,6 +25,10 @@ is within the metric's bound.  A claimed metric is met when the change wins
 at least nine tenths of the pairs and its median beats the parent's by more
 than the parent's interquartile range.
 
+After writing the record the tool prints to stderr one line per workload
+and metric: the ratio of the medians, the change's wins, ``within_bound`` and
+``claim_met`` (``unclaimed`` for a metric no ``--claim`` names).
+
 A run that fails its correctness gate (``correct: false``, failed trials)
 still yields metrics, so each workload also records, per side, the share of
 failed trials over all its paired runs (failed / attempted) and an
@@ -96,6 +100,20 @@ def _summarize(pairs: list[dict], metrics: list[dict], claimed: set[str]) -> dic
             row["claim_met"] = bool(wins >= 0.9 * len(pairs) and gain > iqr)
         out[name] = row
     return out
+
+
+def _verdicts(workloads: dict) -> list[str]:
+    """One line per workload and metric: median ratio, wins, bound and claim verdicts."""
+    lines = []
+    for name, entry in workloads.items():
+        for metric, row in entry.get("metrics", {}).items():
+            claim = row.get("claim_met", "unclaimed")
+            lines.append(
+                f"{name} {metric}: median ratio {row['median_change_ratio']}, "
+                f"wins {row['change_wins']}, within_bound {row['within_bound']}, "
+                f"claim_met {claim}"
+            )
+    return lines
 
 
 def _failed_share(pairs: list[dict]) -> dict:
@@ -209,6 +227,8 @@ def main(argv: list[str] | None = None) -> int:
     out = change / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
+    for line in _verdicts(workloads):
+        print(line, file=sys.stderr)
     incorrect = sorted(name for name, w in workloads.items() if not w["all_correct"])
     if incorrect:
         print(f"error: incorrect runs on {', '.join(incorrect)}", file=sys.stderr)
