@@ -13,14 +13,19 @@ closed-form Fejer kernel of :func:`linear_phase_marginals`, and
 :func:`measure` makes on a product state.  A linear phase overlaid with a
 table of unit-modulus factors (a perturbed linear phase) is drawn by
 :func:`sample_linear_overlay` through the chain rule, for a whole block of
-coefficient rows that share the overlay in one call: the amplitudes are
-transformed along the last, contiguous axis only (once per distinct last
-coefficient), their column norms give the last coordinate, and only the
-(row, column) slices drawn are transformed over the other axes for the
-remaining coordinates; no m^d table of probabilities is formed.  The closed
-form refuses an axis past its precision wall (m > 2^52) or memory wall
-(2^30 bytes per axis array) before allocating it.  The
-register (:class:`GridState`, :func:`apply_phase_function`, :func:`qft`,
+coefficient rows that share the overlay in one call: the column norms of the
+amplitudes transformed along the last, contiguous axis give the last
+coordinate, and only the (row, column) slices drawn are transformed over the
+other axes for the remaining coordinates; no m^d table of probabilities is
+formed.  A block with one or two distinct last coefficients transforms the
+overlay once per coefficient.  From three on, the overlay's row
+autocorrelation, the same for every coefficient, gives each marginal by one
+length-m FFT, and one matrix product gives every drawn column, so the block
+costs a fixed number of transforms; the autocorrelation costs about two
+transforms, which is why fewer coefficients keep the direct ones.  The closed
+form refuses an axis past its precision wall (m > 2^52) or memory wall (2^30
+bytes per axis array) before allocating it.  The register
+(:class:`GridState`, :func:`apply_phase_function`, :func:`qft`,
 :func:`measure`) is the reference those samplers are tested against, and what
 the acceptance gate's transform numerics run.
 """
@@ -63,6 +68,10 @@ _EVAL_CHUNK = 1 << 16
 # n = 2048 on the d=2 ball battery).
 _AXIS_PRECISION_LOG2 = 52
 _AXIS_BYTES_LOG2 = 30
+# A perturbed block with at least this many distinct last coefficients takes
+# its last-axis marginals from the overlay's row autocorrelation (about two
+# transforms, then one length-m FFT each) instead of one transform each.
+_AUTOCORRELATION_MIN_LASTS = 3
 
 
 def lattice_cap() -> int:
@@ -418,6 +427,127 @@ def sample_joint(joint: np.ndarray, reps: int, rng: np.random.Generator) -> np.n
     return (2 * idx + 1 - m) / (2 * m)  # grid_axis_points(m)[idx]
 
 
+def _check_mass(total: float) -> None:
+    """Refuse a Born law whose total mass is not 1, as :class:`GridState` checks its norm."""
+    nrm = math.sqrt(total)
+    if abs(nrm - 1.0) > 1e-9:
+        raise ValueError(f"state norm drifted to {nrm!r}")
+
+
+def _column_masses(x: np.ndarray) -> np.ndarray:
+    """The squared norms of the columns of a complex matrix."""
+    parts = x.view(np.float64)  # re, im interleaved: |z|^2 summed without a copy
+    sq = np.einsum("ij,ij->j", parts, parts)
+    return sq[0::2] + sq[1::2]
+
+
+def _last_axis_columns(table: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """The overlay's amplitudes under last coefficient ``c``, transformed along the last axis.
+
+    Returns the (m^{d-1}, m) transformed table, whose column b holds the
+    amplitudes with last coordinate b (up to the other axes' twiddles and
+    transform), and its column masses, the exact marginal of that coordinate.
+    """
+    m = table.shape[1]
+    pre = np.conj(_axis_twiddle(m)[0]) / math.sqrt(table.size)
+    cols = table * (np.exp(1j * c * grid_axis_points(m)) * pre)
+    np.fft.fft(cols, axis=-1, norm="ortho", out=cols)
+    mass = _column_masses(cols)
+    _check_mass(float(mass.sum()))
+    return cols, mass
+
+
+def _row_autocorrelation(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rho(s) = sum_r sum_a T[r, a+s] * conj(T[r, a]) of an (R, m) table, for -m < s < m.
+
+    Returns (rho(s), rho(s-m)) for s = 0..m-1.  Two circular
+    autocorrelations give both halves: C1(s) = rho(s) + rho(s-m) from the
+    rows' power spectra, and C2(s) = w^s * (rho(s) - rho(s-m)) from those of
+    the rows twisted by w^a, w = e^{i*pi/m}.  The rows are transformed a
+    chunk at a time in one reused buffer of at most half the table and 2^16
+    amplitudes, so the extra memory stays below the one m^d buffer of a
+    direct transform; rho(0) = sum |T|^2 is checked against the table's size
+    (unit-modulus entries) before anything is drawn.
+    """
+    m = table.shape[1]
+    twist = np.exp(1j * np.pi * np.arange(m) / m)
+    step = max(1, min(table.shape[0] // 2, _EVAL_CHUNK // m))
+    buf = np.empty((step, m), dtype=complex)
+    power = np.zeros((2, m))
+    for start in range(0, table.shape[0], step):
+        part = table[start : start + step]
+        rows = buf[: part.shape[0]]
+        power[0] += _column_masses(np.fft.fft(part, axis=-1, out=rows))
+        np.multiply(part, twist, out=rows)
+        power[1] += _column_masses(np.fft.fft(rows, axis=-1, out=rows))
+    circ, twisted = np.fft.ifft(power, axis=-1)
+    twisted *= np.conj(twist)
+    _check_mass(float(circ[0].real) / table.size)
+    pos, neg = (circ + twisted) / 2, (circ - twisted) / 2
+    neg[0] = 0.0  # rho(-m): no pair of entries lies m apart
+    return pos, neg
+
+
+def _last_axis_marginals(
+    pos: np.ndarray, neg: np.ndarray, lasts: np.ndarray, points: int
+) -> np.ndarray:
+    """(K, m) exact marginals of the last coordinate, one row per last coefficient.
+
+    With theta_b = (c + pi*(m-1) - 2*pi*b)/m the transformed column b of
+    last coefficient c is m^{-(d+1)/2} sum_a T[r, a] e^{i*a*theta_b}, so its
+    mass is M_c(b) = m^{-(d+1)} sum_s rho(s) e^{i*s*theta_b}: the lags s and
+    s - m fold onto one length-m FFT per coefficient.  ``pos`` and ``neg``
+    are rho(s) and rho(s-m) (:func:`_row_autocorrelation`), ``points`` is
+    m^d.  Masses that rounding leaves negative are clipped to 0.
+    """
+    m = pos.size
+    phi = (lasts[:, None] + np.pi * (m - 1)) / m
+    folded = np.exp(1j * np.arange(m) * phi) * (pos + neg * np.exp(-1j * m * phi))
+    mass = np.fft.fft(folded, axis=-1).real / (points * m)
+    return np.maximum(mass, 0.0, out=mass)
+
+
+def _overlay_columns(table: np.ndarray, lasts: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Column cols[p] of the table transformed under last coefficient lasts[p], as row p.
+
+    Equal to ``_last_axis_columns(table, lasts[p])[0][:, cols[p]]`` up to a
+    unit factor per column, which drops out of the Born law: row p of E is
+    m^{-(d+1)/2} e^{i*a*theta_p}, theta_p = (c_p + pi*(m-1) - 2*pi*b_p)/m,
+    and all the columns come from one product E @ T^T.
+    """
+    m = table.shape[1]
+    theta = (lasts + np.pi * (m - 1) - 2 * np.pi * cols) / m
+    e = np.exp(1j * theta[:, None] * np.arange(m)) / math.sqrt(table.size * m)
+    return e @ table.T
+
+
+def _draw_other_axes(
+    spec: GridSpec, block: np.ndarray, heads: np.ndarray, rows, which: np.ndarray,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """The first d-1 indices of the points, drawn from their (row, column) slices.
+
+    ``heads`` holds one drawn column per slice, (P, m^{d-1}); slice p belongs
+    to block row rows[p] (``rows`` is None for a one-row block) and point i
+    to slice which[i].  Each slice takes its row's pre-twiddles of the first
+    d-1 axes, all slices go through one ``fftn`` and their squared moduli,
+    each a conditional law, through one :func:`_draw_in_rows`.
+    """
+    m, d = spec.m, spec.d
+    head_shape = (m,) * (d - 1)
+    heads = heads.reshape((heads.shape[0],) + head_shape)
+    axis = grid_axis_points(m)
+    pre = np.conj(_axis_twiddle(m)[0])
+    for j in range(d - 1):
+        w = np.exp(1j * block[:, j, None] * axis) * pre
+        if rows is not None:
+            w = w[rows]
+        heads *= w.reshape((w.shape[0],) + (1,) * j + (m,) + (1,) * (d - 2 - j))
+    np.fft.fftn(heads, axes=tuple(range(1, d)), norm="ortho", out=heads)
+    flat = _draw_in_rows(np.abs(heads.reshape(heads.shape[0], -1)) ** 2, which, rng)
+    return np.stack(np.unravel_index(flat, head_shape), axis=1)
+
+
 def sample_linear_overlay(
     spec: GridSpec, coeffs, overlay: np.ndarray, reps, rng: np.random.Generator
 ) -> np.ndarray:
@@ -436,25 +566,41 @@ def sample_linear_overlay(
     the Born law.  The law is drawn by the chain rule, last axis first, with
     no m^d table of probabilities:
 
-    - the last axis is the contiguous one of the row-major overlay, so one
-      in-place FFT along it, of the overlay times w_d, leaves columns whose
-      squared norms are the exact marginal of the last coordinate: the rest of
-      the transform is unitary on each column (Parseval), and w_1..w_{d-1}
-      only rotate its entries;
-    - that stage depends on a row only through its last coefficient, so rows
-      that share one share one transform and one marginal, from which all
-      their points draw their last coordinate in one CDF inversion
-      (:func:`_draw_indices`);
+    - the last axis is the contiguous one of the row-major overlay, and the
+      squared norms of the columns of the overlay times w_d, transformed
+      along it, are the exact marginal of the last coordinate: the rest of the
+      transform is unitary on each column (Parseval), and w_1..w_{d-1} only
+      rotate its entries.  That stage depends on a row only through its last
+      coefficient, so rows that share one share its marginal;
     - every distinct (row, drawn column) pair takes the column, the row's
       w_1..w_{d-1} and the FFT over the other axes, all pairs in one
       ``fftn``; its squared moduli are the conditional law of the other
       coordinates of the row's points that drew the column, all drawn in one
       call (:func:`_draw_in_rows`).
 
-    d = 1 is the first stage alone.  The m^d transforms are made one at a
-    time, and only their drawn columns are kept.  Each marginal's total mass is checked against 1 as
-    :class:`GridState` checks its norm, so an overlay entry off the unit
-    circle is refused.  No state and no lattice points are built.
+    The first stage takes one of two routes, chosen from the block alone:
+
+    - with one or two distinct last coefficients (every one-row round), each
+      gets one in-place FFT of the overlay along the last axis, one at a
+      time; its column masses give the marginal, from which all its points
+      draw their last coordinate in one CDF inversion (:func:`_draw_indices`),
+      and the drawn columns are kept;
+    - with three or more (and d > 1), the overlay's row autocorrelation rho
+      is computed once, at the cost of about two such transforms
+      (:func:`_row_autocorrelation`); it does not depend on the coefficient,
+      whose pre-twiddle and c*u are linear phases along the axis.  Each
+      coefficient's marginal is then one length-m FFT of rho
+      (:func:`_last_axis_marginals`), all points draw their last coordinate
+      in one :func:`_draw_in_rows`, and every drawn column comes from one
+      matrix product (:func:`_overlay_columns`), so the cost no longer grows
+      with the number of distinct last coefficients.  Below three the direct
+      transforms are cheaper; at d = 1 each coefficient's transform is a
+      single length-m FFT, which rho cannot beat.
+
+    d = 1 is the first stage alone.  The total mass is checked against 1 as
+    :class:`GridState` checks its norm, before anything is drawn, so an
+    overlay entry off the unit circle is refused.  No state and no lattice
+    points are built.
     """
     m, d = spec.m, spec.d
     block = np.array(coeffs, dtype=float, ndmin=2)
@@ -465,25 +611,31 @@ def sample_linear_overlay(
         raise ValueError(f"{counts.size} repetition counts for {block.shape[0]} coefficient rows")
     if overlay.shape != (spec.points,):
         raise ValueError(f"overlay has shape {overlay.shape}, expected ({spec.points},)")
-    axis = grid_axis_points(m)
-    pre = np.conj(_axis_twiddle(m)[0])
-    pre_last = pre / math.sqrt(spec.points)
     table = overlay.reshape(-1, m)
+    idx = np.empty((int(counts.sum()), d), dtype=np.int64)
+    if block.shape[0] == 1:
+        # one row: one transform, no grouping of rows and no pair bookkeeping
+        cols, mass = _last_axis_columns(table, block[0, -1])
+        idx[:, -1] = _draw_indices(mass, idx.shape[0], rng)
+        if d > 1:
+            drawn, which = np.unique(idx[:, -1], return_inverse=True)
+            idx[:, :-1] = _draw_other_axes(spec, block, cols.T[drawn], None, which, rng)
+        return (2 * idx + 1 - m) / (2 * m)  # grid_axis_points(m)[idx]
     point_row = np.repeat(np.arange(block.shape[0]), counts)
     lasts, by_last = np.unique(block[:, -1], return_inverse=True)
+    if d > 1 and lasts.size >= _AUTOCORRELATION_MIN_LASTS:
+        marginals = _last_axis_marginals(*_row_autocorrelation(table), lasts, spec.points)
+        idx[:, -1] = _draw_in_rows(marginals, by_last[point_row], rng)
+        pairs, which = np.unique(point_row * m + idx[:, -1], return_inverse=True)
+        rows = pairs // m
+        heads = _overlay_columns(table, block[rows, -1], pairs % m)
+        idx[:, :-1] = _draw_other_axes(spec, block, heads, rows, which, rng)
+        return (2 * idx + 1 - m) / (2 * m)
     point_last = by_last[point_row]
-    idx = np.empty((point_row.size, d), dtype=np.int64)
     which = np.empty(point_row.size, dtype=np.int64)  # each point's (row, column) pair
     columns, pair_rows = [], []
     for k, c in enumerate(lasts):
-        cols = table * (np.exp(1j * c * axis) * pre_last)
-        np.fft.fft(cols, axis=-1, norm="ortho", out=cols)
-        parts = cols.view(np.float64)  # re, im interleaved: |z|^2 summed without a copy
-        sq = np.einsum("ij,ij->j", parts, parts)
-        mass = sq[0::2] + sq[1::2]
-        nrm = math.sqrt(float(mass.sum()))
-        if abs(nrm - 1.0) > 1e-9:
-            raise ValueError(f"state norm drifted to {nrm!r}")
+        cols, mass = _last_axis_columns(table, c)
         mine = np.flatnonzero(point_last == k)
         idx[mine, -1] = _draw_indices(mass, mine.size, rng)
         if d > 1:
@@ -493,15 +645,8 @@ def sample_linear_overlay(
             pair_rows.append(pairs // m)
     if d > 1:
         rows = np.concatenate(pair_rows)
-        head_shape = (m,) * (d - 1)
-        heads = np.concatenate(columns).reshape((rows.size,) + head_shape)
-        for j in range(d - 1):
-            w = np.exp(1j * block[:, j, None] * axis) * pre
-            heads *= w[rows].reshape((rows.size,) + (1,) * j + (m,) + (1,) * (d - 2 - j))
-        np.fft.fftn(heads, axes=tuple(range(1, d)), norm="ortho", out=heads)
-        flat = _draw_in_rows(np.abs(heads.reshape(rows.size, -1)) ** 2, which, rng)
-        idx[:, :-1] = np.stack(np.unravel_index(flat, head_shape), axis=1)
-    return (2 * idx + 1 - m) / (2 * m)  # grid_axis_points(m)[idx]
+        idx[:, :-1] = _draw_other_axes(spec, block, np.concatenate(columns), rows, which, rng)
+    return (2 * idx + 1 - m) / (2 * m)
 
 
 def measure(state: GridState, reps: int, rng: np.random.Generator) -> np.ndarray:

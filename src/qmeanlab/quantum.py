@@ -7,8 +7,10 @@ They differ in which oracle supplies the phase and how budgets are split.
 Every phase an estimator imprints is linear (a binary phase whose clamp
 would fire is refused by its oracle), so no round builds a register: an ideal
 linear phase samples the closed-form Born marginals, and a perturbed one
-(coeffs plus a noise overlay) samples its Born law by the chain rule, from
-one last-axis FFT of the overlaid amplitudes and the slices it draws.
+(coeffs plus a noise overlay) samples its Born law by the chain rule: the
+last coordinate from the overlaid amplitudes transformed along the last axis
+(or, for a block of three or more distinct last coefficients, from the
+overlay's row autocorrelation), the rest from the slices it draws.
 The low-precision estimator resamples every outer repetition at once, runs
 one round per distinct empirical mean, shared by the repetitions that drew it,
 and draws all of those rounds in one block under one perturbed oracle phase.

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -444,6 +445,9 @@ def register_law(spec: GridSpec, coeffs, noise: NoiseModel) -> np.ndarray:
     )
 
 
+LATTICES = [(8, 2), (16, 2), (4, 3), (8, 3)]
+
+
 def chisquare_pvalue(counts: np.ndarray, law: np.ndarray) -> float:
     """Chi-square p-value of ``counts`` against ``law``, cells expected below 5 pooled."""
     draws = counts.sum()
@@ -476,14 +480,19 @@ class TestLinearPhaseJoint:
             assert slices.shape == (drawn.size, register.shape[0])
             assert np.abs(slices - register[:, drawn].T).max() <= 1e-12
 
-    @pytest.mark.parametrize("m, d", [(8, 2), (16, 2), (4, 3), (8, 3)])
-    def test_batched_rows_draw_their_own_register_law(self, m, d):
-        # four rows, sharing their last coefficient in pairs, drawn in one call
-        # under one overlay: each row's points follow its own register law
+    @pytest.mark.parametrize(
+        "m, d, lasts",
+        [pytest.param(m, d, 2, id=f"{m}-{d}") for m, d in LATTICES]
+        + [pytest.param(m, d, 4, id=f"{m}-{d}-4lasts") for m, d in LATTICES],
+    )
+    def test_batched_rows_draw_their_own_register_law(self, m, d, lasts):
+        # four rows drawn in one call under one overlay, sharing their last
+        # coefficient in pairs (two transforms) or each with its own (the
+        # autocorrelation route): each row's points follow its own register law
         spec = GridSpec(m=m, d=d)
         noise = NoiseModel.perturbed(eps=0.3, eta=0.2, seed=m + d)
-        base = np.random.default_rng(m * d).uniform(-4.0, 4.0, (2, d)) * m
-        rows = np.concatenate([base, base])
+        base = np.random.default_rng(m * d).uniform(-4.0, 4.0, (lasts, d)) * m
+        rows = np.resize(base, (4, d))
         rows[2:, :-1] += [[1.3], [-0.7]]
         counts = np.array([12_000, 8_000, 10_000, 6_000])
         overlay = perturb(linear_phase_function(rows[0]), noise, spec).overlay
@@ -496,11 +505,13 @@ class TestLinearPhaseJoint:
             assert chisquare_pvalue(observed, register_law(spec, rows[g], noise)) > 1e-3
 
     def test_one_first_stage_transform_per_distinct_last_coefficient(self, monkeypatch):
+        # up to two distinct last coefficients, one (m,)*d transform each; from
+        # three on, a fixed two (the row autocorrelation, in two chunks of
+        # half the table here) and one length-m transform per coefficient
         spec = GridSpec(m=16, d=2)
         overlay = perturb(
             linear_phase_function([0.0, 0.0]), NoiseModel.perturbed(0.1, 0.1, 4), spec
         ).overlay
-        rows = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, -7.0], [4.0, 9.0], [5.0, -7.0]])
         calls = []
         fft = np.fft.fft
 
@@ -509,8 +520,14 @@ class TestLinearPhaseJoint:
             return fft(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fft", counted)
-        sample_linear_overlay(spec, rows, overlay, [3, 4, 5, 6, 7], np.random.default_rng(0))
-        assert calls == [(16, 16)] * 3
+        for lasts in ([5.0, -7.0], [5.0, -7.0, 9.0], [5.0, -7.0, 9.0, 1.5, -2.5, 30.0]):
+            rows = np.column_stack([np.arange(6.0), np.resize(lasts, 6)])
+            calls.clear()
+            sample_linear_overlay(spec, rows, overlay, [3, 4, 5, 6, 7, 8], np.random.default_rng(0))
+            if len(lasts) == 2:
+                assert calls == [(16, 16)] * 2
+            else:
+                assert calls == [(8, 16)] * 4 + [(len(lasts), 16)]
 
     def test_rows_and_counts_must_agree(self):
         spec = GridSpec(m=4, d=2)
@@ -527,6 +544,18 @@ class TestLinearPhaseJoint:
         overlay[5] = 2.0
         with pytest.raises(ValueError, match="state norm drifted to"):
             sample_linear_overlay(spec, [3.0, -1.0], overlay, 10, np.random.default_rng(0))
+
+    def test_off_circle_overlay_entry_drifts_the_norm_of_a_block(self):
+        # the autocorrelation route checks rho(0) before it draws anything
+        spec = GridSpec(m=8, d=2)
+        overlay = np.ones(spec.points, dtype=complex)
+        overlay[5] = 2.0
+        rows = np.array([[3.0, -1.0], [1.0, 2.0], [0.5, 7.5]])
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="state norm drifted to"):
+            sample_linear_overlay(spec, rows, overlay, [4, 5, 6], rng)
+        assert rng.bit_generator.state == state
 
     def test_overlay_must_cover_the_lattice(self):
         with pytest.raises(ValueError, match=r"expected \(64,\)"):
@@ -551,6 +580,98 @@ class TestLinearPhaseJoint:
                 evaluate=lambda pts: pts[:, 0], separable=True, axis_components=(lambda u: u,),
                 coeffs=np.ones(1), overlay=overlay,
             )
+
+
+def last_axis_reference(spec: GridSpec, overlay: np.ndarray, c: float) -> np.ndarray:
+    """The overlaid amplitudes under last coefficient ``c`` after the register's
+    inverse transform along the last axis alone, as (m^{d-1}, m) columns."""
+    state = overlay.reshape((spec.m,) * spec.d) * np.exp(1j * c * grid_axis_points(spec.m))
+    state /= math.sqrt(spec.points)
+    return gridqft._qft_axis(state, spec.d - 1, inverse=True).reshape(-1, spec.m)
+
+
+def assert_routes_agree(spec: GridSpec, overlay: np.ndarray, lasts: np.ndarray) -> None:
+    """The autocorrelation route's marginals and columns against the per-coefficient transform.
+
+    Every marginal equals the reference's column masses, and every product
+    column equals the reference's column times one unit factor, within 1e-12.
+    """
+    m = spec.m
+    table = overlay.reshape(-1, m)
+    marginals = gridqft._last_axis_marginals(
+        *gridqft._row_autocorrelation(table), lasts, spec.points
+    )
+    heads = gridqft._overlay_columns(table, np.repeat(lasts, m), np.tile(np.arange(m), lasts.size))
+    heads = heads.reshape(lasts.size, m, -1)
+    for k, c in enumerate(lasts):
+        ref = last_axis_reference(spec, overlay, c).T
+        assert np.abs(marginals[k] - (np.abs(ref) ** 2).sum(axis=1)).max() <= 1e-12
+        unit = np.exp(1j * np.angle((np.conj(ref) * heads[k]).sum(axis=1)))
+        assert np.abs(heads[k] - unit[:, None] * ref).max() <= 1e-12
+
+
+class TestAutocorrelationRoute:
+    """A block with three or more distinct last coefficients skips their transforms."""
+
+    @pytest.mark.parametrize("m, d", LATTICES)
+    def test_matches_the_per_coefficient_transform(self, m, d):
+        spec = GridSpec(m=m, d=d)
+        noise = NoiseModel.perturbed(eps=0.3, eta=0.2, seed=7 * m + d)
+        overlay = perturb(linear_phase_function(np.zeros(d)), noise, spec).overlay
+        assert np.count_nonzero(np.abs(np.angle(overlay)) > 0.3) > 0  # bad points
+        lasts = np.random.default_rng(m + d).uniform(-4.0, 4.0, 5) * m
+        assert_routes_agree(spec, overlay, np.append(lasts, [0.0, 2 * np.pi]))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        k=st.integers(1, 4),
+        d=st.integers(2, 3),
+        lasts=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=5, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_per_coefficient_transform_on_small_lattices(self, k, d, lasts, seed):
+        spec = GridSpec(m=2**k, d=d)
+        noise = NoiseModel.perturbed(eps=0.3, eta=0.2, seed=seed)
+        overlay = perturb(linear_phase_function(np.zeros(d)), noise, spec).overlay
+        assert_routes_agree(spec, overlay, np.array(lasts) * spec.m)
+
+    def test_rounding_below_zero_is_clipped(self):
+        # lattice hits under a flat overlay are point masses: every other mass
+        # is 0 up to rounding, which must not leave it negative
+        spec = GridSpec(m=64, d=2)
+        table = np.ones((spec.m, spec.m), dtype=complex)
+        lasts = np.pi * np.array([1.0 - spec.m, 1.0, 15.0, 2.0 * spec.m + 1.0])  # pi*(2b+1-m)
+        marginals = gridqft._last_axis_marginals(
+            *gridqft._row_autocorrelation(table), lasts, spec.points
+        )
+        assert (marginals >= 0.0).all()
+        assert np.abs(marginals.sum(axis=1) - 1.0).max() <= 1e-12
+        assert np.abs(marginals.max(axis=1) - 1.0).max() <= 1e-12
+
+    def test_takes_less_memory_than_one_transform(self, monkeypatch):
+        # at m = 256, d = 2 the route's peak stays below the one m^d complex
+        # buffer that a direct transform takes, and below the direct route's
+        spec = GridSpec(m=256, d=2)
+        overlay = perturb(
+            linear_phase_function([0.0, 0.0]), NoiseModel.perturbed(0.05, 0.01, 3), spec
+        ).overlay
+        rows = np.array([[0.1, 0.2], [0.3, -0.1], [-0.2, 0.4]]) * spec.m
+
+        def draw():
+            sample_linear_overlay(spec, rows, overlay, [25, 25, 25], np.random.default_rng(0))
+
+        peaks = []
+        for cutover in (len(rows) + 1, len(rows)):
+            monkeypatch.setattr(gridqft, "_AUTOCORRELATION_MIN_LASTS", cutover)
+            draw()  # transform plans are cached on first use
+            tracemalloc.start()
+            try:
+                draw()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        direct, autocorrelation = peaks
+        assert autocorrelation <= spec.points * 16 < direct
 
 
 class TestPhaseEstimationConcentration:
