@@ -17,12 +17,12 @@ coefficient rows that share the overlay in one call: the column norms of the
 amplitudes transformed along the last, contiguous axis give the last
 coordinate, and only the (row, column) slices drawn are transformed over the
 other axes for the remaining coordinates; no m^d table of probabilities is
-formed.  A block with one or two distinct last coefficients transforms the
-overlay once per coefficient.  From three on, the overlay's row
-autocorrelation, the same for every coefficient, gives each marginal by one
-length-m FFT, and one matrix product gives every drawn column, so the block
-costs a fixed number of transforms; the autocorrelation costs about two
-transforms, which is why fewer coefficients keep the direct ones.  The closed
+formed.  A block with one distinct last coefficient transforms the overlay
+once.  From two on (at d > 1), the overlay's row autocorrelation, the same
+for every coefficient, gives each marginal by one length-m FFT, and one
+matrix product gives every drawn column, so the block costs a fixed number of
+transforms: the autocorrelation costs about two, and measured faster than
+the direct route from two coefficients on.  The closed
 form refuses an axis past its precision wall (m > 2^52) or memory wall (2^30
 bytes per axis array) before allocating it.  The register
 (:class:`GridState`, :func:`apply_phase_function`, :func:`qft`,
@@ -68,10 +68,6 @@ _EVAL_CHUNK = 1 << 16
 # n = 2048 on the d=2 ball battery).
 _AXIS_PRECISION_LOG2 = 52
 _AXIS_BYTES_LOG2 = 30
-# A perturbed block with at least this many distinct last coefficients takes
-# its last-axis marginals from the overlay's row autocorrelation (about two
-# transforms, then one length-m FFT each) instead of one transform each.
-_AUTOCORRELATION_MIN_LASTS = 3
 
 
 def lattice_cap() -> int:
@@ -580,22 +576,22 @@ def sample_linear_overlay(
 
     The first stage takes one of two routes, chosen from the block alone:
 
-    - with one or two distinct last coefficients (every one-row round), each
-      gets one in-place FFT of the overlay along the last axis, one at a
-      time; its column masses give the marginal, from which all its points
+    - with one distinct last coefficient (every one-row round), or at d = 1,
+      each coefficient gets one in-place FFT of the overlay along the last
+      axis; its column masses give the marginal, from which all its points
       draw their last coordinate in one CDF inversion (:func:`_draw_indices`),
-      and the drawn columns are kept;
-    - with three or more (and d > 1), the overlay's row autocorrelation rho
-      is computed once, at the cost of about two such transforms
+      and at d > 1 the drawn columns are kept.  At d = 1 each transform is a
+      single length-m FFT, which nothing below beats;
+    - with two or more (at d > 1), the overlay's row autocorrelation rho is
+      computed once, at the cost of about two such transforms
       (:func:`_row_autocorrelation`); it does not depend on the coefficient,
       whose pre-twiddle and c*u are linear phases along the axis.  Each
       coefficient's marginal is then one length-m FFT of rho
       (:func:`_last_axis_marginals`), all points draw their last coordinate
       in one :func:`_draw_in_rows`, and every drawn column comes from one
       matrix product (:func:`_overlay_columns`), so the cost no longer grows
-      with the number of distinct last coefficients.  Below three the direct
-      transforms are cheaper; at d = 1 each coefficient's transform is a
-      single length-m FFT, which rho cannot beat.
+      with the number of distinct last coefficients; at m = 256, d = 2 it is
+      already below the direct route's at two.
 
     d = 1 is the first stage alone.  The total mass is checked against 1 as
     :class:`GridState` checks its norm, before anything is drawn, so an
@@ -614,38 +610,32 @@ def sample_linear_overlay(
     table = overlay.reshape(-1, m)
     idx = np.empty((int(counts.sum()), d), dtype=np.int64)
     if block.shape[0] == 1:
-        # one row: one transform, no grouping of rows and no pair bookkeeping
-        cols, mass = _last_axis_columns(table, block[0, -1])
-        idx[:, -1] = _draw_indices(mass, idx.shape[0], rng)
-        if d > 1:
-            drawn, which = np.unique(idx[:, -1], return_inverse=True)
-            idx[:, :-1] = _draw_other_axes(spec, block, cols.T[drawn], None, which, rng)
+        # one row: no grouping of rows and no pair bookkeeping
+        point_row, lasts, point_last = None, block[:, -1], np.zeros(idx.shape[0], dtype=np.int64)
+    else:
+        point_row = np.repeat(np.arange(block.shape[0]), counts)
+        lasts, by_last = np.unique(block[:, -1], return_inverse=True)
+        point_last = by_last[point_row]
+    if d == 1:
+        for k, c in enumerate(lasts):
+            mine = np.flatnonzero(point_last == k)
+            idx[mine, 0] = _draw_indices(_last_axis_columns(table, c)[1], mine.size, rng)
         return (2 * idx + 1 - m) / (2 * m)  # grid_axis_points(m)[idx]
-    point_row = np.repeat(np.arange(block.shape[0]), counts)
-    lasts, by_last = np.unique(block[:, -1], return_inverse=True)
-    if d > 1 and lasts.size >= _AUTOCORRELATION_MIN_LASTS:
+    if lasts.size == 1:
+        cols, mass = _last_axis_columns(table, lasts[0])
+        idx[:, -1] = _draw_indices(mass, idx.shape[0], rng)
+    else:
         marginals = _last_axis_marginals(*_row_autocorrelation(table), lasts, spec.points)
-        idx[:, -1] = _draw_in_rows(marginals, by_last[point_row], rng)
-        pairs, which = np.unique(point_row * m + idx[:, -1], return_inverse=True)
-        rows = pairs // m
+        idx[:, -1] = _draw_in_rows(marginals, point_last, rng)
+    pairs, which = np.unique(
+        idx[:, -1] if point_row is None else point_row * m + idx[:, -1], return_inverse=True
+    )
+    rows = None if point_row is None else pairs // m
+    if lasts.size == 1:
+        heads = cols.T[pairs % m]
+    else:
         heads = _overlay_columns(table, block[rows, -1], pairs % m)
-        idx[:, :-1] = _draw_other_axes(spec, block, heads, rows, which, rng)
-        return (2 * idx + 1 - m) / (2 * m)
-    point_last = by_last[point_row]
-    which = np.empty(point_row.size, dtype=np.int64)  # each point's (row, column) pair
-    columns, pair_rows = [], []
-    for k, c in enumerate(lasts):
-        cols, mass = _last_axis_columns(table, c)
-        mine = np.flatnonzero(point_last == k)
-        idx[mine, -1] = _draw_indices(mass, mine.size, rng)
-        if d > 1:
-            pairs, inverse = np.unique(point_row[mine] * m + idx[mine, -1], return_inverse=True)
-            which[mine] = inverse + sum(p.size for p in pair_rows)
-            columns.append(cols[:, pairs % m].T)
-            pair_rows.append(pairs // m)
-    if d > 1:
-        rows = np.concatenate(pair_rows)
-        idx[:, :-1] = _draw_other_axes(spec, block, np.concatenate(columns), rows, which, rng)
+    idx[:, :-1] = _draw_other_axes(spec, block, heads, rows, which, rng)
     return (2 * idx + 1 - m) / (2 * m)
 
 

@@ -483,12 +483,15 @@ class TestLinearPhaseJoint:
     @pytest.mark.parametrize(
         "m, d, lasts",
         [pytest.param(m, d, 2, id=f"{m}-{d}") for m, d in LATTICES]
-        + [pytest.param(m, d, 4, id=f"{m}-{d}-4lasts") for m, d in LATTICES],
+        + [pytest.param(m, d, 4, id=f"{m}-{d}-4lasts") for m, d in LATTICES]
+        + [pytest.param(m, d, 1, id=f"{m}-{d}-1last") for m, d in LATTICES]
+        + [pytest.param(16, 1, 4, id="16-1-4lasts")],
     )
     def test_batched_rows_draw_their_own_register_law(self, m, d, lasts):
-        # four rows drawn in one call under one overlay, sharing their last
-        # coefficient in pairs (two transforms) or each with its own (the
-        # autocorrelation route): each row's points follow its own register law
+        # four rows drawn in one call under one overlay, all sharing one last
+        # coefficient (one transform), sharing them in pairs or each with its
+        # own (the autocorrelation route; at d = 1 one transform each): each
+        # row's points follow its own register law
         spec = GridSpec(m=m, d=d)
         noise = NoiseModel.perturbed(eps=0.3, eta=0.2, seed=m + d)
         base = np.random.default_rng(m * d).uniform(-4.0, 4.0, (lasts, d)) * m
@@ -505,9 +508,9 @@ class TestLinearPhaseJoint:
             assert chisquare_pvalue(observed, register_law(spec, rows[g], noise)) > 1e-3
 
     def test_one_first_stage_transform_per_distinct_last_coefficient(self, monkeypatch):
-        # up to two distinct last coefficients, one (m,)*d transform each; from
-        # three on, a fixed two (the row autocorrelation, in two chunks of
-        # half the table here) and one length-m transform per coefficient
+        # one distinct last coefficient takes one (m,)*d transform; from two
+        # on, a fixed two (the row autocorrelation, in two chunks of half the
+        # table here) and one length-m transform per coefficient
         spec = GridSpec(m=16, d=2)
         overlay = perturb(
             linear_phase_function([0.0, 0.0]), NoiseModel.perturbed(0.1, 0.1, 4), spec
@@ -520,12 +523,12 @@ class TestLinearPhaseJoint:
             return fft(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fft", counted)
-        for lasts in ([5.0, -7.0], [5.0, -7.0, 9.0], [5.0, -7.0, 9.0, 1.5, -2.5, 30.0]):
+        for lasts in ([5.0], [5.0, -7.0], [5.0, -7.0, 9.0], [5.0, -7.0, 9.0, 1.5, -2.5, 30.0]):
             rows = np.column_stack([np.arange(6.0), np.resize(lasts, 6)])
             calls.clear()
             sample_linear_overlay(spec, rows, overlay, [3, 4, 5, 6, 7, 8], np.random.default_rng(0))
-            if len(lasts) == 2:
-                assert calls == [(16, 16)] * 2
+            if len(lasts) == 1:
+                assert calls == [(16, 16)]
             else:
                 assert calls == [(8, 16)] * 4 + [(len(lasts), 16)]
 
@@ -611,7 +614,7 @@ def assert_routes_agree(spec: GridSpec, overlay: np.ndarray, lasts: np.ndarray) 
 
 
 class TestAutocorrelationRoute:
-    """A block with three or more distinct last coefficients skips their transforms."""
+    """A block with two or more distinct last coefficients skips their transforms."""
 
     @pytest.mark.parametrize("m, d", LATTICES)
     def test_matches_the_per_coefficient_transform(self, m, d):
@@ -626,7 +629,7 @@ class TestAutocorrelationRoute:
     @given(
         k=st.integers(1, 4),
         d=st.integers(2, 3),
-        lasts=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=5, unique=True),
+        lasts=st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=5, unique=True),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_the_per_coefficient_transform_on_small_lattices(self, k, d, lasts, seed):
@@ -648,25 +651,27 @@ class TestAutocorrelationRoute:
         assert np.abs(marginals.sum(axis=1) - 1.0).max() <= 1e-12
         assert np.abs(marginals.max(axis=1) - 1.0).max() <= 1e-12
 
-    def test_takes_less_memory_than_one_transform(self, monkeypatch):
+    def test_takes_less_memory_than_one_transform(self):
         # at m = 256, d = 2 the route's peak stays below the one m^d complex
         # buffer that a direct transform takes, and below the direct route's
+        # (the same rows sharing one last coefficient)
         spec = GridSpec(m=256, d=2)
         overlay = perturb(
             linear_phase_function([0.0, 0.0]), NoiseModel.perturbed(0.05, 0.01, 3), spec
         ).overlay
         rows = np.array([[0.1, 0.2], [0.3, -0.1], [-0.2, 0.4]]) * spec.m
+        shared = rows.copy()
+        shared[:, -1] = rows[0, -1]
 
-        def draw():
-            sample_linear_overlay(spec, rows, overlay, [25, 25, 25], np.random.default_rng(0))
+        def draw(block):
+            sample_linear_overlay(spec, block, overlay, [25, 25, 25], np.random.default_rng(0))
 
         peaks = []
-        for cutover in (len(rows) + 1, len(rows)):
-            monkeypatch.setattr(gridqft, "_AUTOCORRELATION_MIN_LASTS", cutover)
-            draw()  # transform plans are cached on first use
+        for block in (shared, rows):
+            draw(block)  # transform plans are cached on first use
             tracemalloc.start()
             try:
-                draw()
+                draw(block)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
