@@ -22,9 +22,24 @@ once.  From two on (at d > 1), the overlay's row autocorrelation, the same
 for every coefficient, gives each marginal by one length-m FFT, and one
 matrix product gives every drawn column, so the block costs a fixed number of
 transforms: the autocorrelation costs about two, and measured faster than
-the direct route from two coefficients on.  The closed
-form refuses an axis past its precision wall (m > 2^52) or memory wall (2^30
-bytes per axis array) before allocating it.  The register
+the direct route from two coefficients on.
+
+On a host with two or more CPUs, the m^d stages of a perturbed round run on
+two threads: the multiply and in-place FFT of :func:`_last_axis_columns` over
+two halves of the rows, the chunk transforms of :func:`_row_autocorrelation`
+over two halves of the chunks, and the cos/sin fill of the noise table
+(:func:`qmeanlab.oracles.perturb`) over two halves of the points.  One half
+runs on the calling thread, the other on one pool thread, started on first
+use (:func:`_in_halves`).  The worker count is read once, from the CPUs this
+process may run on (``os.sched_getaffinity``); with one there is no pool and
+no thread.  A stage over at most 2^16 amplitudes stays on the calling thread,
+where the hand-off would cost more than it saves.  Every random draw stays on
+the calling thread, in its order.  Each split step is elementwise or
+row-by-row, and every reduction runs after the join, over the whole table or
+chunk by chunk in order, so a split round gives the same bits as one thread.
+
+The closed form refuses an axis past its precision wall (m > 2^52) or memory
+wall (2^30 bytes per axis array) before allocating it.  The register
 (:class:`GridState`, :func:`apply_phase_function`, :func:`qft`,
 :func:`measure`) is the reference those samplers are tested against, and what
 the acceptance gate's transform numerics run.
@@ -32,7 +47,10 @@ the acceptance gate's transform numerics run.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -68,6 +86,17 @@ _EVAL_CHUNK = 1 << 16
 # n = 2048 on the d=2 ball battery).
 _AXIS_PRECISION_LOG2 = 52
 _AXIS_BYTES_LOG2 = 30
+# The CPUs this process may run on, read once.  With two or more, every m^d
+# stage of a perturbed round over more than _SPLIT_MIN amplitudes runs half
+# its rows on one pool thread (:func:`_in_halves`).  At or below it the split
+# saves less than it costs: on a 2-vCPU VM an idle pool thread took about
+# 0.15 ms to start a task, and a stage over 2^16 amplitudes (the cos/sin fill,
+# a row FFT, the autocorrelation chunks) measured no faster split.
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+_SPLIT_MIN = 1 << 16
+_on_split_thread = threading.local()
 
 
 def lattice_cap() -> int:
@@ -258,11 +287,15 @@ def apply_phase_function(state: GridState, theta: PhaseFunction) -> GridState:
     return GridState(spec=spec, tensor=flat.reshape((spec.m,) * spec.d))
 
 
+@functools.cache
 def _axis_twiddle(m: int) -> tuple[np.ndarray, complex]:
     # m*u_a*v_b = [a*b + (a+b)*c + c^2]/m with c = (1-m)/2, so the centered
     # kernel is diag(g*t) . DFT+ . diag(t) with t_a = e^{2*pi*i*a*c/m}.
+    # Kept per m, read-only: the lattice sizes are powers of two, so the
+    # cached vectors together hold less than twice the largest one.
     c = (1 - m) / 2.0
     t = np.exp(2j * np.pi * np.arange(m) * c / m)
+    t.flags.writeable = False
     g = complex(np.exp(2j * np.pi * c * c / m))
     return t, g
 
@@ -437,17 +470,68 @@ def _column_masses(x: np.ndarray) -> np.ndarray:
     return sq[0::2] + sq[1::2]
 
 
+def _mark_split_thread() -> None:
+    _on_split_thread.active = True
+
+
+@functools.cache
+def _split_pool():
+    """The one pool thread of :func:`_in_halves`, started on first use.
+
+    ``concurrent.futures`` is imported here, not with the module, so a
+    process that never splits a stage does not pay for it at start-up.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(
+        1, thread_name_prefix="qmeanlab-split", initializer=_mark_split_thread
+    )
+
+
+def _in_halves(stage: Callable[[slice], object], rows: int, size: int) -> None:
+    """Run ``stage`` over rows 0..rows-1 in two halves, the second on the pool thread.
+
+    ``stage(part)`` must write only what the rows ``part`` names own, so the
+    halves share no output.  The calling thread takes the first half, the
+    larger one for an odd count, since the pool thread starts late.  A stage
+    over at most ``_SPLIT_MIN`` amplitudes (``size``), over one row, in a
+    process with one CPU, or called from the pool thread itself (which would
+    wait on itself) runs once over every row on the calling thread.  The pool
+    half is waited for before this returns or raises.
+    """
+    on_pool = getattr(_on_split_thread, "active", False)
+    if _WORKERS < 2 or size <= _SPLIT_MIN or rows < 2 or on_pool:
+        stage(slice(0, rows))
+        return
+    half = (rows + 1) // 2
+    future = _split_pool().submit(stage, slice(half, rows))
+    try:
+        stage(slice(0, half))
+    finally:
+        future.exception()  # waits for the pool half
+    future.result()
+
+
 def _last_axis_columns(table: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
     """The overlay's amplitudes under last coefficient ``c``, transformed along the last axis.
 
     Returns the (m^{d-1}, m) transformed table, whose column b holds the
     amplitudes with last coordinate b (up to the other axes' twiddles and
-    transform), and its column masses, the exact marginal of that coordinate.
+    transform), and its column masses, the exact marginal of that coordinate,
+    summed over the whole table after the row halves join.
     """
     m = table.shape[1]
     pre = np.conj(_axis_twiddle(m)[0]) / math.sqrt(table.size)
-    cols = table * (np.exp(1j * c * grid_axis_points(m)) * pre)
-    np.fft.fft(cols, axis=-1, norm="ortho", out=cols)
+    w = np.exp(1j * c * grid_axis_points(m)) * pre
+    cols = np.empty(table.shape, dtype=complex)
+
+    def stage(part: slice) -> None:
+        # each row is multiplied and transformed on its own, so the halves
+        # give the bits of one call over every row
+        np.multiply(table[part], w, out=cols[part])
+        np.fft.fft(cols[part], axis=-1, norm="ortho", out=cols[part])
+
+    _in_halves(stage, table.shape[0], table.size)
     mass = _column_masses(cols)
     _check_mass(float(mass.sum()))
     return cols, mass
@@ -460,22 +544,34 @@ def _row_autocorrelation(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     autocorrelations give both halves: C1(s) = rho(s) + rho(s-m) from the
     rows' power spectra, and C2(s) = w^s * (rho(s) - rho(s-m)) from those of
     the rows twisted by w^a, w = e^{i*pi/m}.  The rows are transformed a
-    chunk at a time in one reused buffer of at most half the table and 2^16
-    amplitudes, so the extra memory stays below the one m^d buffer of a
-    direct transform; rho(0) = sum |T|^2 is checked against the table's size
-    (unit-modulus entries) before anything is drawn.
+    chunk at a time in a reused buffer of at most half the table and 2^16
+    amplitudes, so a table on one thread takes less extra memory than the one
+    m^d buffer of a direct transform.  Above ``_SPLIT_MIN`` amplitudes the
+    chunks are shared between two threads (:func:`_in_halves`), each with its
+    own buffer.  Each chunk's power spectra are summed over the whole chunk
+    and added to the total chunk by chunk in order, after the threads join,
+    so the split gives the same bits.  rho(0) = sum |T|^2 is checked against
+    the table's size (unit-modulus entries) before anything is drawn.
     """
     m = table.shape[1]
     twist = np.exp(1j * np.pi * np.arange(m) / m)
     step = max(1, min(table.shape[0] // 2, _EVAL_CHUNK // m))
-    buf = np.empty((step, m), dtype=complex)
+    starts = range(0, table.shape[0], step)
+    spectra = np.empty((len(starts), 2, m))
+
+    def stage(part: slice) -> None:
+        buf = np.empty((step, m), dtype=complex)
+        for k in range(part.start, part.stop):
+            chunk = table[starts[k] : starts[k] + step]
+            rows = buf[: chunk.shape[0]]
+            spectra[k, 0] = _column_masses(np.fft.fft(chunk, axis=-1, out=rows))
+            np.multiply(chunk, twist, out=rows)
+            spectra[k, 1] = _column_masses(np.fft.fft(rows, axis=-1, out=rows))
+
+    _in_halves(stage, len(starts), table.size)
     power = np.zeros((2, m))
-    for start in range(0, table.shape[0], step):
-        part = table[start : start + step]
-        rows = buf[: part.shape[0]]
-        power[0] += _column_masses(np.fft.fft(part, axis=-1, out=rows))
-        np.multiply(part, twist, out=rows)
-        power[1] += _column_masses(np.fft.fft(rows, axis=-1, out=rows))
+    for spectrum in spectra:
+        power += spectrum
     circ, twisted = np.fft.ifft(power, axis=-1)
     twisted *= np.conj(twist)
     _check_mass(float(circ[0].real) / table.size)

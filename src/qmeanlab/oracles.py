@@ -4,8 +4,11 @@ Instead of compiling oracle circuits gate by gate, this module evaluates the
 exact phase function each oracle construction approximates and charges its
 cost through explicit formulas ("model units", every leading constant fixed
 at 1).  Controlled imperfection is re-introduced by a seeded noise model.
-The input checks of each oracle construction live here once, as
-``check_*`` helpers the estimators call too.
+Its m^d table of deviation factors is drawn on the calling thread; on a host
+with two or more CPUs a table above 2^16 points fills its cos/sin in two
+halves, one on the pool thread of :mod:`qmeanlab.gridqft`, elementwise, so
+the table has the same bits either way.  The input checks of each oracle
+construction live here once, as ``check_*`` helpers the estimators call too.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from qmeanlab.gridqft import GridSpec, PhaseFunction, check_lattice_cap
+from qmeanlab.gridqft import GridSpec, PhaseFunction, _in_halves, check_lattice_cap
 from qmeanlab.probspace import RandomVariable, exact_quantile, mean, moments
 
 __all__ = [
@@ -243,8 +246,11 @@ def _deviation_table(noise: NoiseModel, spec: GridSpec) -> np.ndarray:
     redraw theirs uniform in (-pi, pi].  Stored as their unit-modulus factors
     cos(delta) + i*sin(delta) (equal bit for bit to e^{i*delta}), flat and
     row-major over the lattice: the one m^d table a perturbed round reads.
-    Estimators that perturb one phase per round on the same grid reuse the
-    last table instead of redrawing it; the array is read-only.
+    Every draw is made on the calling thread, in this order; the cos/sin fill
+    runs in two halves of the points (:func:`qmeanlab.gridqft._in_halves`),
+    elementwise, so the table has the same bits either way.  Estimators that
+    perturb one phase per round on the same grid reuse the last table instead
+    of redrawing it; the array is read-only.
     """
     n_points = spec.points
     rng = np.random.default_rng(noise.seed)
@@ -255,8 +261,12 @@ def _deviation_table(noise: NoiseModel, spec: GridSpec) -> np.ndarray:
         bad = rng.choice(n_points, n_bad, replace=False)
         deviations[bad] = rng.uniform(-np.pi, np.pi, n_bad)
     table = np.empty(n_points, dtype=complex)
-    np.cos(deviations, out=table.real)
-    np.sin(deviations, out=table.imag)
+
+    def fill(part: slice) -> None:
+        np.cos(deviations[part], out=table.real[part])
+        np.sin(deviations[part], out=table.imag[part])
+
+    _in_halves(fill, n_points, n_points)
     table.flags.writeable = False
     return table
 

@@ -6,9 +6,17 @@ the phase-estimation concentration sweep pins the sign conventions.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -677,6 +685,219 @@ class TestAutocorrelationRoute:
                 tracemalloc.stop()
         direct, autocorrelation = peaks
         assert autocorrelation <= spec.points * 16 < direct
+
+
+class CountingPool:
+    """Stands in for the split pool: records every part handed to it, then runs it there."""
+
+    def __init__(self):
+        self.pool = gridqft._split_pool()
+        self.parts = []
+
+    def submit(self, stage, part):
+        self.parts.append(part)
+        return self.pool.submit(stage, part)
+
+
+def with_workers(monkeypatch, workers: int, call):
+    """``call()`` with the worker count forced, and the parts the pool thread took.
+
+    Every patch of ``monkeypatch`` is undone on the way out.
+    """
+    pool = CountingPool()
+    monkeypatch.setattr(gridqft, "_WORKERS", workers)
+    monkeypatch.setattr(gridqft, "_split_pool", lambda: pool)
+    try:
+        return call(), pool.parts
+    finally:
+        monkeypatch.undo()
+
+
+def unit_table(rows: int, m: int, seed: int) -> np.ndarray:
+    return np.exp(1j * np.random.default_rng(seed).uniform(-np.pi, np.pi, (rows, m)))
+
+
+def last_axis_columns_reference(table: np.ndarray, c: float) -> np.ndarray:
+    """The transformed columns of ``_last_axis_columns`` as one call over every row."""
+    m = table.shape[1]
+    pre = np.conj(gridqft._axis_twiddle(m)[0]) / math.sqrt(table.size)
+    cols = table * (np.exp(1j * c * grid_axis_points(m)) * pre)
+    return np.fft.fft(cols, axis=-1, norm="ortho", out=cols)
+
+
+def row_autocorrelation_reference(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_row_autocorrelation`` as one loop over the chunks, in one buffer."""
+    m = table.shape[1]
+    twist = np.exp(1j * np.pi * np.arange(m) / m)
+    step = max(1, min(table.shape[0] // 2, gridqft._EVAL_CHUNK // m))
+    buf = np.empty((step, m), dtype=complex)
+    power = np.zeros((2, m))
+    for start in range(0, table.shape[0], step):
+        part = table[start : start + step]
+        rows = buf[: part.shape[0]]
+        power[0] += gridqft._column_masses(np.fft.fft(part, axis=-1, out=rows))
+        np.multiply(part, twist, out=rows)
+        power[1] += gridqft._column_masses(np.fft.fft(rows, axis=-1, out=rows))
+    circ, twisted = np.fft.ifft(power, axis=-1)
+    twisted *= np.conj(twist)
+    pos, neg = (circ + twisted) / 2, (circ - twisted) / 2
+    neg[0] = 0.0
+    return pos, neg
+
+
+class TestTwoThreadStages:
+    """The m^d stages split over two threads give the bits of one thread."""
+
+    @pytest.mark.parametrize(
+        "m, d",
+        # both sides of the cutoff at each d; at d = 1 the one-row table splits
+        # only its noise table
+        [(64, 1), (2**17, 1), (256, 2), (512, 2), (32, 3), (64, 3)],
+        ids=lambda v: str(v),
+    )
+    @pytest.mark.parametrize("block", ["one-row", "shared-last", "distinct-lasts"])
+    def test_sample_linear_overlay_is_byte_identical(self, monkeypatch, m, d, block):
+        # one-row and shared-last blocks take the direct route, five rows with
+        # distinct last coefficients the autocorrelation route (one transform
+        # per coefficient at d = 1)
+        from qmeanlab.oracles import _deviation_table
+
+        spec = GridSpec(m=m, d=d)
+        noise = NoiseModel.perturbed(eps=0.3, eta=0.2, seed=m + d)
+        rows = np.random.default_rng(d).uniform(-4.0, 4.0, (5, d)) * m
+        counts = np.array([7, 1, 12, 5, 9])
+        if block == "one-row":
+            rows, counts = rows[:1], counts[:1]
+        elif block == "shared-last":
+            rows[:, -1] = rows[0, -1]
+
+        def draw():
+            overlay = _deviation_table.__wrapped__(noise, spec)
+            pts = sample_linear_overlay(spec, rows, overlay, counts, np.random.default_rng(3))
+            return overlay, pts
+
+        (overlay1, pts1), serial = with_workers(monkeypatch, 1, draw)
+        (overlay2, pts2), split = with_workers(monkeypatch, 2, draw)
+        assert serial == []
+        assert bool(split) == (spec.points > gridqft._SPLIT_MIN)
+        assert overlay1.tobytes() == overlay2.tobytes()
+        assert pts1.tobytes() == pts2.tobytes()
+
+    @pytest.mark.parametrize("rows", [303, 257])
+    def test_odd_row_counts_are_byte_identical(self, monkeypatch, rows):
+        # tables of 303 and 257 rows of 256: both split their rows unevenly,
+        # and their chunks (151, 151 and 1 rows; 128, 128 and 1) too; one
+        # thread and two give the bits of the one-call reference
+        table = unit_table(rows, 256, rows)
+        columns = functools.partial(gridqft._last_axis_columns, table, 5.5)
+        (cols1, mass1), _ = with_workers(monkeypatch, 1, columns)
+        (cols2, mass2), parts = with_workers(monkeypatch, 2, columns)
+        assert parts == [slice((rows + 1) // 2, rows)]
+        reference = last_axis_columns_reference(table, 5.5)
+        assert cols1.tobytes() == cols2.tobytes() == reference.tobytes()
+        assert mass1.tobytes() == mass2.tobytes() == gridqft._column_masses(reference).tobytes()
+        lags = functools.partial(gridqft._row_autocorrelation, table)
+        (pos1, neg1), _ = with_workers(monkeypatch, 1, lags)
+        (pos2, neg2), parts = with_workers(monkeypatch, 2, lags)
+        assert parts == [slice(2, 3)]
+        pos, neg = row_autocorrelation_reference(table)
+        assert pos1.tobytes() == pos2.tobytes() == pos.tobytes()
+        assert neg1.tobytes() == neg2.tobytes() == neg.tobytes()
+
+    @pytest.mark.parametrize("rows", [2, 3, 5, 8])
+    def test_halves_cover_every_row_once(self, monkeypatch, rows):
+        # the calling thread takes the first, larger half; the pool the rest
+        hits = np.zeros(rows, dtype=np.int64)
+        threads = {}
+
+        def stage(part):
+            hits[part] += 1
+            threads[part.start] = threading.current_thread().name
+
+        _, parts = with_workers(
+            monkeypatch, 2, lambda: gridqft._in_halves(stage, rows, gridqft._SPLIT_MIN + 1)
+        )
+        half = (rows + 1) // 2
+        assert parts == [slice(half, rows)]
+        assert (hits == 1).all()
+        assert threads[0] == threading.current_thread().name != threads[half]
+
+    def test_small_and_one_row_stages_stay_on_the_calling_thread(self, monkeypatch):
+        parts = []
+        for rows, size in ((8, gridqft._SPLIT_MIN), (1, 2 * gridqft._SPLIT_MIN)):
+            _, taken = with_workers(
+                monkeypatch, 2, lambda: gridqft._in_halves(parts.append, rows, size)
+            )
+            assert taken == []
+        assert parts == [slice(0, 8), slice(0, 1)]
+
+    def test_worker_count_is_the_affinity(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert gridqft._WORKERS == len(os.sched_getaffinity(0))
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_one_cpu_affinity_starts_no_thread(self):
+        # a fresh process pinned to one CPU before the import reads one worker
+        # and draws a table far above the cutoff with no thread but its own
+        code = textwrap.dedent(
+            """
+            import os, threading
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            import numpy as np
+            from qmeanlab import gridqft
+            from qmeanlab.oracles import NoiseModel, linear_phase_function, perturb
+
+            spec = gridqft.GridSpec(m=512, d=2)
+            noise = NoiseModel.perturbed(0.3, 0.2, 1)
+            overlay = perturb(linear_phase_function([0.0, 0.0]), noise, spec).overlay
+            rows = np.array([[3.0, 5.0], [1.0, -7.0], [2.0, 9.0]])
+            gridqft.sample_linear_overlay(spec, rows, overlay, [4, 5, 6], np.random.default_rng(0))
+            gridqft.sample_linear_overlay(spec, rows[0], overlay, 4, np.random.default_rng(0))
+            pools = gridqft._split_pool.cache_info().misses
+            print(gridqft._WORKERS, threading.active_count(), pools)
+            """
+        )
+        src = str(Path(gridqft.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["1", "1", "0"]
+
+    def test_split_from_the_pool_thread_runs_serially(self, monkeypatch):
+        # the pool's one thread would wait on itself if it split again
+        seen = []
+
+        def stage(part):
+            seen.append((threading.current_thread().name, part))
+
+        def task():
+            gridqft._in_halves(stage, 4, gridqft._SPLIT_MIN + 1)
+
+        monkeypatch.setattr(gridqft, "_WORKERS", 2)
+        gridqft._split_pool().submit(task).result(timeout=30)
+        assert len(seen) == 1
+        name, part = seen[0]
+        assert name.startswith("qmeanlab-split") and part == slice(0, 4)
+
+    def test_errors_surface_after_both_halves_finish(self, monkeypatch):
+        done = []
+
+        def pool_half_fails(part):
+            if part.start > 0:
+                raise ArithmeticError("pool half")
+
+        def caller_half_fails(part):
+            if part.start == 0:
+                raise ArithmeticError("calling half")
+            time.sleep(0.05)
+            done.append(part)
+
+        for stage, message in ((pool_half_fails, "pool half"), (caller_half_fails, "calling half")):
+            with pytest.raises(ArithmeticError, match=message):
+                with_workers(monkeypatch, 2, lambda: gridqft._in_halves(stage, 4, 2**20))
+        assert done == [slice(2, 4)]
 
 
 class TestPhaseEstimationConcentration:
