@@ -20,7 +20,7 @@ Each case gives one document: its key and either the estimator's
 ``report_to_dict`` or, when the estimator refuses the inputs with a
 ValueError (a lattice cap, a budget too small), the one-line message.  The
 documents are hashed as sorted-key JSON lines in case order.  The perturbed
-cases at m^d above 2^15 amplitudes take the split stages of a perturbed
+cases at m^d above 2^16 amplitudes take the two-thread stages of a perturbed
 round, so on a host with two or more CPUs the digest covers them too.
 """
 
