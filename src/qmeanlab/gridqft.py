@@ -18,16 +18,15 @@ amplitudes transformed along the last, contiguous axis give the last
 coordinate, and only the (row, column) slices drawn are transformed over the
 other axes for the remaining coordinates; no m^d table of probabilities is
 formed.  A block with one distinct last coefficient transforms the overlay
-once.  From two on (at d > 1), the overlay's row autocorrelation, the same
+once.  From two on, at every d, the overlay's row autocorrelation, the same
 for every coefficient, gives each marginal by one length-m FFT, and one
 matrix product gives every drawn column, so the block costs a fixed number of
 transforms: the autocorrelation costs about two, and measured faster than
 the direct route from two coefficients on.
 
-On a host with two or more CPUs, the m^d stages of a perturbed round run on
+On a host with two or more CPUs, two m^d stages of a perturbed round run on
 two threads: the multiply and in-place FFT of :func:`_last_axis_columns` over
-two halves of the rows, the chunk transforms of :func:`_row_autocorrelation`
-over two halves of the chunks, and the cos/sin fill of the noise table
+two halves of the rows, and the cos/sin fill of the noise table
 (:func:`qmeanlab.oracles.perturb`) over two halves of the points.  One half
 runs on the calling thread, the other on one pool thread, started on first
 use (:func:`_in_halves`).  The worker count is read once, from the CPUs this
@@ -35,8 +34,8 @@ process may run on (``os.sched_getaffinity``); with one there is no pool and
 no thread.  A stage over at most 2^16 amplitudes stays on the calling thread,
 where the hand-off would cost more than it saves.  Every random draw stays on
 the calling thread, in its order.  Each split step is elementwise or
-row-by-row, and every reduction runs after the join, over the whole table or
-chunk by chunk in order, so a split round gives the same bits as one thread.
+row-by-row, and every reduction runs after the join, over the whole table,
+so a split round gives the same bits as one thread.
 
 The closed form refuses an axis past its precision wall (m > 2^52) or memory
 wall (2^30 bytes per axis array) before allocating it.  The register
@@ -73,7 +72,6 @@ __all__ = [
     "measurement_distribution",
     "linear_phase_marginals",
     "sample_marginals",
-    "sample_joint",
     "sample_linear_overlay",
     "measure",
 ]
@@ -86,12 +84,13 @@ _EVAL_CHUNK = 1 << 16
 # n = 2048 on the d=2 ball battery).
 _AXIS_PRECISION_LOG2 = 52
 _AXIS_BYTES_LOG2 = 30
-# The CPUs this process may run on, read once.  With two or more, every m^d
-# stage of a perturbed round over more than _SPLIT_MIN amplitudes runs half
-# its rows on one pool thread (:func:`_in_halves`).  At or below it the split
-# saves less than it costs: on a 2-vCPU VM an idle pool thread took about
-# 0.15 ms to start a task, and a stage over 2^16 amplitudes (the cos/sin fill,
-# a row FFT, the autocorrelation chunks) measured no faster split.
+# The CPUs this process may run on, read once.  With two or more, the noise
+# table's cos/sin fill and the last-axis transform of a perturbed round over
+# more than _SPLIT_MIN amplitudes run half their rows on one pool thread
+# (:func:`_in_halves`).  At or below it the split saves less than it costs: on
+# a 2-vCPU VM an idle pool thread took about 0.15 ms to start a task, and a
+# stage over 2^16 amplitudes (the cos/sin fill, a row FFT) measured no faster
+# split.
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -444,18 +443,6 @@ def sample_marginals(marginals, reps: int, rng: np.random.Generator) -> np.ndarr
     return (2 * idx + 1 - m) / (2 * m)  # grid_axis_points(m)[idx]
 
 
-def sample_joint(joint: np.ndarray, reps: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``reps`` lattice points from a joint table of shape (m,)*d, as (reps, d).
-
-    One CDF inversion over the row-major flattening; each flat index then
-    maps back to its lattice point.
-    """
-    m = joint.shape[0]
-    flat = _draw_indices(joint.reshape(-1), reps, rng)
-    idx = np.column_stack(np.unravel_index(flat, joint.shape))
-    return (2 * idx + 1 - m) / (2 * m)  # grid_axis_points(m)[idx]
-
-
 def _check_mass(total: float) -> None:
     """Refuse a Born law whose total mass is not 1, as :class:`GridState` checks its norm."""
     nrm = math.sqrt(total)
@@ -543,35 +530,25 @@ def _row_autocorrelation(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (rho(s), rho(s-m)) for s = 0..m-1.  Two circular
     autocorrelations give both halves: C1(s) = rho(s) + rho(s-m) from the
     rows' power spectra, and C2(s) = w^s * (rho(s) - rho(s-m)) from those of
-    the rows twisted by w^a, w = e^{i*pi/m}.  The rows are transformed a
-    chunk at a time in a reused buffer of at most half the table and 2^16
-    amplitudes, so a table on one thread takes less extra memory than the one
-    m^d buffer of a direct transform.  Above ``_SPLIT_MIN`` amplitudes the
-    chunks are shared between two threads (:func:`_in_halves`), each with its
-    own buffer.  Each chunk's power spectra are summed over the whole chunk
-    and added to the total chunk by chunk in order, after the threads join,
-    so the split gives the same bits.  rho(0) = sum |T|^2 is checked against
-    the table's size (unit-modulus entries) before anything is drawn.
+    the rows twisted by w^a, w = e^{i*pi/m}.  The rows are transformed on
+    the calling thread a chunk at a time, in one reused buffer of at most
+    half the table and 2^16 amplitudes, so the route takes less extra memory
+    than the one m^d buffer of a direct transform; each chunk's power spectra
+    are summed over the chunk and added to the total in chunk order.  rho(0)
+    = sum |T|^2 is checked against the table's size (unit-modulus entries)
+    before anything is drawn.
     """
     m = table.shape[1]
     twist = np.exp(1j * np.pi * np.arange(m) / m)
     step = max(1, min(table.shape[0] // 2, _EVAL_CHUNK // m))
-    starts = range(0, table.shape[0], step)
-    spectra = np.empty((len(starts), 2, m))
-
-    def stage(part: slice) -> None:
-        buf = np.empty((step, m), dtype=complex)
-        for k in range(part.start, part.stop):
-            chunk = table[starts[k] : starts[k] + step]
-            rows = buf[: chunk.shape[0]]
-            spectra[k, 0] = _column_masses(np.fft.fft(chunk, axis=-1, out=rows))
-            np.multiply(chunk, twist, out=rows)
-            spectra[k, 1] = _column_masses(np.fft.fft(rows, axis=-1, out=rows))
-
-    _in_halves(stage, len(starts), table.size)
+    buf = np.empty((step, m), dtype=complex)
     power = np.zeros((2, m))
-    for spectrum in spectra:
-        power += spectrum
+    for start in range(0, table.shape[0], step):
+        chunk = table[start : start + step]
+        rows = buf[: chunk.shape[0]]
+        power[0] += _column_masses(np.fft.fft(chunk, axis=-1, out=rows))
+        np.multiply(chunk, twist, out=rows)
+        power[1] += _column_masses(np.fft.fft(rows, axis=-1, out=rows))
     circ, twisted = np.fft.ifft(power, axis=-1)
     twisted *= np.conj(twist)
     _check_mass(float(circ[0].real) / table.size)
@@ -614,16 +591,16 @@ def _overlay_columns(table: np.ndarray, lasts: np.ndarray, cols: np.ndarray) -> 
 
 
 def _draw_other_axes(
-    spec: GridSpec, block: np.ndarray, heads: np.ndarray, rows, which: np.ndarray,
-    rng: np.random.Generator,
+    spec: GridSpec, block: np.ndarray, heads: np.ndarray, rows: np.ndarray,
+    which: np.ndarray, rng: np.random.Generator,
 ) -> np.ndarray:
     """The first d-1 indices of the points, drawn from their (row, column) slices.
 
     ``heads`` holds one drawn column per slice, (P, m^{d-1}); slice p belongs
-    to block row rows[p] (``rows`` is None for a one-row block) and point i
-    to slice which[i].  Each slice takes its row's pre-twiddles of the first
-    d-1 axes, all slices go through one ``fftn`` and their squared moduli,
-    each a conditional law, through one :func:`_draw_in_rows`.
+    to block row rows[p] and point i to slice which[i].  Each slice takes its
+    row's pre-twiddles of the first d-1 axes, all slices go through one
+    ``fftn`` and their squared moduli, each a conditional law, through one
+    :func:`_draw_in_rows`.
     """
     m, d = spec.m, spec.d
     head_shape = (m,) * (d - 1)
@@ -631,9 +608,7 @@ def _draw_other_axes(
     axis = grid_axis_points(m)
     pre = np.conj(_axis_twiddle(m)[0])
     for j in range(d - 1):
-        w = np.exp(1j * block[:, j, None] * axis) * pre
-        if rows is not None:
-            w = w[rows]
+        w = (np.exp(1j * block[:, j, None] * axis) * pre)[rows]
         heads *= w.reshape((w.shape[0],) + (1,) * j + (m,) + (1,) * (d - 2 - j))
     np.fft.fftn(heads, axes=tuple(range(1, d)), norm="ortho", out=heads)
     flat = _draw_in_rows(np.abs(heads.reshape(heads.shape[0], -1)) ** 2, which, rng)
@@ -670,29 +645,28 @@ def sample_linear_overlay(
       coordinates of the row's points that drew the column, all drawn in one
       call (:func:`_draw_in_rows`).
 
-    The first stage takes one of two routes, chosen from the block alone:
+    The rows are grouped by their last coefficient, and the first stage takes
+    one of two routes, chosen by the number of distinct ones alone:
 
-    - with one distinct last coefficient (every one-row round), or at d = 1,
-      each coefficient gets one in-place FFT of the overlay along the last
-      axis; its column masses give the marginal, from which all its points
-      draw their last coordinate in one CDF inversion (:func:`_draw_indices`),
-      and at d > 1 the drawn columns are kept.  At d = 1 each transform is a
-      single length-m FFT, which nothing below beats;
-    - with two or more (at d > 1), the overlay's row autocorrelation rho is
-      computed once, at the cost of about two such transforms
+    - with one (every one-row round), the overlay gets one in-place FFT along
+      the last axis (:func:`_last_axis_columns`); its column masses give the
+      marginal, from which every point draws its last coordinate in one CDF
+      inversion (:func:`_draw_indices`), and the drawn columns are kept;
+    - with two or more, the overlay's row autocorrelation rho is computed
+      once, at the cost of about two such transforms
       (:func:`_row_autocorrelation`); it does not depend on the coefficient,
       whose pre-twiddle and c*u are linear phases along the axis.  Each
       coefficient's marginal is then one length-m FFT of rho
       (:func:`_last_axis_marginals`), all points draw their last coordinate
       in one :func:`_draw_in_rows`, and every drawn column comes from one
-      matrix product (:func:`_overlay_columns`), so the cost no longer grows
+      matrix product (:func:`_overlay_columns`), so the cost does not grow
       with the number of distinct last coefficients; at m = 256, d = 2 it is
       already below the direct route's at two.
 
-    d = 1 is the first stage alone.  The total mass is checked against 1 as
-    :class:`GridState` checks its norm, before anything is drawn, so an
-    overlay entry off the unit circle is refused.  No state and no lattice
-    points are built.
+    At d = 1 the first stage is the whole draw.  The total mass is checked
+    against 1 as :class:`GridState` checks its norm, before anything is
+    drawn, so an overlay entry off the unit circle is refused.  No state and
+    no lattice points are built.
     """
     m, d = spec.m, spec.d
     block = np.array(coeffs, dtype=float, ndmin=2)
@@ -704,46 +678,37 @@ def sample_linear_overlay(
     if overlay.shape != (spec.points,):
         raise ValueError(f"overlay has shape {overlay.shape}, expected ({spec.points},)")
     table = overlay.reshape(-1, m)
-    idx = np.empty((int(counts.sum()), d), dtype=np.int64)
-    if block.shape[0] == 1:
-        # one row: no grouping of rows and no pair bookkeeping
-        point_row, lasts, point_last = None, block[:, -1], np.zeros(idx.shape[0], dtype=np.int64)
-    else:
-        point_row = np.repeat(np.arange(block.shape[0]), counts)
-        lasts, by_last = np.unique(block[:, -1], return_inverse=True)
-        point_last = by_last[point_row]
-    if d == 1:
-        for k, c in enumerate(lasts):
-            mine = np.flatnonzero(point_last == k)
-            idx[mine, 0] = _draw_indices(_last_axis_columns(table, c)[1], mine.size, rng)
-        return (2 * idx + 1 - m) / (2 * m)  # grid_axis_points(m)[idx]
+    point_row = np.repeat(np.arange(block.shape[0]), counts)
+    lasts, by_last = np.unique(block[:, -1], return_inverse=True)
+    idx = np.empty((point_row.size, d), dtype=np.int64)
     if lasts.size == 1:
         cols, mass = _last_axis_columns(table, lasts[0])
         idx[:, -1] = _draw_indices(mass, idx.shape[0], rng)
     else:
         marginals = _last_axis_marginals(*_row_autocorrelation(table), lasts, spec.points)
-        idx[:, -1] = _draw_in_rows(marginals, point_last, rng)
-    pairs, which = np.unique(
-        idx[:, -1] if point_row is None else point_row * m + idx[:, -1], return_inverse=True
-    )
-    rows = None if point_row is None else pairs // m
-    if lasts.size == 1:
-        heads = cols.T[pairs % m]
-    else:
-        heads = _overlay_columns(table, block[rows, -1], pairs % m)
-    idx[:, :-1] = _draw_other_axes(spec, block, heads, rows, which, rng)
-    return (2 * idx + 1 - m) / (2 * m)
+        idx[:, -1] = _draw_in_rows(marginals, by_last[point_row], rng)
+    if d > 1:
+        pairs, which = np.unique(point_row * m + idx[:, -1], return_inverse=True)
+        rows, drawn = np.divmod(pairs, m)
+        if lasts.size == 1:
+            heads = cols.T[drawn]
+        else:
+            heads = _overlay_columns(table, block[rows, -1], drawn)
+        idx[:, :-1] = _draw_other_axes(spec, block, heads, rows, which, rng)
+    return (2 * idx + 1 - m) / (2 * m)  # grid_axis_points(m)[idx]
 
 
 def measure(state: GridState, reps: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``reps`` grid points from the Born distribution, as a (reps, d) array.
 
-    A full state draws from its joint table through :func:`sample_joint`; a
-    product state draws each axis from its own marginal through
-    :func:`sample_marginals`.  Both go through the one CDF inversion
-    :func:`_draw_indices`.
+    A product state draws each axis from its own marginal through
+    :func:`sample_marginals`; a full state draws flat indices from its
+    row-major joint table, each mapped back to its lattice point.  Both go
+    through the one CDF inversion :func:`_draw_indices`.
     """
     dist = measurement_distribution(state)
     if state.is_product:
         return sample_marginals(dist, reps, rng)
-    return sample_joint(dist.reshape(state.tensor.shape), reps, rng)
+    m = state.spec.m
+    idx = np.column_stack(np.unravel_index(_draw_indices(dist, reps, rng), state.tensor.shape))
+    return (2 * idx + 1 - m) / (2 * m)  # grid_axis_points(m)[idx]

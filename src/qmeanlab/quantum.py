@@ -9,11 +9,13 @@ would fire is refused by its oracle), so no round builds a register: an ideal
 linear phase samples the closed-form Born marginals, and a perturbed one
 (coeffs plus a noise overlay) samples its Born law by the chain rule: the
 last coordinate from the overlaid amplitudes transformed along the last axis
-(or, for a block of two or more distinct last coefficients, from the
-overlay's row autocorrelation), the rest from the slices it draws.
+(or, for a block of two or more distinct last coefficients, at any d, from
+the overlay's row autocorrelation), the rest from the slices it draws.
 The low-precision estimator resamples every outer repetition at once, runs
 one round per distinct empirical mean, shared by the repetitions that drew it,
-and draws all of those rounds in one block under one perturbed oracle phase.
+and draws all of those rounds in one block under one perturbed oracle phase;
+the coordinate median takes the measurements in the block's order, grouped
+by mean, since it sorts each column.
 The (n, n') regime map that the phase-model dispatcher branches on lives here.
 """
 
@@ -452,14 +454,11 @@ def qlowprec_estimator(
     means, group = np.unique(sums / k_prime, axis=0, return_inverse=True)
     group = group.reshape(-1)  # numpy 2.0.0 returns it with a trailing axis
     # every round imprints its mean's phase under the one noise overlay of the
-    # oracle's grid; the block's measurements come back grouped by mean, in
-    # repetition order within a group, and the stable argsort scatters them back
+    # oracle's grid; the block's measurements come back grouped by mean, and
+    # are left so: the coordinate median sorts each column anyway
     compute_phase = perturb(oracle, noise, spec)
     sizes = np.bincount(group, minlength=len(means))
-    per_rep = np.empty((outer, d))
-    per_rep[np.argsort(group, kind="stable")] = _run_phase_reps(
-        spec, compute_phase, sizes, 2.0 * math.pi, rng, rows=m * means
-    )
+    per_rep = _run_phase_reps(spec, compute_phase, sizes, 2.0 * math.pi, rng, rows=m * means)
     params = _params(noise, n=float(n), nprime=float(nprime), delta=float(delta))
     diagnostics = {"k_prime": k_prime, "outer": outer, "inner_k": inner_k, "m": m, "tables": len(means)}
     return EstimateReport(coordinate_median(per_rep), mean(rv), ledger, "qlowprec", params, diagnostics)

@@ -498,8 +498,8 @@ class TestLinearPhaseJoint:
     def test_batched_rows_draw_their_own_register_law(self, m, d, lasts):
         # four rows drawn in one call under one overlay, all sharing one last
         # coefficient (one transform), sharing them in pairs or each with its
-        # own (the autocorrelation route; at d = 1 one transform each): each
-        # row's points follow its own register law
+        # own (the autocorrelation route, at every d): each row's points
+        # follow its own register law
         spec = GridSpec(m=m, d=d)
         noise = NoiseModel.perturbed(eps=0.3, eta=0.2, seed=m + d)
         base = np.random.default_rng(m * d).uniform(-4.0, 4.0, (lasts, d)) * m
@@ -518,11 +518,8 @@ class TestLinearPhaseJoint:
     def test_one_first_stage_transform_per_distinct_last_coefficient(self, monkeypatch):
         # one distinct last coefficient takes one (m,)*d transform; from two
         # on, a fixed two (the row autocorrelation, in two chunks of half the
-        # table here) and one length-m transform per coefficient
-        spec = GridSpec(m=16, d=2)
-        overlay = perturb(
-            linear_phase_function([0.0, 0.0]), NoiseModel.perturbed(0.1, 0.1, 4), spec
-        ).overlay
+        # table at d = 2, in one chunk of the one row at d = 1) and one
+        # length-m transform per coefficient, the same route at every d
         calls = []
         fft = np.fft.fft
 
@@ -531,14 +528,21 @@ class TestLinearPhaseJoint:
             return fft(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fft", counted)
-        for lasts in ([5.0], [5.0, -7.0], [5.0, -7.0, 9.0], [5.0, -7.0, 9.0, 1.5, -2.5, 30.0]):
-            rows = np.column_stack([np.arange(6.0), np.resize(lasts, 6)])
-            calls.clear()
-            sample_linear_overlay(spec, rows, overlay, [3, 4, 5, 6, 7, 8], np.random.default_rng(0))
-            if len(lasts) == 1:
-                assert calls == [(16, 16)]
-            else:
-                assert calls == [(8, 16)] * 4 + [(len(lasts), 16)]
+        for d, direct, chunks in ((2, [(16, 16)], [(8, 16)] * 4), (1, [(1, 16)], [(1, 16)] * 2)):
+            spec = GridSpec(m=16, d=d)
+            overlay = perturb(
+                linear_phase_function(np.zeros(d)), NoiseModel.perturbed(0.1, 0.1, 4), spec
+            ).overlay
+            for lasts in ([5.0], [5.0, -7.0], [5.0, -7.0, 9.0], [5.0, -7.0, 9.0, 1.5, -2.5, 30.0]):
+                rows = np.column_stack([np.arange(6.0), np.resize(lasts, 6)])[:, -d:]
+                calls.clear()
+                sample_linear_overlay(
+                    spec, rows, overlay, [3, 4, 5, 6, 7, 8], np.random.default_rng(0)
+                )
+                if len(lasts) == 1:
+                    assert calls == direct
+                else:
+                    assert calls == chunks + [(len(lasts), 16)]
 
     def test_rows_and_counts_must_agree(self):
         spec = GridSpec(m=4, d=2)
@@ -751,15 +755,14 @@ class TestTwoThreadStages:
     @pytest.mark.parametrize(
         "m, d",
         # both sides of the cutoff at each d; at d = 1 the one-row table splits
-        # only its noise table
+        # only its noise table, and the autocorrelation never splits
         [(64, 1), (2**17, 1), (256, 2), (512, 2), (32, 3), (64, 3)],
         ids=lambda v: str(v),
     )
     @pytest.mark.parametrize("block", ["one-row", "shared-last", "distinct-lasts"])
     def test_sample_linear_overlay_is_byte_identical(self, monkeypatch, m, d, block):
         # one-row and shared-last blocks take the direct route, five rows with
-        # distinct last coefficients the autocorrelation route (one transform
-        # per coefficient at d = 1)
+        # distinct last coefficients the autocorrelation route, at every d
         from qmeanlab.oracles import _deviation_table
 
         spec = GridSpec(m=m, d=d)
@@ -785,9 +788,10 @@ class TestTwoThreadStages:
 
     @pytest.mark.parametrize("rows", [303, 257])
     def test_odd_row_counts_are_byte_identical(self, monkeypatch, rows):
-        # tables of 303 and 257 rows of 256: both split their rows unevenly,
-        # and their chunks (151, 151 and 1 rows; 128, 128 and 1) too; one
-        # thread and two give the bits of the one-call reference
+        # tables of 303 and 257 rows of 256: the last-axis stage splits their
+        # rows unevenly, and the autocorrelation runs three chunks (151, 151
+        # and 1 rows; 128, 128 and 1); one thread and two give the bits of the
+        # one-call references
         table = unit_table(rows, 256, rows)
         columns = functools.partial(gridqft._last_axis_columns, table, 5.5)
         (cols1, mass1), _ = with_workers(monkeypatch, 1, columns)
@@ -796,10 +800,11 @@ class TestTwoThreadStages:
         reference = last_axis_columns_reference(table, 5.5)
         assert cols1.tobytes() == cols2.tobytes() == reference.tobytes()
         assert mass1.tobytes() == mass2.tobytes() == gridqft._column_masses(reference).tobytes()
+        # the autocorrelation stays on the calling thread at any worker count
         lags = functools.partial(gridqft._row_autocorrelation, table)
         (pos1, neg1), _ = with_workers(monkeypatch, 1, lags)
         (pos2, neg2), parts = with_workers(monkeypatch, 2, lags)
-        assert parts == [slice(2, 3)]
+        assert parts == []
         pos, neg = row_autocorrelation_reference(table)
         assert pos1.tobytes() == pos2.tobytes() == pos.tobytes()
         assert neg1.tobytes() == neg2.tobytes() == neg.tobytes()

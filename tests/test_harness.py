@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -440,7 +441,7 @@ class TestExport:
         export(rows, "json", json_path)
         assert load_rows(json_path) == rows
         export(rows, "csv", csv_path)
-        lines = open(csv_path, encoding="utf-8").read().splitlines()
+        lines = Path(csv_path).read_text(encoding="utf-8").splitlines()
         assert lines[0] == ",".join(SWEEP_COLUMNS) and len(lines) == len(rows) + 1
         for row, line in zip(rows, lines[1:]):
             for column, cell in zip(SWEEP_COLUMNS, line.split(",")):
@@ -453,13 +454,13 @@ class TestExport:
     def test_csv_header_and_trailing_newline(self, tmp_path):
         path = str(tmp_path / "rows.csv")
         export([], "csv", path)
-        text = open(path, encoding="utf-8").read()
+        text = Path(path).read_text(encoding="utf-8")
         assert text == ",".join(SWEEP_COLUMNS) + "\n"
 
     def test_empty_json(self, tmp_path):
         path = str(tmp_path / "rows.json")
         export([], "json", path)
-        assert open(path, encoding="utf-8").read() == "[]\n"
+        assert Path(path).read_text(encoding="utf-8") == "[]\n"
         assert load_rows(path) == []
 
     def test_json_round_trip_preserves_numeric_fields(self, tmp_path):
@@ -475,7 +476,7 @@ class TestExport:
         row = make_row(median_err_inf=1 / 3, binary_queries=2.0 ** -40)
         path = str(tmp_path / "rows.csv")
         export([row], "csv", path)
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         cells = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert float(cells["median_err_inf"]) == 1 / 3
         assert float(cells["binary_queries"]) == 2.0 ** -40
