@@ -18,11 +18,13 @@ amplitudes transformed along the last, contiguous axis give the last
 coordinate, and only the (row, column) slices drawn are transformed over the
 other axes for the remaining coordinates; no m^d table of probabilities is
 formed.  A block with one distinct last coefficient transforms the overlay
-once.  From two on, at every d, the overlay's row autocorrelation, the same
+once.  From two on (at d > 1), the overlay's row autocorrelation, the same
 for every coefficient, gives each marginal by one length-m FFT, and one
 matrix product gives every drawn column, so the block costs a fixed number of
 transforms: the autocorrelation costs about two, and measured faster than
-the direct route from two coefficients on.
+the direct route from two coefficients on.  At d = 1 the overlay is one row,
+the whole lattice, and each coefficient keeps its own transform, so the
+block's extra memory stays one lattice.
 
 On a host with two or more CPUs, two m^d stages of a perturbed round run on
 two threads: the multiply and in-place FFT of :func:`_last_axis_columns` over
@@ -646,14 +648,19 @@ def sample_linear_overlay(
       call (:func:`_draw_in_rows`).
 
     The rows are grouped by their last coefficient, and the first stage takes
-    one of two routes, chosen by the number of distinct ones alone:
+    one of two routes, chosen by the number of distinct ones:
 
     - with one (every one-row round), the overlay gets one in-place FFT along
       the last axis (:func:`_last_axis_columns`); its column masses give the
       marginal, from which every point draws its last coordinate in one CDF
-      inversion (:func:`_draw_indices`), and the drawn columns are kept;
-    - with two or more, the overlay's row autocorrelation rho is computed
-      once, at the cost of about two such transforms
+      inversion (:func:`_draw_indices`), and the drawn columns are kept.  At
+      d = 1 with two or more, each coefficient takes this transform in turn
+      and its points draw from its marginal: there the one row is the whole
+      lattice, so the route below would hold one lattice-sized marginal per
+      coefficient at once, and each transform is a single length-m FFT,
+      which that route does not beat;
+    - with two or more at d > 1, the overlay's row autocorrelation rho is
+      computed once, at the cost of about two such transforms
       (:func:`_row_autocorrelation`); it does not depend on the coefficient,
       whose pre-twiddle and c*u are linear phases along the axis.  Each
       coefficient's marginal is then one length-m FFT of rho
@@ -684,6 +691,13 @@ def sample_linear_overlay(
     if lasts.size == 1:
         cols, mass = _last_axis_columns(table, lasts[0])
         idx[:, -1] = _draw_indices(mass, idx.shape[0], rng)
+    elif d == 1:
+        # the one row is the whole lattice: a (K, m) table of marginals would
+        # hold K lattices at once, so each coefficient takes its own transform
+        point_last = by_last[point_row]
+        for k, c in enumerate(lasts):
+            mine = np.flatnonzero(point_last == k)
+            idx[mine, 0] = _draw_indices(_last_axis_columns(table, c)[1], mine.size, rng)
     else:
         marginals = _last_axis_marginals(*_row_autocorrelation(table), lasts, spec.points)
         idx[:, -1] = _draw_in_rows(marginals, by_last[point_row], rng)

@@ -9,7 +9,7 @@ would fire is refused by its oracle), so no round builds a register: an ideal
 linear phase samples the closed-form Born marginals, and a perturbed one
 (coeffs plus a noise overlay) samples its Born law by the chain rule: the
 last coordinate from the overlaid amplitudes transformed along the last axis
-(or, for a block of two or more distinct last coefficients, at any d, from
+(or, for a block of two or more distinct last coefficients at d > 1, from
 the overlay's row autocorrelation), the rest from the slices it draws.
 The low-precision estimator resamples every outer repetition at once, runs
 one round per distinct empirical mean, shared by the repetitions that drew it,

@@ -498,8 +498,8 @@ class TestLinearPhaseJoint:
     def test_batched_rows_draw_their_own_register_law(self, m, d, lasts):
         # four rows drawn in one call under one overlay, all sharing one last
         # coefficient (one transform), sharing them in pairs or each with its
-        # own (the autocorrelation route, at every d): each row's points
-        # follow its own register law
+        # own (the autocorrelation route; at d = 1 one transform each): each
+        # row's points follow its own register law
         spec = GridSpec(m=m, d=d)
         noise = NoiseModel.perturbed(eps=0.3, eta=0.2, seed=m + d)
         base = np.random.default_rng(m * d).uniform(-4.0, 4.0, (lasts, d)) * m
@@ -517,9 +517,9 @@ class TestLinearPhaseJoint:
 
     def test_one_first_stage_transform_per_distinct_last_coefficient(self, monkeypatch):
         # one distinct last coefficient takes one (m,)*d transform; from two
-        # on, a fixed two (the row autocorrelation, in two chunks of half the
-        # table at d = 2, in one chunk of the one row at d = 1) and one
-        # length-m transform per coefficient, the same route at every d
+        # on, at d = 2 a fixed two (the row autocorrelation, in two chunks of
+        # half the table) and one length-m transform per coefficient, and at
+        # d = 1 one (1, m) transform per coefficient and nothing larger
         calls = []
         fft = np.fft.fft
 
@@ -528,7 +528,7 @@ class TestLinearPhaseJoint:
             return fft(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fft", counted)
-        for d, direct, chunks in ((2, [(16, 16)], [(8, 16)] * 4), (1, [(1, 16)], [(1, 16)] * 2)):
+        for d in (2, 1):
             spec = GridSpec(m=16, d=d)
             overlay = perturb(
                 linear_phase_function(np.zeros(d)), NoiseModel.perturbed(0.1, 0.1, 4), spec
@@ -539,10 +539,34 @@ class TestLinearPhaseJoint:
                 sample_linear_overlay(
                     spec, rows, overlay, [3, 4, 5, 6, 7, 8], np.random.default_rng(0)
                 )
-                if len(lasts) == 1:
-                    assert calls == direct
+                if d == 1:
+                    assert calls == [(1, 16)] * len(lasts)
+                elif len(lasts) == 1:
+                    assert calls == [(16, 16)]
                 else:
-                    assert calls == chunks + [(len(lasts), 16)]
+                    assert calls == [(8, 16)] * 4 + [(len(lasts), 16)]
+
+    def test_d1_block_holds_one_lattice_at_a_time(self):
+        # at d = 1 the one row is the whole lattice: a block of 16 distinct
+        # last coefficients peaks at a few lattice-sized buffers, not at one
+        # per coefficient
+        spec = GridSpec(m=2**12, d=1)
+        overlay = perturb(
+            linear_phase_function([0.0]), NoiseModel.perturbed(0.1, 0.1, 4), spec
+        ).overlay
+        rows = np.linspace(-2.0, 2.0, 16)[:, None] * spec.m
+
+        def draw():
+            sample_linear_overlay(spec, rows, overlay, np.full(16, 5), np.random.default_rng(0))
+
+        draw()  # transform plans are cached on first use
+        tracemalloc.start()
+        try:
+            draw()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * spec.points * 16
 
     def test_rows_and_counts_must_agree(self):
         spec = GridSpec(m=4, d=2)
@@ -730,23 +754,11 @@ def last_axis_columns_reference(table: np.ndarray, c: float) -> np.ndarray:
 
 
 def row_autocorrelation_reference(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_row_autocorrelation`` as one loop over the chunks, in one buffer."""
+    """``_row_autocorrelation``'s (rho(s), rho(s-m)) by direct sums, row by row."""
     m = table.shape[1]
-    twist = np.exp(1j * np.pi * np.arange(m) / m)
-    step = max(1, min(table.shape[0] // 2, gridqft._EVAL_CHUNK // m))
-    buf = np.empty((step, m), dtype=complex)
-    power = np.zeros((2, m))
-    for start in range(0, table.shape[0], step):
-        part = table[start : start + step]
-        rows = buf[: part.shape[0]]
-        power[0] += gridqft._column_masses(np.fft.fft(part, axis=-1, out=rows))
-        np.multiply(part, twist, out=rows)
-        power[1] += gridqft._column_masses(np.fft.fft(rows, axis=-1, out=rows))
-    circ, twisted = np.fft.ifft(power, axis=-1)
-    twisted *= np.conj(twist)
-    pos, neg = (circ + twisted) / 2, (circ - twisted) / 2
-    neg[0] = 0.0
-    return pos, neg
+    # np.correlate(row, row, "full")[m-1+s] = sum_a row[a+s] * conj(row[a])
+    rho = sum(np.correlate(row, row, mode="full") for row in table)
+    return rho[m - 1 :], np.concatenate([[0.0], rho[: m - 1]])
 
 
 class TestTwoThreadStages:
@@ -762,7 +774,8 @@ class TestTwoThreadStages:
     @pytest.mark.parametrize("block", ["one-row", "shared-last", "distinct-lasts"])
     def test_sample_linear_overlay_is_byte_identical(self, monkeypatch, m, d, block):
         # one-row and shared-last blocks take the direct route, five rows with
-        # distinct last coefficients the autocorrelation route, at every d
+        # distinct last coefficients the autocorrelation route (one transform
+        # per coefficient at d = 1)
         from qmeanlab.oracles import _deviation_table
 
         spec = GridSpec(m=m, d=d)
@@ -789,9 +802,9 @@ class TestTwoThreadStages:
     @pytest.mark.parametrize("rows", [303, 257])
     def test_odd_row_counts_are_byte_identical(self, monkeypatch, rows):
         # tables of 303 and 257 rows of 256: the last-axis stage splits their
-        # rows unevenly, and the autocorrelation runs three chunks (151, 151
-        # and 1 rows; 128, 128 and 1); one thread and two give the bits of the
-        # one-call references
+        # rows unevenly, and one thread and two give the bits of the one-call
+        # reference; the autocorrelation runs three chunks (151, 151 and 1
+        # rows; 128, 128 and 1) and matches the direct sums
         table = unit_table(rows, 256, rows)
         columns = functools.partial(gridqft._last_axis_columns, table, 5.5)
         (cols1, mass1), _ = with_workers(monkeypatch, 1, columns)
@@ -802,12 +815,11 @@ class TestTwoThreadStages:
         assert mass1.tobytes() == mass2.tobytes() == gridqft._column_masses(reference).tobytes()
         # the autocorrelation stays on the calling thread at any worker count
         lags = functools.partial(gridqft._row_autocorrelation, table)
-        (pos1, neg1), _ = with_workers(monkeypatch, 1, lags)
-        (pos2, neg2), parts = with_workers(monkeypatch, 2, lags)
+        (pos, neg), parts = with_workers(monkeypatch, 2, lags)
         assert parts == []
-        pos, neg = row_autocorrelation_reference(table)
-        assert pos1.tobytes() == pos2.tobytes() == pos.tobytes()
-        assert neg1.tobytes() == neg2.tobytes() == neg.tobytes()
+        pos_ref, neg_ref = row_autocorrelation_reference(table)
+        assert np.abs(pos - pos_ref).max() <= 1e-12 * table.size
+        assert np.abs(neg - neg_ref).max() <= 1e-12 * table.size
 
     @pytest.mark.parametrize("rows", [2, 3, 5, 8])
     def test_halves_cover_every_row_once(self, monkeypatch, rows):
