@@ -10,16 +10,24 @@ import math
 
 import numpy as np
 
+from qmeanlab.gridqft import _ARRAY_BYTES_LOG2
 from qmeanlab.oracles import CostLedger
 from qmeanlab.probspace import RandomVariable
 
 __all__ = [
     "sample",
+    "check_draw_table",
     "coordinate_median",
     "median_of_means",
     "subgaussian_groups",
     "subgaussian_estimate",
 ]
+
+
+def check_draw_table(rows: int, cols: int) -> None:
+    """Refuse, before it is allocated, a (rows, cols) table of 8-byte draws above 2^30 bytes."""
+    if rows * cols * 8 > 2**_ARRAY_BYTES_LOG2:
+        raise ValueError(f"draw-table memory wall: ({rows}, {cols}) 8-byte draws > 2^{_ARRAY_BYTES_LOG2} bytes")
 
 
 def sample(
@@ -30,10 +38,11 @@ def sample(
 ) -> np.ndarray:
     """Draw ``count`` i.i.d. outcomes as a read-only (count, d) array.
 
-    Charges ``count`` classical samples.
+    Charges ``count`` classical samples; refuses a table above 2^30 bytes.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
+    check_draw_table(count, rv.d)
     idx = rng.choice(rv.size, size=count, p=rv.prob)
     if ledger is not None:
         ledger.charge(classical_samples=float(count))

@@ -83,9 +83,9 @@ _EVAL_CHUNK = 1 << 16
 # Per-axis walls of the closed form: the lattice points (2b+1-m)/(2m) are
 # exact in float64 only for m <= 2^52, and one float64 array over an axis may
 # take at most 2^30 bytes (m <= 2^27, above the 2^26 of near_optimal at
-# n = 2048 on the d=2 ball battery).
+# n = 2048 on the d=2 ball battery); so may a table of classical draws.
 _AXIS_PRECISION_LOG2 = 52
-_AXIS_BYTES_LOG2 = 30
+_ARRAY_BYTES_LOG2 = 30
 # The CPUs this process may run on, read once.  With two or more, the noise
 # table's cos/sin fill and the last-axis transform of a perturbed round over
 # more than _SPLIT_MIN amplitudes run half their rows on one pool thread
@@ -113,10 +113,10 @@ def _check_axis_walls(m: int) -> None:
             f"per-axis precision wall: m = 2^{log2_m} > 2^{_AXIS_PRECISION_LOG2} lattice points"
             " are not exact in float64"
         )
-    if log2_m + 3 > _AXIS_BYTES_LOG2:
+    if log2_m + 3 > _ARRAY_BYTES_LOG2:
         raise ValueError(
             f"per-axis memory wall: m = 2^{log2_m} needs 2^{log2_m + 3} bytes per axis"
-            f" > 2^{_AXIS_BYTES_LOG2}"
+            f" > 2^{_ARRAY_BYTES_LOG2}"
         )
 
 

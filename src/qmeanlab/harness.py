@@ -20,16 +20,19 @@ from typing import Any
 
 import numpy as np
 
-from qmeanlab.classical import _check_delta, subgaussian_estimate
+from qmeanlab.classical import _check_delta, check_draw_table, subgaussian_estimate
+from qmeanlab.gridqft import GridSpec, _check_axis_walls, check_lattice_cap
 from qmeanlab.oracles import CostLedger, NoiseModel
 from qmeanlab.probspace import RandomVariable, mean, moments
 from qmeanlab.quantum import (
     EstimateReport,
+    Plan,
     bounded_estimator,
     euclidean_estimator,
     expected_branch,
     near_optimal_estimator,
     phase_model_dispatch,
+    plan,
     qlowprec_estimator,
     qphase_estimator,
     regime_classify,
@@ -215,32 +218,26 @@ class BatteryResult:
 
 
 def _single_run(
-    config: ExperimentConfig,
-    n: float,
-    nprime: float | None,
-    noise: NoiseModel,
-    rng: np.random.Generator,
+    cell: Plan, rv: RandomVariable, noise: NoiseModel, rng: np.random.Generator
 ) -> EstimateReport:
-    rv = config.rv
-    est = config.estimator
+    est, n, nprime, delta = cell.estimator, cell.n, cell.nprime, cell.delta
     if est == "bounded":
-        l2 = config.l2 if config.l2 is not None else moments(rv).exp_norm2
-        return bounded_estimator(rv, l2, n, config.delta, noise, rng)
+        return bounded_estimator(rv, cell.L2, n, delta, noise, rng)
     if est == "near_optimal":
-        return near_optimal_estimator(rv, n, config.delta, noise, rng)
+        return near_optimal_estimator(rv, n, delta, noise, rng)
     if est == "euclidean":
-        return euclidean_estimator(rv, n, config.delta, noise, rng)
+        return euclidean_estimator(rv, n, delta, noise, rng)
     if est == "qphase":
-        return qphase_estimator(rv, n, nprime, config.delta, noise, rng)
+        return qphase_estimator(rv, n, nprime, delta, noise, rng)
     if est == "qlowprec":
-        return qlowprec_estimator(rv, n, nprime, config.delta, noise, rng)
+        return qlowprec_estimator(rv, n, nprime, delta, noise, rng)
     if est == "phase_model":
-        return phase_model_dispatch(rv, n, nprime, config.delta, noise, rng)
-    # classical baseline: exactly int(n) draws through the sub-Gaussian routine
+        return phase_model_dispatch(rv, n, nprime, delta, noise, rng)
+    # classical baseline: the plan's one table of int(n) draws, through the sub-Gaussian routine
     ledger = CostLedger()
-    estimate, _ = subgaussian_estimate(rv, int(n), config.delta, rng, ledger)
-    params = {"n": float(n), "delta": float(config.delta)}
-    return EstimateReport(estimate, mean(rv), ledger, "classical", params)
+    (count, _), = cell.draws
+    estimate, _ = subgaussian_estimate(rv, count, delta, rng, ledger)
+    return EstimateReport(estimate, mean(rv), ledger, "classical", {"n": float(n), "delta": float(delta)})
 
 
 def error_bound(
@@ -254,16 +251,16 @@ def error_bound(
     """(error field, threshold) a run is scored against for the failure rate.
 
     Thresholds follow each estimator's stated rate with unit leading constant;
-    the dispatcher inherits the bound of the branch its budgets select, with 1
-    (the a-priori diameter) for the trivial branch.
+    the dispatcher inherits the bound of the estimator its plan's branch runs,
+    with 1 (the a-priori diameter) for the trivial branch.
     """
     d = rv.d
     log_term = math.log2(d / delta)
     if estimator == "phase_model":
-        branch = expected_branch(n, nprime, d, delta)
-        if branch == "trivial":
+        inner = plan(estimator, d, n, nprime, delta, None).parts
+        if not inner:
             return "err_inf", 1.0
-        estimator = "qlowprec" if branch == "low_precision" else "qphase"
+        estimator = inner[0].estimator
     if estimator == "bounded":
         bound_l2 = l2 if l2 is not None else moments(rv).exp_norm2
         return "err_inf", math.sqrt(bound_l2) * log_term / n
@@ -281,31 +278,49 @@ def error_bound(
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
+def _plan_cell(config: ExperimentConfig) -> tuple[Plan, str, float]:
+    """A cell's plan and (error field, bound), or one ValueError line that names the cell.
+
+    Refused: a bound that is not finite, a failed plan, a certain round or draw table past a wall.
+    """
+    est, rv = config.estimator, config.rv
+    try:
+        field_name, bound = error_bound(est, rv, config.n, config.nprime, config.delta, config.l2)
+        if not math.isfinite(bound):
+            raise ValueError(
+                f"the {est} error bound is not finite ({bound}):"
+                " the distribution's moments or the budgets overflow float64"
+            )
+        l2 = (config.l2 if config.l2 is not None else moments(rv).exp_norm2) if est == "bounded" else None
+        cell = plan(est, rv.d, config.n, config.nprime, config.delta, l2)
+        for m, _ in cell.rounds:
+            if config.noise.mode == "perturbed":
+                check_lattice_cap(GridSpec(m=m, d=rv.d))
+            _check_axis_walls(m)
+        for rows, cols in cell.draws:
+            check_draw_table(rows, cols)
+    except ValueError as exc:
+        raise ValueError(f"{est} cell n={config.n!r} nprime={config.nprime!r}: {exc}") from None
+    return cell, field_name, bound
+
+
 def run_trials(config: ExperimentConfig) -> BatteryResult:
     """Execute one battery: ``trials`` seeded runs at the config's fixed budgets.
 
     Trial t uses ``default_rng(seed + t)``; under perturbed noise the noise
-    table is reseeded per trial the same way.  A trial that raises a domain
-    error (``ValueError``) or hits the memory wall (``MemoryError``) is
-    recorded as a message and counted as a failure; it contributes nothing to
-    the medians or the ledger totals (no ledger escapes a raised run).  Any
-    other exception is a program fault and propagates.  Every trial failing
-    is an error.  The error bound is computed before the first trial; a bound
-    that is not finite (the distribution's moments or the budgets overflow
-    float64) is a domain error and no trial runs.
+    table is reseeded per trial the same way.  A cell that every trial would
+    refuse is refused once, before the first (:func:`_plan_cell`).  A
+    trial that raises a domain error (``ValueError``) or hits the memory wall
+    (``MemoryError``) is recorded as a message and counted as a failure; it
+    contributes nothing to the medians or the ledger totals (no ledger
+    escapes a raised run).  Any other exception is a program fault and
+    propagates.  Every trial failing is an error.
     """
     if config.n is None:
         raise ValueError("run_trials needs a fixed n (use run_sweep for grids)")
     if config.estimator in _NEEDS_NPRIME and config.nprime is None:
         raise ValueError(f"estimator {config.estimator!r} needs a fixed nprime")
-    field_name, bound = error_bound(
-        config.estimator, config.rv, config.n, config.nprime, config.delta, config.l2
-    )
-    if not math.isfinite(bound):
-        raise ValueError(
-            f"the {config.estimator} error bound is not finite ({bound}):"
-            " the distribution's moments or the budgets overflow float64"
-        )
+    cell, field_name, bound = _plan_cell(config)
     reports: list[EstimateReport | None] = []
     errors: list[str | None] = []
     for t in range(config.trials):
@@ -314,7 +329,7 @@ def run_trials(config: ExperimentConfig) -> BatteryResult:
         if noise.mode == "perturbed":
             noise = replace(noise, seed=noise.seed + t)
         try:
-            reports.append(_single_run(config, config.n, config.nprime, noise, rng))
+            reports.append(_single_run(cell, config.rv, noise, rng))
             errors.append(None)
         except (ValueError, MemoryError) as exc:
             reports.append(None)
@@ -348,22 +363,17 @@ def run_sweep(config: ExperimentConfig) -> list[BatteryResult]:
     """One battery per grid point; point p starts its seeds at seed + p*trials.
 
     Grids combine as a cartesian product ordered n-major; a config without
-    grids degenerates to a single battery.
+    grids degenerates to a single battery.  Every point is checked before any runs.
     """
     ns = config.n_grid if config.n_grid else (config.n,)
     nps = config.nprime_grid if config.nprime_grid else (config.nprime,)
-    results = []
-    for p, (n, nprime) in enumerate((a, b) for a in ns for b in nps):
-        point = replace(
-            config,
-            n=n,
-            nprime=nprime,
-            n_grid=(),
-            nprime_grid=(),
-            seed=config.seed + p * config.trials,
-        )
-        results.append(run_trials(point))
-    return results
+    points = [
+        replace(config, n=n, nprime=nprime, n_grid=(), nprime_grid=(), seed=config.seed + p * config.trials)
+        for p, (n, nprime) in enumerate((a, b) for a in ns for b in nps)
+    ]
+    for point in points:
+        _plan_cell(point)
+    return [run_trials(point) for point in points]
 
 
 def fit_slope(rows, x_field: str, y_field: str) -> tuple[float, float, float]:

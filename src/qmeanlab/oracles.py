@@ -29,6 +29,7 @@ __all__ = [
     "binary_phase_is_linear",
     "directional_phases_binary",
     "directional_phases_phase_model",
+    "check_l2",
     "check_binary_model",
     "check_phase_range",
     "perturb",
@@ -142,10 +143,15 @@ def binary_phase_is_linear(rv: RandomVariable, alpha: float, m: int) -> bool:
     return _clamp_argument_bound(rv, alpha, m) <= 1.0
 
 
-def check_binary_model(rv: RandomVariable, L2: float) -> None:
-    """Preconditions of the binary model: L2 in (0, 1], ||X|| <= 1, E||X|| <= L2."""
+def check_l2(L2: float) -> None:
+    """The binary model's norm bound: L2 in (0, 1]."""
     if not (0 < L2 <= 1):
         raise ValueError(f"L2 must lie in (0, 1], got {L2!r}")
+
+
+def check_binary_model(rv: RandomVariable, L2: float) -> None:
+    """Preconditions of the binary model: L2 in (0, 1], ||X|| <= 1, E||X|| <= L2."""
+    check_l2(L2)
     norms = np.linalg.norm(rv.values, axis=1)
     if norms.max(initial=0.0) > 1.0 + 1e-12:
         worst = int(np.argmax(norms))
@@ -178,9 +184,9 @@ def directional_phases_binary(
 ) -> PhaseFunction:
     """Directional-mean phase built from binary oracle queries.
 
-    The construction's phase is the clamped sum theta_u = m * sum_omega
-    P(omega) * clamp_scalar(alpha*<u, X(omega)>, 0, 1).  Only the case where
-    the clamp never fires on the m-point grid (:func:`binary_phase_is_linear`)
+    The construction's phase is the clamped sum theta_u = m * sum_omega P(omega)
+    * y_omega, y_omega = alpha*<u, X(omega)> if 0 < |y_omega| <= 1 else 0.  Only
+    the case where the clamp never fires on the grid (:func:`binary_phase_is_linear`)
     is supported; there the phase is exactly the linear m*alpha*<u, mean(rv)>.
     A phase whose clamp fires is refused with a ValueError before anything is
     charged: no estimator reaches one below d = 42 (``bounded_estimator``'s

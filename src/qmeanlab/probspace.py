@@ -22,7 +22,6 @@ __all__ = [
     "MomentSummary",
     "mean",
     "moments",
-    "clamp_scalar",
     "exact_quantile",
     "truncate_normalized",
     "norm_rv",
@@ -138,17 +137,6 @@ def moments(rv: RandomVariable) -> MomentSummary:
     )
 
 
-def _check_clamp_bounds(a: float, b: float) -> None:
-    if not (0 <= a < b):
-        raise ValueError(f"clamp bounds need 0 <= a < b, got a={a!r}, b={b!r}")
-
-
-def clamp_scalar(y: float, a: float, b: float) -> float:
-    """y if a < |y| <= b else 0; the sign of y is preserved."""
-    _check_clamp_bounds(a, b)
-    return float(y) if a < abs(y) <= b else 0.0
-
-
 def exact_quantile(rv_scalar: RandomVariable, p: float) -> float:
     """sup{x in support : Pr[X >= x] >= p} by descending CCDF enumeration.
 
@@ -176,7 +164,8 @@ def truncate_normalized(rv: RandomVariable, a_lo: float, a_hi: float) -> RandomV
     The result is supported in the unit ball: rows keep their direction, rows
     outside the shell become zero.
     """
-    _check_clamp_bounds(a_lo, a_hi)
+    if not (0 <= a_lo < a_hi):
+        raise ValueError(f"clamp bounds need 0 <= a < b, got a={a_lo!r}, b={a_hi!r}")
     if not math.isfinite(a_hi):
         raise ValueError("a_hi must be finite (the shell is rescaled by 1/a_hi)")
     norms = np.linalg.norm(rv.values, axis=1)

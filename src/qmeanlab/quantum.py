@@ -3,20 +3,13 @@
 Four estimators share the same skeleton: prepare a uniform grid superposition,
 imprint a directional-mean phase through a simulated oracle, apply the inverse
 grid Fourier transform, measure, rescale, and median-combine repetitions.
-They differ in which oracle supplies the phase and how budgets are split.
-Every phase an estimator imprints is linear (a binary phase whose clamp
-would fire is refused by its oracle), so no round builds a register: an ideal
-linear phase samples the closed-form Born marginals, and a perturbed one
-(coeffs plus a noise overlay) samples its Born law by the chain rule: the
-last coordinate from the overlaid amplitudes transformed along the last axis
-(or, for a block of two or more distinct last coefficients at d > 1, from
-the overlay's row autocorrelation), the rest from the slices it draws.
-The low-precision estimator resamples every outer repetition at once, runs
-one round per distinct empirical mean, shared by the repetitions that drew it,
-and draws all of those rounds in one block under one perturbed oracle phase;
-the coordinate median takes the measurements in the block's order, grouped
-by mean, since it sorts each column.
-The (n, n') regime map that the phase-model dispatcher branches on lives here.
+They differ in which oracle supplies the phase and how budgets are split:
+each reads its branch, lattice sizes and repetition counts from its
+:func:`plan`, which the budgets alone decide, so a harness can refuse a cell
+before its first trial.  Every phase an estimator imprints is linear (a
+binary phase whose clamp would fire is refused by its oracle), so no round
+builds a register (:func:`_run_phase_reps`).  The (n, n') regime map that the
+phase-model dispatcher branches on lives here.
 """
 
 from __future__ import annotations
@@ -28,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from qmeanlab.classical import _check_delta, coordinate_median, subgaussian_estimate
+from qmeanlab.classical import _check_delta, check_draw_table, coordinate_median, subgaussian_estimate
 from qmeanlab.gridqft import (
     GridSpec,
     PhaseFunction,
@@ -40,6 +33,7 @@ from qmeanlab.oracles import (
     CostLedger,
     NoiseModel,
     check_binary_model,
+    check_l2,
     check_phase_range,
     directional_phases_binary,
     directional_phases_phase_model,
@@ -63,6 +57,8 @@ __all__ = [
     "PHASE_ORACLE_ETA",
     "QUANTILE_C",
     "EstimateReport",
+    "Plan",
+    "plan",
     "bounded_estimator",
     "near_optimal_estimator",
     "euclidean_estimator",
@@ -120,56 +116,104 @@ def _params(noise: NoiseModel, **fields: Any) -> dict[str, Any]:
     return {**fields, "noise": echo}
 
 
-def _log_budget(n: float, d: int, delta: float) -> float:
-    """log2(d/delta), once delta and n >= log2(d/delta) are checked."""
+@dataclass(frozen=True)
+class Plan:
+    """An estimator's run as far as its budgets, echoed here, decide it.
+
+    ``diagnostics`` is what its report carries of it, in order; ``parts`` near_optimal's bounded
+    plan per shell j (run or not on the data) or a branch's inner plan; ``rounds`` the (m, reps) of
+    each round every trial makes; ``draws`` the (rows, columns) of each table of classical draws.
+    """
+
+    estimator: str
+    d: int
+    n: float
+    nprime: float | None
+    delta: float
+    L2: float | None
+    diagnostics: dict[str, Any]
+    parts: tuple[Plan, ...]
+    rounds: tuple[tuple[int, int], ...]
+    draws: tuple[tuple[int, int], ...]
+
+
+def plan(estimator: str, d: int, n: float, nprime: float | None, delta: float, L2: float | None) -> Plan:
+    """The plan of ``estimator`` (a harness id), or the ValueError it raises on these budgets alone."""
+    inputs = (estimator, d, n, nprime, delta, L2)
+    if estimator == "classical":
+        return Plan(*inputs, {}, (), (), ((int(n), d),))
+    if estimator == "phase_model":
+        branch = expected_branch(n, nprime, d, delta)
+        if branch == "trivial":
+            return Plan(*inputs, {"branch": branch}, (), (), ())
+        inner = plan("qlowprec" if branch == "low_precision" else "qphase", d, n, nprime, delta, None)
+        return Plan(*inputs, {"branch": branch}, (inner,), inner.rounds, inner.draws)
     _check_delta(delta)
+    if estimator == "bounded":
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n!r}")
+        check_l2(L2)
+        if n <= math.log2(d / delta) / math.sqrt(L2):
+            return Plan(*inputs, {"early_exit": True}, (), (), ())
+        alpha = 1.0 / math.sqrt(math.log2(400.0 * math.pi * n * math.sqrt(d)))
+        m = 2 ** math.ceil(math.log2(8.0 * math.pi / alpha * n / (math.sqrt(L2) * math.log2(d / delta))))
+        reps = math.ceil(18.0 * math.log2(d / delta))
+        numbers = {"early_exit": False, "alpha": alpha, "m": m, "reps": reps}
+        return Plan(*inputs, numbers, (), ((m, reps),), ())
     log_term = math.log2(d / delta)
     if n < log_term:
         raise ValueError(f"n={n!r} is below log2(d/delta) = {log_term!r}")
-    return log_term
-
-
-def _phase_log_budget(rv: RandomVariable, n: float, nprime: float, delta: float) -> float:
-    """log2(d/delta), once the phase-model estimators' preconditions are checked."""
-    check_phase_range(rv)
-    log_term = _log_budget(n, rv.d, delta)
-    if nprime < math.sqrt(rv.d) * log_term:
-        raise ValueError(
-            f"nprime={nprime!r} is below sqrt(d)*log2(d/delta) = {math.sqrt(rv.d) * log_term!r}"
+    if estimator == "euclidean":
+        if n <= d:
+            return Plan(*inputs, {"branch": "classical"}, (), (), ((int(n), d),))
+        inner = plan("near_optimal", d, n, None, delta, None)
+        return Plan(*inputs, {"branch": "quantum"}, (inner,), inner.rounds, inner.draws)
+    if estimator == "near_optimal":
+        k = math.ceil(2.0 * math.log2(2.0 * math.sqrt(2.0) * n / log_term))
+        shell_n = n * (k + 1) * 4.0 * math.log2(5.0 * k * d / delta) / (math.sqrt(QUANTILE_C) * log_term)
+        shell_delta = delta / (5.0 * k)
+        n0 = 64 * math.ceil(math.log2(2.0 / delta))
+        shells = tuple(
+            plan("bounded", d, shell_n, None, shell_delta, min(2.0 ** (-(j - 1)), 1.0))
+            for j in range(k + 1)
         )
-    return log_term
+        return Plan(*inputs, {"k": k, "nprime": shell_n, "n0": n0}, shells, (), ((n0, d),))
+    if estimator not in ("qphase", "qlowprec"):
+        raise ValueError(f"unknown estimator {estimator!r}")
+    if nprime < math.sqrt(d) * log_term:
+        raise ValueError(f"nprime={nprime!r} is below sqrt(d)*log2(d/delta) = {math.sqrt(d) * log_term!r}")
+    if estimator == "qphase":
+        k = math.floor(min(n, nprime / math.sqrt(d)))
+        if k == 0:
+            raise ValueError(f"k = floor(min(n, nprime/sqrt(d))) = 0 at n={n!r}, nprime={nprime!r}")
+        m = 2 ** max(0, math.ceil(math.log2(8.0 * math.pi * k / (math.sqrt(d) * log_term))))
+        reps = math.ceil(18.0 * log_term)
+        return Plan(*inputs, {"k": k, "m": m, "reps": reps}, (), ((m, reps),), ())
+    k_prime = math.floor(2.0 * n / log_term)
+    outer = math.ceil(32.0 * log_term)
+    inner_k = 2.0 * nprime / math.sqrt(d)
+    m = 2 ** max(0, math.ceil(math.log2(8.0 * math.pi * inner_k / (math.sqrt(d) * log_term))))
+    numbers = {"k_prime": k_prime, "outer": outer, "inner_k": inner_k, "m": m}
+    return Plan(*inputs, numbers, (), ((m, outer),), ((outer, k_prime),))
 
 
 def _run_phase_reps(
-    spec: GridSpec,
-    phase: PhaseFunction,
-    reps,
-    scale: float,
-    rng: np.random.Generator,
-    rows: np.ndarray | None = None,
+    spec: GridSpec, phase: PhaseFunction, rows: np.ndarray, reps, scale: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Scaled phase-estimation measurements of one round or of a block of rounds.
+    """Scaled measurements of a (G, d) block of coefficient rows, ``reps`` per row, in row order.
 
-    The phase is linear (it carries ``coeffs``), so no register is built.
-    By default the round imprints the phase's own ``coeffs`` and ``reps`` is
-    an int.  ``rows`` is a (G, d) block of coefficient rows imprinted under
-    the phase's noise overlay in its place, with ``reps`` a (G,) count per
-    row; the result holds each row's measurements in row order.  Under ideal
-    noise each row, in order, samples its closed-form Born marginals with the
-    same draws :func:`qmeanlab.gridqft.measure` makes on the register uniform
-    -> phase -> inverse QFT; under a noise ``overlay`` the whole block draws
-    the same Born laws by the chain rule in one call
-    (:func:`qmeanlab.gridqft.sample_linear_overlay`).
+    The phase is linear (it carries ``coeffs``; a one-round block is its own), so no register is
+    built.  Under ideal noise each row, in order, samples its closed-form Born marginals with the
+    draws :func:`qmeanlab.gridqft.measure` makes on the register; under the phase's noise
+    ``overlay`` the whole block draws by the chain rule in one call (``sample_linear_overlay``).
     """
     if phase.coeffs is None:
         raise TypeError("a phase-estimation round samples only linear phases (with coeffs)")
-    block = phase.coeffs if rows is None else rows
     if phase.overlay is not None:
-        points = sample_linear_overlay(spec, block, phase.overlay, reps, rng)
+        points = sample_linear_overlay(spec, rows, phase.overlay, reps, rng)
     else:
         points = np.concatenate([
-            sample_marginals(linear_phase_marginals(spec, c), count, rng)
-            for c, count in zip(np.array(block, ndmin=2), np.array(reps, ndmin=1))
+            sample_marginals(linear_phase_marginals(spec, c), count, rng) for c, count in zip(rows, reps)
         ])
     return scale * points
 
@@ -190,32 +234,26 @@ def bounded_estimator(
     rescales each measured point by 2*pi/alpha, and takes the coordinate-wise
     lower median.
     """
-    _check_delta(delta)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n!r}")
+    planned = plan("bounded", rv.d, n, None, delta, L2)
     check_binary_model(rv, L2)
-
     d = rv.d
     truth = mean(rv)
     ledger = CostLedger()
     params = _params(noise, n=float(n), L2=float(L2), delta=float(delta))
 
-    if n <= math.log2(d / delta) / math.sqrt(L2):
-        return EstimateReport(np.zeros(d), truth, ledger, "bounded", params, {"early_exit": True})
+    if planned.diagnostics["early_exit"]:
+        return EstimateReport(np.zeros(d), truth, ledger, "bounded", params, {**planned.diagnostics})
 
-    alpha = 1.0 / math.sqrt(math.log2(400.0 * math.pi * n * math.sqrt(d)))
-    m = 2 ** math.ceil(math.log2(8.0 * math.pi / alpha * n / (math.sqrt(L2) * math.log2(d / delta))))
-    reps = math.ceil(18.0 * math.log2(d / delta))
+    alpha = planned.diagnostics["alpha"]
+    (m, reps), = planned.rounds
     spec = GridSpec(m=m, d=d)
 
     # one oracle construction, charged once per repetition that uses it
     phase = directional_phases_binary(rv, L2, m, alpha, BINARY_ORACLE_EPS, ledger, reps)
     compute_phase = perturb(phase, noise, spec)
 
-    per_rep = _run_phase_reps(spec, compute_phase, reps, 2.0 * math.pi / alpha, rng)
-    diagnostics = {
-        "early_exit": False, "alpha": alpha, "m": m, "reps": reps, "fast_path": compute_phase.separable
-    }
+    per_rep = _run_phase_reps(spec, compute_phase, phase.coeffs[None], [reps], 2.0 * math.pi / alpha, rng)
+    diagnostics = {**planned.diagnostics, "fast_path": compute_phase.separable}
     return EstimateReport(coordinate_median(per_rep), truth, ledger, "bounded", params, diagnostics)
 
 
@@ -236,13 +274,8 @@ def near_optimal_estimator(
     quantile oracle with exact quantiles (same ledger charges) and additionally
     records the structural inequalities the shell construction guarantees.
     """
-    d = rv.d
-    log_term = _log_budget(n, d, delta)
+    planned = plan("near_optimal", rv.d, n, None, delta, None)
     c = QUANTILE_C
-
-    k = math.ceil(2.0 * math.log2(2.0 * math.sqrt(2.0) * n / log_term))
-    nprime = n * (k + 1) * 4.0 * math.log2(5.0 * k * d / delta) / (math.sqrt(c) * log_term)
-    shell_delta = delta / (5.0 * k)
 
     ledger = CostLedger()
     truth = mean(rv)
@@ -250,7 +283,7 @@ def near_optimal_estimator(
         noise, n=float(n), delta=float(delta), c=float(c), exact_quantiles=bool(exact_quantiles)
     )
 
-    n0 = 64 * math.ceil(math.log2(2.0 / delta))
+    (n0, _), = planned.draws
     center, _ = subgaussian_estimate(rv, n0, delta, rng, ledger)
 
     Y = shift(rv, center)
@@ -260,9 +293,9 @@ def near_optimal_estimator(
     estimate = center.astype(float).copy()
     shells: list[dict[str, Any]] = []
     clamp_events = 0
-    for j in range(k + 1):
+    for j, shell in enumerate(planned.parts):
         p = 2.0 ** (-j)
-        a_j = quantile_oracle(normY, p, shell_delta, c, rng, ledger, exact=exact_quantiles)
+        a_j = quantile_oracle(normY, p, shell.delta, c, rng, ledger, exact=exact_quantiles)
         if a_j < a_prev:
             logger.debug(
                 "quantile sequence non-monotone at shell %d: %.6g < %.6g; clamped", j, a_j, a_prev
@@ -275,8 +308,7 @@ def near_optimal_estimator(
         else:
             entry["skipped"] = False
             Yj = truncate_normalized(Y, a_prev, a_j)
-            L2_j = min(2.0 ** (-(j - 1)), 1.0)
-            sub = bounded_estimator(Yj, L2_j, nprime, shell_delta, noise, rng)
+            sub = bounded_estimator(Yj, shell.L2, shell.n, shell.delta, noise, rng)
             ledger.merge(sub.ledger)
             estimate = estimate + a_j * sub.estimate
             entry["early_exit"] = sub.diagnostics.get("early_exit")
@@ -284,17 +316,10 @@ def near_optimal_estimator(
         shells.append(entry)
         a_prev = a_j
 
-    diagnostics: dict[str, Any] = {
-        "k": k,
-        "nprime": nprime,
-        "n0": n0,
-        "center": center,
-        "shells": shells,
-        "clamp_events": clamp_events,
-    }
+    diagnostics = {**planned.diagnostics, "center": center, "shells": shells, "clamp_events": clamp_events}
     if exact_quantiles:
         diagnostics["structural"] = _structural_checks(
-            Y, [s["a"] for s in shells], k, c, center, truth
+            Y, [s["a"] for s in shells], planned.diagnostics["k"], c, center, truth
         )
     return EstimateReport(estimate, truth, ledger, "near_optimal", params, diagnostics)
 
@@ -351,16 +376,15 @@ def euclidean_estimator(
     rng: np.random.Generator,
 ) -> EstimateReport:
     """l2-oriented front end: classical baseline when n <= d, quantum above."""
-    d = rv.d
-    _log_budget(n, d, delta)
+    planned = plan("euclidean", rv.d, n, None, delta, None)
     truth = mean(rv)
     params = _params(noise, n=float(n), delta=float(delta))
-    if n <= d:
+    if planned.diagnostics["branch"] == "classical":
         ledger = CostLedger()
         estimate, _ = subgaussian_estimate(rv, int(n), delta, rng, ledger)
-        return EstimateReport(estimate, truth, ledger, "euclidean", params, {"branch": "classical"})
+        return EstimateReport(estimate, truth, ledger, "euclidean", params, {**planned.diagnostics})
     sub = near_optimal_estimator(rv, n, delta, noise, rng)
-    diagnostics = {"branch": "quantum", "inner": sub.diagnostics}
+    diagnostics = {**planned.diagnostics, "inner": sub.diagnostics}
     return EstimateReport(sub.estimate, truth, sub.ledger, "euclidean", params, diagnostics)
 
 
@@ -378,19 +402,18 @@ def qphase_estimator(
     exactly linear, so every round skips the register (under PERTURBED noise
     it samples the overlaid phase by the chain rule).
     """
-    d = rv.d
-    log_term = _phase_log_budget(rv, n, nprime, delta)
-    k = math.floor(min(n, nprime / math.sqrt(d)))
-    m = 2 ** max(0, math.ceil(math.log2(8.0 * math.pi * k / (math.sqrt(d) * log_term))))
-    reps = math.ceil(18.0 * log_term)
+    check_phase_range(rv)
+    planned = plan("qphase", rv.d, n, nprime, delta, None)
+    (m, reps), = planned.rounds
+    spec = GridSpec(m=m, d=rv.d)
 
     ledger = CostLedger()
     phase = directional_phases_phase_model(rv, m, PHASE_ORACLE_EPS, PHASE_ORACLE_ETA, ledger, reps)
-    compute_phase = perturb(phase, noise, GridSpec(m=m, d=d))
+    compute_phase = perturb(phase, noise, spec)
 
-    per_rep = _run_phase_reps(GridSpec(m=m, d=d), compute_phase, reps, 2.0 * math.pi, rng)
+    per_rep = _run_phase_reps(spec, compute_phase, phase.coeffs[None], [reps], 2.0 * math.pi, rng)
     params = _params(noise, n=float(n), nprime=float(nprime), delta=float(delta))
-    diagnostics = {"k": k, "m": m, "reps": reps, "eps": PHASE_ORACLE_EPS, "eta": PHASE_ORACLE_ETA}
+    diagnostics = {**planned.diagnostics, "eps": PHASE_ORACLE_EPS, "eta": PHASE_ORACLE_ETA}
     return EstimateReport(coordinate_median(per_rep), mean(rv), ledger, "qphase", params, diagnostics)
 
 
@@ -411,28 +434,20 @@ def qlowprec_estimator(
 ) -> EstimateReport:
     """Low-precision analog estimator: phase-estimate empirical resamples.
 
-    Each of ceil(32*log2(d/delta)) outer repetitions draws k' classical
-    samples, forms their empirical distribution P-bar, and makes one
-    phase-estimation measurement of the phase-oracle round against P-bar at
-    resolution derived from k = 2n'/sqrt(d).  A round depends on P-bar only
-    through its mean, so all outer*k' draws are made at once and repetitions
-    that share an empirical mean share one round: ``diagnostics["tables"]``
-    counts those rounds.  The oracle's phase is perturbed once, and every
-    round imprints its mean's coefficients m*mean under that one overlay, all
-    rounds as one block (:func:`_run_phase_reps`): one sampler call under
-    perturbed noise, and under ideal noise the rounds in order of their means,
-    so seeded ideal runs draw what one call per round drew.  The k' draws
-    are physical experiments (charged as such); the rounds' state
-    preparations act on the empirical surrogates, so only their phase queries
-    (one oracle construction per repetition) carry over to the run ledger.
+    Each of the plan's ``outer`` repetitions draws k' classical samples and makes one
+    phase-estimation measurement of the phase-oracle round against their empirical distribution
+    P-bar.  A round depends on P-bar only through its mean, so the outer*k' draws are made at once
+    (refused above 2^30 bytes) and repetitions that share a mean share one round, counted by
+    ``diagnostics["tables"]``: every round imprints m*mean under the oracle's one perturbed phase,
+    all in one block in order of their means (:func:`_run_phase_reps`).  The k' draws are physical
+    experiments (charged as such); the rounds' state preparations act on the empirical surrogates,
+    so only their phase queries (one oracle construction per repetition) reach the run ledger.
     """
-    d = rv.d
-    log_term = _phase_log_budget(rv, n, nprime, delta)
-    k_prime = math.floor(2.0 * n / log_term)
-    outer = math.ceil(32.0 * log_term)
-    inner_k = 2.0 * nprime / math.sqrt(d)
-    m = 2 ** max(0, math.ceil(math.log2(8.0 * math.pi * inner_k / (math.sqrt(d) * log_term))))
-    spec = GridSpec(m=m, d=d)
+    check_phase_range(rv)
+    planned = plan("qlowprec", rv.d, n, nprime, delta, None)
+    (m, outer), = planned.rounds
+    (_, k_prime), = planned.draws
+    spec = GridSpec(m=m, d=rv.d)
 
     ledger = CostLedger()
     ledger.charge(classical_samples=float(outer * k_prime), experiments=float(outer * k_prime))
@@ -446,6 +461,7 @@ def qlowprec_estimator(
     # values elementwise in ascending outcome order (no BLAS blocking), so one
     # multiset always yields the same float mean row; distinct multisets that
     # share a mean (outcomes that share a value) share a row too
+    check_draw_table(outer, k_prime)
     draws = rng.choice(rv.size, size=(outer, k_prime), p=rv.prob)
     support, col = np.unique(draws, return_inverse=True)
     cells = np.arange(outer)[:, None] * support.size + col.reshape(outer, k_prime)
@@ -458,9 +474,9 @@ def qlowprec_estimator(
     # are left so: the coordinate median sorts each column anyway
     compute_phase = perturb(oracle, noise, spec)
     sizes = np.bincount(group, minlength=len(means))
-    per_rep = _run_phase_reps(spec, compute_phase, sizes, 2.0 * math.pi, rng, rows=m * means)
+    per_rep = _run_phase_reps(spec, compute_phase, m * means, sizes, 2.0 * math.pi, rng)
     params = _params(noise, n=float(n), nprime=float(nprime), delta=float(delta))
-    diagnostics = {"k_prime": k_prime, "outer": outer, "inner_k": inner_k, "m": m, "tables": len(means)}
+    diagnostics = {**planned.diagnostics, "tables": len(means)}
     return EstimateReport(coordinate_median(per_rep), mean(rv), ledger, "qlowprec", params, diagnostics)
 
 
@@ -507,13 +523,12 @@ def phase_model_dispatch(
     modest experiment budgets (n < d) go low-precision; ample budgets go
     high-precision.
     """
-    d = rv.d
     check_phase_range(rv)
-    branch = expected_branch(n, nprime, d, delta)
+    branch = plan("phase_model", rv.d, n, nprime, delta, None).diagnostics["branch"]
     params = _params(noise, n=float(n), nprime=float(nprime), delta=float(delta))
     if branch == "trivial":
         return EstimateReport(
-            np.zeros(d), mean(rv), CostLedger(), "phase_dispatch", params, {"branch": branch}
+            np.zeros(rv.d), mean(rv), CostLedger(), "phase_dispatch", params, {"branch": branch}
         )
     if branch == "low_precision":
         sub = qlowprec_estimator(rv, n, nprime, delta, noise, rng)

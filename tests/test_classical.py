@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,18 @@ class TestSample:
     def test_rejects_zero_count(self):
         with pytest.raises(ValueError, match="count"):
             sample(basis_rv(2), 0, np.random.default_rng(0))
+
+    def test_table_above_2_pow_30_bytes_is_refused_before_it_is_drawn(self):
+        # 2^27 draws of a 2-d outcome take 2^31 bytes: refused, with nothing allocated
+        tracemalloc.start()
+        try:
+            wall = r"^draw-table memory wall: \(134217728, 2\) 8-byte draws > 2\^30 bytes$"
+            with pytest.raises(ValueError, match=wall):
+                sample(basis_rv(2), 2**27, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_draws_read_only(self):
         draws = sample(basis_rv(2), 5, np.random.default_rng(0))

@@ -31,6 +31,21 @@ from qmeanlab.oracles import NoiseModel
 from qmeanlab.probspace import moments, parse_distribution_spec, serialize_distribution_spec
 
 
+def count_calls(monkeypatch, name: str) -> list:
+    """Wrap ``harness.<name>``; the returned list gains one entry per call."""
+    import qmeanlab.harness as harness
+
+    calls: list = []
+    real = getattr(harness, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
 @pytest.fixture()
 def ball_spec(tmp_path):
     path = tmp_path / "ball.json"
@@ -297,8 +312,11 @@ class TestSweep:
         "log2_n, wall",
         [(53, "per-axis precision wall: m = 2^55"), (30, "per-axis memory wall: m = 2^32")],
     )
-    def test_lattice_past_an_axis_wall_exits_2_with_one_line(self, tmp_path, capsys, log2_n, wall):
-        # the closed-form round refuses its per-axis arrays before allocating them
+    def test_lattice_past_an_axis_wall_exits_2_with_one_line(
+        self, tmp_path, capsys, monkeypatch, log2_n, wall
+    ):
+        # the cell's plan is refused before its first trial, with one line that names the cell
+        calls = count_calls(monkeypatch, "phase_model_dispatch")
         config_doc = {
             "rv": {"battery": {"name": "basis", "d": 2, "scale": 0.25}},
             "estimator": "phase_model", "trials": 1, "seed": 0,
@@ -309,8 +327,66 @@ class TestSweep:
         assert main(["sweep", "--config", str(config_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: all 1 trials failed; first error: ValueError: ")
-        assert wall in captured.err and captured.err.count("\n") == 1
+        budget = float(2**log2_n)
+        cell = f"phase_model cell n={budget!r} nprime={budget!r}"
+        assert captured.err.startswith(f"error: {cell}: {wall}")
+        assert captured.err.count("\n") == 1
+        assert calls == []
+
+    def test_mixed_sweep_refuses_its_cell_past_a_wall_before_any_trial(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # n = 8 would run; n = 2^53 needs m = 2^55, so the sweep runs neither
+        calls = count_calls(monkeypatch, "phase_model_dispatch")
+        config_doc = {
+            "rv": {"battery": {"name": "basis", "d": 2, "scale": 0.25}},
+            "estimator": "phase_model", "trials": 3, "seed": 0,
+            "n_grid": [8, 2**53], "nprime": 2**53,
+        }
+        config_path = tmp_path / "mixed.json"
+        config_path.write_text(json.dumps(config_doc), encoding="utf-8")
+        assert main(["sweep", "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: phase_model cell n={2.0**53!r} nprime={2.0**53!r}: per-axis precision wall:"
+            " m = 2^55 > 2^52 lattice points are not exact in float64\n"
+        )
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "rv, estimator, entry_point, delta, budget, refusal",
+        [
+            # k = floor(min(n, n'/sqrt(d))) = 0 once log2(d/delta) < n < 1
+            (
+                {"inline": {"d": 1, "prob": [0.5, 0.5], "values": [[0.1], [0.2]]}},
+                "qphase", "qphase_estimator", 0.9, 0.2,
+                "k = floor(min(n, nprime/sqrt(d))) = 0 at n=0.2, nprime=0.2",
+            ),
+            # d <= n' < sqrt(d)*log2(d/delta): the map says high precision, which refuses n'
+            (
+                {"battery": {"name": "ball", "d": 4, "scale": 0.25}},
+                "phase_model", "phase_model_dispatch", 0.05, 8,
+                "nprime=8.0 is below sqrt(d)*log2(d/delta) = 12.64",
+            ),
+        ],
+    )
+    def test_data_free_refusal_is_one_line_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, rv, estimator, entry_point, delta, budget, refusal
+    ):
+        calls = count_calls(monkeypatch, entry_point)
+        config_doc = {
+            "rv": rv, "estimator": estimator, "trials": 2, "seed": 0, "delta": delta,
+            "n": budget, "nprime": budget,
+        }
+        config_path = tmp_path / "refused.json"
+        config_path.write_text(json.dumps(config_doc), encoding="utf-8")
+        assert main(["sweep", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        cell = f"{estimator} cell n={float(budget)!r} nprime={float(budget)!r}"
+        assert err.startswith(f"error: {cell}: {refusal}")
+        assert err.count("\n") == 1
+        assert calls == []
 
     @pytest.mark.parametrize("root", [None, 5, [[1]], "rows.json"])
     def test_config_root_must_be_an_object(self, tmp_path, capsys, root):

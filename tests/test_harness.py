@@ -313,6 +313,33 @@ class TestRunSweep:
         branches = [r.reports[0].diagnostics["branch"] for r in results]
         assert branches == ["trivial", "trivial", "trivial", "high_precision"]
 
+    @pytest.mark.parametrize(
+        "estimator, noise, wall",
+        [
+            # 2^27 draws of a 2-d outcome: 2^31 bytes, in the first cell's draw table
+            ("classical", NoiseModel.ideal(), "draw-table memory wall: (134217728, 2) 8-byte draws"),
+            # bounded at n = 128, d = 2 takes m = 4096: 2^24 > 2^22 perturbed amplitudes
+            ("bounded", NoiseModel.perturbed(0.1, 0.1, seed=0), "lattice cap exceeded: m^d = 4096^2"),
+        ],
+    )
+    def test_a_cell_past_a_wall_stops_the_sweep_before_any_trial(
+        self, monkeypatch, estimator, noise, wall
+    ):
+        import qmeanlab.harness as harness
+
+        def never(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "_single_run", never)
+        first = 2**27 if estimator == "classical" else 128
+        cfg = ExperimentConfig(
+            rv=battery_ball(2), estimator=estimator, trials=2, seed=0, delta=0.1,
+            n_grid=(first, 2.0**30), noise=noise,
+        )
+        with pytest.raises(ValueError) as info:
+            run_sweep(cfg)
+        assert str(info.value).startswith(f"{estimator} cell n={float(first)!r} nprime=None: {wall}")
+
     def test_single_point_sweep_equals_run_trials(self):
         cfg = ExperimentConfig(
             rv=battery_basis(2), estimator="classical", trials=3, seed=4, delta=0.5, n=12

@@ -23,7 +23,7 @@ from qmeanlab.oracles import (
     perturb,
     quantile_oracle,
 )
-from qmeanlab.probspace import RandomVariable, clamp_scalar, mean, moments
+from qmeanlab.probspace import RandomVariable, mean, moments
 
 
 class RecordingPool:
@@ -40,6 +40,11 @@ class RecordingPool:
 def uniform_rv(values) -> RandomVariable:
     values = np.atleast_2d(np.asarray(values, dtype=float))
     return RandomVariable(prob=np.full(values.shape[0], 1.0 / values.shape[0]), values=values)
+
+
+def clamp_scalar(y: float, a: float, b: float) -> float:
+    """y if a < |y| <= b else 0: the clamp of the binary-model phase, sign kept."""
+    return float(y) if a < abs(y) <= b else 0.0
 
 
 def brute_binary_phase(rv, m, alpha, pts):

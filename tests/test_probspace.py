@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from qmeanlab.probspace import (
     RandomVariable,
-    clamp_scalar,
     exact_quantile,
     mean,
     moments,
@@ -166,14 +165,7 @@ class TestClamp:
         # every shell clamp needs 0 <= a < b
         for a, b in [(2.0, 1.0), (1.0, 1.0), (-0.5, 1.0), (math.nan, 1.0)]:
             with pytest.raises(ValueError, match="clamp bounds"):
-                clamp_scalar(0.5, a, b)
-            with pytest.raises(ValueError, match="clamp bounds"):
                 truncate_normalized(point_mass([0.5, 0.5]), a, b)
-
-    def test_scalar_sign_preserved(self):
-        assert clamp_scalar(-0.7, 0.0, 1.0) == -0.7
-        assert clamp_scalar(1.2, 0.0, 1.0) == 0.0
-        assert clamp_scalar(0.5, 0.5, 1.0) == 0.0  # strict lower bound
 
 
 def brute_quantile(values, probs, p):

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import logging
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare, ks_2samp
 
 from qmeanlab import gridqft, quantum
@@ -30,6 +33,7 @@ from qmeanlab.gridqft import (
     uniform_superposition,
 )
 from qmeanlab.hardness import fractional_phase_rv
+from qmeanlab.harness import standard_battery
 from qmeanlab.oracles import (
     CostLedger,
     NoiseModel,
@@ -104,7 +108,9 @@ class TestPhaseRounds:
         spec = GridSpec(m=m, d=2)
         phase = linear_phase_function(np.array([0.61, -0.23]) * 2 * math.pi * m)
         for seed in range(3):
-            closed = quantum._run_phase_reps(spec, phase, 200, 1.0, np.random.default_rng(seed))
+            closed = quantum._run_phase_reps(
+                spec, phase, phase.coeffs[None], [200], 1.0, np.random.default_rng(seed)
+            )
             state = inverse_qft(apply_phase_function(uniform_superposition(spec), phase))
             register = measure(state, 200, np.random.default_rng(seed))
             assert np.array_equal(closed, register)
@@ -123,7 +129,9 @@ class TestPhaseRounds:
             inverse_qft(apply_phase_function(uniform_superposition(spec), phase))
         )
         draws = 40_000
-        pts = quantum._run_phase_reps(spec, phase, draws, 1.0, np.random.default_rng(0))
+        pts = quantum._run_phase_reps(
+            spec, phase, phase.coeffs[None], [draws], 1.0, np.random.default_rng(0)
+        )
         idx = np.rint(m * pts + (m - 1) / 2.0).astype(np.int64)
         counts = np.bincount(np.ravel_multi_index(tuple(idx.T), (m,) * d), minlength=spec.points)
         expected = register * draws / register.sum()
@@ -148,10 +156,12 @@ class TestPhaseRounds:
         phase = linear_phase_function(np.array([3.0, -5.0]))
         noisy = perturb(phase, NoiseModel.perturbed(eps=0.1, eta=0.1, seed=0), spec)
         for round_phase in (phase, noisy):
-            quantum._run_phase_reps(spec, round_phase, 10, 1.0, np.random.default_rng(0))
+            quantum._run_phase_reps(
+                spec, round_phase, round_phase.coeffs[None], [10], 1.0, np.random.default_rng(0)
+            )
         built = PhaseFunction(evaluate=noisy.evaluate, separable=False)
         with pytest.raises(TypeError, match="only linear phases"):
-            quantum._run_phase_reps(spec, built, 10, 1.0, np.random.default_rng(0))
+            quantum._run_phase_reps(spec, built, np.zeros((1, 2)), [10], 1.0, np.random.default_rng(0))
 
 
 class TestBoundedEstimator:
@@ -425,8 +435,29 @@ class TestQPhaseEstimator:
         with pytest.raises(ValueError, match="sqrt"):
             qphase_estimator(rv, 10.0, 5.0, 0.05, IDEAL, np.random.default_rng(0))
 
+    def test_refuses_budgets_that_resolve_no_lattice_step(self):
+        # d = 1, delta = 0.9: log2(d/delta) = 0.152, so n = n' = 0.2 passes both
+        # budget checks, and k = floor(min(n, n'/sqrt(d))) = 0 has no lattice
+        rv = RandomVariable(prob=[0.5, 0.5], values=[[0.1], [0.2]])
+        with pytest.raises(ValueError, match=r"^k = floor\(min\(n, nprime/sqrt\(d\)\)\) = 0 at n=0.2"):
+            qphase_estimator(rv, 0.2, 0.2, 0.9, IDEAL, np.random.default_rng(0))
+
 
 class TestQLowPrecEstimator:
+    def test_draw_table_above_2_pow_30_bytes_is_refused_before_it_is_drawn(self):
+        # d = 2, delta = 0.05: outer = 171 resamples of k' = 1,576,234 draws at
+        # n = 2^22, 2.2 GB of int64; refused, with nothing of that size allocated
+        rv = basis_rv(2, scale=0.25)
+        tracemalloc.start()
+        try:
+            wall = r"^draw-table memory wall: \(171, 1576234\) 8-byte draws"
+            with pytest.raises(ValueError, match=wall):
+                qlowprec_estimator(rv, 2.0**22, 8.0, 0.05, IDEAL, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_frozen_k_prime(self):
         rv = basis_rv(4, scale=0.25)
         rep = qlowprec_estimator(rv, 100.0, 50.0, 0.05, IDEAL, np.random.default_rng(0))
@@ -534,7 +565,8 @@ def per_repetition_qlowprec(rv, noise, diagnostics, rng) -> tuple[float, CostLed
         phase = directional_phases_phase_model(pbar, m, PHASE_ORACLE_EPS, PHASE_ORACLE_ETA, inner)
         ledger.charge(phase_queries=inner.phase_queries)
         round_phase = perturb(phase, noise, spec)
-        per_rep[r] = quantum._run_phase_reps(spec, round_phase, 1, 2 * math.pi, rng)[0]
+        block = phase.coeffs[None]
+        per_rep[r] = quantum._run_phase_reps(spec, round_phase, block, [1], 2 * math.pi, rng)[0]
     return float(np.abs(coordinate_median(per_rep) - mean(rv)).max()), ledger
 
 
@@ -601,3 +633,80 @@ class TestPhaseModelDispatch:
             phase_model_dispatch(
                 point_mass([0.3, 0.0]), 10.0, 20.0, 0.05, IDEAL, np.random.default_rng(0)
             )
+
+
+def _plan_or_refusal(estimator, d, n, nprime, delta, L2):
+    try:
+        return quantum.plan(estimator, d, n, nprime, delta, L2)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _report_or_refusal(estimator, rv, n, nprime, delta):
+    """One seeded ideal run of ``estimator`` (bounded at L2 = 1), or its refusal message."""
+    rng = np.random.default_rng(0)
+    calls = {
+        "bounded": lambda: bounded_estimator(rv, 1.0, n, delta, IDEAL, rng),
+        "near_optimal": lambda: near_optimal_estimator(rv, n, delta, IDEAL, rng),
+        "euclidean": lambda: euclidean_estimator(rv, n, delta, IDEAL, rng),
+        "qphase": lambda: qphase_estimator(rv, n, nprime, delta, IDEAL, rng),
+        "qlowprec": lambda: qlowprec_estimator(rv, n, nprime, delta, IDEAL, rng),
+        "phase_model": lambda: phase_model_dispatch(rv, n, nprime, delta, IDEAL, rng),
+    }
+    try:
+        return calls[estimator]()
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_echoes_plan(diagnostics: dict, plan: quantum.Plan) -> None:
+    """The report's diagnostics carry every number of its plan, and its inner plan's."""
+    assert {key: diagnostics[key] for key in plan.diagnostics} == plan.diagnostics
+    if plan.estimator in ("euclidean", "phase_model") and plan.parts:
+        (inner,) = plan.parts
+        assert_echoes_plan(diagnostics["inner"], inner)
+    if plan.estimator == "near_optimal":
+        assert len(diagnostics["shells"]) == len(plan.parts) == plan.diagnostics["k"] + 1
+        for entry, shell in zip(diagnostics["shells"], plan.parts):
+            if not entry["skipped"]:
+                assert entry["early_exit"] == shell.diagnostics["early_exit"]
+                assert entry["m"] == shell.diagnostics.get("m")
+
+
+class TestPlan:
+    @settings(deadline=None, max_examples=25)
+    @given(
+        d=st.integers(1, 4),
+        n=st.floats(1.0, 128.0),
+        nprime=st.floats(1.0, 128.0),
+        delta=st.floats(0.01, 0.9, exclude_min=True, exclude_max=True),
+    )
+    def test_every_report_echoes_its_plan(self, d, n, nprime, delta):
+        # two distributions of the same d get the one plan, which needs no data:
+        # each report echoes it, and each refusal is the plan's own message.
+        # near_optimal and euclidean run on point masses, whose shells all skip.
+        scaled = standard_battery(d, scale=0.25)
+        pairs = (scaled["ball"], scaled["basis"])
+        points = (point_mass(np.full(d, 0.1)), point_mass(0.2 * np.eye(d)[0]))
+        for estimator in ("bounded", "near_optimal", "euclidean", "qphase", "qlowprec", "phase_model"):
+            L2 = 1.0 if estimator == "bounded" else None
+            plan = _plan_or_refusal(estimator, d, n, nprime, delta, L2)
+            for rv in points if estimator in ("near_optimal", "euclidean") else pairs:
+                got = _report_or_refusal(estimator, rv, n, nprime, delta)
+                if isinstance(plan, str):
+                    assert got == plan, estimator
+                else:
+                    assert not isinstance(got, str), (estimator, got)
+                    assert_echoes_plan(got.diagnostics, plan)
+    def test_certain_rounds_and_draws(self):
+        # qlowprec makes one block of `outer` rounds and one (outer, k') table;
+        # the dispatcher carries its branch's; near_optimal's shells are not certain
+        low = quantum.plan("qlowprec", 4, 100.0, 50.0, 0.05, None)
+        assert low.rounds == ((low.diagnostics["m"], 203),) and low.draws == ((203, 31),)
+        dispatch = quantum.plan("phase_model", 2, 2.0**53, 2.0**53, 0.05, None)
+        assert dispatch.diagnostics == {"branch": "high_precision"}
+        assert dispatch.rounds == dispatch.parts[0].rounds == ((2**55, 96),)
+        shells = quantum.plan("near_optimal", 2, 64.0, None, 0.1, None)
+        assert shells.rounds == () and shells.draws == ((320, 2),)
+        assert [s.L2 for s in shells.parts[:3]] == [1.0, 1.0, 0.5]
+        assert {s.delta for s in shells.parts} == {0.1 / (5.0 * shells.diagnostics["k"])}

@@ -14,7 +14,14 @@ perturbed (0.5, 0.6), noise seed offset as the CLI's) and trial seeds 0-2:
   standard batteries at n in {16, 64};
 - ``qphase`` and ``qlowprec`` on the x0.25 standard batteries at d = 2 and
   d = 3 over five (n, n'), and on the fractional-phase family at d' in {2, 4}
-  (b = 1010...) over three.
+  (b = 1010...) over three;
+- ``euclidean`` on the d = 2 and d = 8 standard batteries at n in {4, 8, 32}:
+  refused below log2(d/delta), the classical branch at n = 8 <= d = 8, the
+  quantum branch above d;
+- ``phase_model_dispatch`` on the x0.25 standard batteries at d = 2 and
+  d = 8 over four (n, n'): the trivial branch at (4, 2), the low-precision
+  one at (7, 32) on d = 8, the high-precision one elsewhere, and at (8, 16)
+  on d = 8 the refusal of its n' by the high-precision estimator.
 
 Each case gives one document: its key and either the estimator's
 ``report_to_dict`` or, when the estimator refuses the inputs with a
@@ -42,7 +49,9 @@ from qmeanlab.oracles import NoiseModel  # noqa: E402
 from qmeanlab.probspace import moments  # noqa: E402
 from qmeanlab.quantum import (  # noqa: E402
     bounded_estimator,
+    euclidean_estimator,
     near_optimal_estimator,
+    phase_model_dispatch,
     qlowprec_estimator,
     qphase_estimator,
 )
@@ -53,6 +62,8 @@ NOISES = {"ideal": None, "perturbed:0.05,0.01": (0.05, 0.01), "perturbed:0.5,0.6
 SHELL_BUDGETS = (16, 64)
 PHASE_BUDGETS = ((4, 2), (8, 16), (16, 8), (32, 64), (64, 16))
 FRACPHASE_BUDGETS = ((4, 2), (8, 16), (32, 64))
+EUCLIDEAN_BUDGETS = (4, 8, 32)
+DISPATCH_BUDGETS = ((4, 2), (7, 32), (8, 16), (32, 64))
 
 
 def _noise(name: str, seed: int) -> NoiseModel:
@@ -95,6 +106,21 @@ def _cases():
                     rv, n, nprime, DELTA, noise, rng
                 ),
             )
+    for d in (2, 8):
+        for name, rv in standard_battery(d).items():
+            for n in EUCLIDEAN_BUDGETS:
+                yield (
+                    ("euclidean", f"{name}-d{d}", n),
+                    lambda noise, rng, rv=rv, n=n: euclidean_estimator(rv, n, DELTA, noise, rng),
+                )
+        for name, rv in standard_battery(d, 0.25).items():
+            for n, nprime in DISPATCH_BUDGETS:
+                yield (
+                    ("phase_model", f"{name}-d{d}-x0.25", n, nprime),
+                    lambda noise, rng, rv=rv, n=n, nprime=nprime: phase_model_dispatch(
+                        rv, n, nprime, DELTA, noise, rng
+                    ),
+                )
 
 
 def main() -> int:
