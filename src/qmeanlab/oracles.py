@@ -4,11 +4,12 @@ Instead of compiling oracle circuits gate by gate, this module evaluates the
 exact phase function each oracle construction approximates and charges its
 cost through explicit formulas ("model units", every leading constant fixed
 at 1).  Controlled imperfection is re-introduced by a seeded noise model.
-Its m^d table of deviation factors is drawn on the calling thread; on a host
-with two or more CPUs a table above 2^16 points fills its cos/sin in two
-halves, one on the pool thread of :mod:`qmeanlab.gridqft`, elementwise, so
-the table has the same bits either way.  The input checks of each oracle
-construction live here once, as ``check_*`` helpers the estimators call too.
+Its m^d table of deviation factors is drawn on the calling thread, as
+half-angles, and filled in place from their tangents; on a host with two or
+more CPUs a table above 2^16 points fills in two halves, one on the pool
+thread of :mod:`qmeanlab.gridqft`, elementwise, so the table has the same
+bits either way.  The input checks of each oracle construction live here
+once, as ``check_*`` helpers the estimators call too.
 """
 
 from __future__ import annotations
@@ -19,7 +20,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from qmeanlab.gridqft import GridSpec, PhaseFunction, _in_halves, check_lattice_cap
+from qmeanlab.gridqft import (
+    GridSpec,
+    PhaseFunction,
+    _in_halves,
+    _unit_factors,
+    check_lattice_cap,
+)
 from qmeanlab.probspace import RandomVariable, exact_quantile, mean, moments
 
 __all__ = [
@@ -249,11 +256,16 @@ def _deviation_table(noise: NoiseModel, spec: GridSpec) -> np.ndarray:
 
     Every point draws a deviation uniform in the eps band; then
     ceil(eta/2 * m^d) distinct points, chosen uniformly without replacement,
-    redraw theirs uniform in (-pi, pi].  Stored as their unit-modulus factors
-    cos(delta) + i*sin(delta) (equal bit for bit to e^{i*delta}), flat and
-    row-major over the lattice: the one m^d table a perturbed round reads.
-    Every draw is made on the calling thread, in this order; the cos/sin fill
-    runs in two halves of the points (:func:`qmeanlab.gridqft._in_halves`),
+    redraw theirs uniform in (-pi, pi].  The draws are of the half-angles
+    delta/2, in (-asin(eps/2), asin(eps/2)) and (-pi/2, pi/2): halving is
+    exact in binary floating point, so each is bit for bit half the deviation
+    a draw over the full range gives.  Stored as their unit-modulus factors
+    e^{i*delta}, within 4e-16 of ``np.exp``
+    (:func:`qmeanlab.gridqft._unit_factors`), flat and row-major over the
+    lattice: the one m^d table a perturbed round reads, filled in place over
+    the half-angles with no second m^d buffer.
+    Every draw is made on the calling thread, in this order; the fill runs in
+    two halves of the points (:func:`qmeanlab.gridqft._in_halves`),
     elementwise, so the table has the same bits either way.  Estimators that
     perturb one phase per round on the same grid reuse the last table instead
     of redrawing it; the array is read-only.
@@ -261,18 +273,13 @@ def _deviation_table(noise: NoiseModel, spec: GridSpec) -> np.ndarray:
     n_points = spec.points
     rng = np.random.default_rng(noise.seed)
     n_bad = math.ceil(noise.eta / 2.0 * n_points)
-    band = 2.0 * math.asin(noise.eps / 2.0)
-    deviations = rng.uniform(-band, band, n_points)
+    half_band = math.asin(noise.eps / 2.0)
+    halves = rng.uniform(-half_band, half_band, n_points)
     if n_bad > 0:
         bad = rng.choice(n_points, n_bad, replace=False)
-        deviations[bad] = rng.uniform(-np.pi, np.pi, n_bad)
+        halves[bad] = rng.uniform(-np.pi / 2, np.pi / 2, n_bad)
     table = np.empty(n_points, dtype=complex)
-
-    def fill(part: slice) -> None:
-        np.cos(deviations[part], out=table.real[part])
-        np.sin(deviations[part], out=table.imag[part])
-
-    _in_halves(fill, n_points, n_points)
+    _in_halves(lambda part: _unit_factors(halves[part], table[part]), n_points, n_points)
     table.flags.writeable = False
     return table
 

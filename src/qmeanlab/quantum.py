@@ -79,6 +79,9 @@ PHASE_ORACLE_EPS = 1.0 / (12.0 * math.sqrt(2.0))
 PHASE_ORACLE_ETA = 1.0 / 288.0
 # Quantile-oracle approximation constant: the result lands in [Q(p), Q(c*p)].
 QUANTILE_C = 0.25
+# Entries of the (rows, support, d) product one chunk of qlowprec's resample
+# sums may take: 2^16 float64 entries, 512 KiB.
+_SUM_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -424,6 +427,21 @@ def empirical_rv(rv: RandomVariable, count: int, rng: np.random.Generator) -> Ra
     return RandomVariable(prob=counts / count, values=rv.values[uniq])
 
 
+def _resample_sums(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Row r of the (R, d) result is sum_s counts[r, s] * values[s], with ``values`` (S, d).
+
+    The expression ``(counts[:, :, None] * values).sum(axis=1)``, evaluated over chunks of rows
+    so that its (rows, S, d) product stays within ``_SUM_CHUNK`` entries (a chunk holds at least
+    one row); each row's sum is reduced on its own, so it has the bits the whole product gives.
+    """
+    sums = np.empty((counts.shape[0], values.shape[1]))
+    step = max(1, _SUM_CHUNK // values.size)
+    for start in range(0, counts.shape[0], step):
+        rows = slice(start, start + step)
+        np.sum(counts[rows, :, None] * values, axis=1, out=sums[rows])
+    return sums
+
+
 def qlowprec_estimator(
     rv: RandomVariable,
     n: float,
@@ -466,7 +484,7 @@ def qlowprec_estimator(
     support, col = np.unique(draws, return_inverse=True)
     cells = np.arange(outer)[:, None] * support.size + col.reshape(outer, k_prime)
     counts = np.bincount(cells.ravel(), minlength=outer * support.size).reshape(outer, -1)
-    sums = (counts[:, :, None] * rv.values[support]).sum(axis=1)
+    sums = _resample_sums(counts, rv.values[support])
     means, group = np.unique(sums / k_prime, axis=0, return_inverse=True)
     group = group.reshape(-1)  # numpy 2.0.0 returns it with a trailing axis
     # every round imprints its mean's phase under the one noise overlay of the

@@ -715,6 +715,53 @@ class TestAutocorrelationRoute:
         assert autocorrelation <= spec.points * 16 < direct
 
 
+class TestUnitFactors:
+    """e^{2i*h} from one tangent: every unit factor a perturbed round builds."""
+
+    @pytest.mark.parametrize("top", [np.pi, 2.0**10 * np.pi, 2.0**22 * np.pi])
+    def test_agrees_with_exp_on_the_unit_circle(self, top):
+        theta = np.random.default_rng(int(math.log2(top))).uniform(-top, top, 2**16)
+        theta = np.concatenate([theta, [-top, top, np.pi / 2, -np.pi, 2 * np.pi, 1e-9]])
+        z = gridqft._unit_factors(theta / 2)
+        assert np.abs(z - np.exp(1j * theta)).max() <= 1e-15
+        assert np.abs(np.abs(z) - 1.0).max() <= 1e-15
+
+    @settings(deadline=None, max_examples=200)
+    @given(theta=st.floats(-(2.0**22) * np.pi, 2.0**22 * np.pi))
+    def test_agrees_with_exp_at_any_angle(self, theta):
+        z = complex(gridqft._unit_factors(np.array([theta / 2]))[0])
+        assert abs(z - complex(np.exp(1j * theta))) <= 1e-15
+        assert abs(abs(z) - 1.0) <= 1e-15
+
+    def test_half_angle_edges(self):
+        # +-pi/2 (tan near 1.6e16, q near 7.5e-33), zeros of both signs, and a
+        # half-angle whose square underflows
+        h = np.array([np.pi / 2, -np.pi / 2, 0.0, -0.0, 1e-300, -1e-300])
+        z = gridqft._unit_factors(h.copy())
+        assert np.isfinite(z.view(np.float64)).all()
+        assert z.real.tolist() == [-1.0, -1.0, 1.0, 1.0, 1.0, 1.0]
+        assert np.abs(z.imag[:2] - np.sin(2 * h[:2])).max() <= 1e-31
+        assert z.imag[2:].tolist() == [0.0, 0.0, 2e-300, -2e-300]
+        assert np.signbit(z.imag).tolist() == [False, True, False, True, False, True]
+
+    def test_overwrites_the_half_angles_with_their_tangents(self):
+        h = np.random.default_rng(3).uniform(-np.pi, np.pi, 257)
+        work = h.copy()
+        out = np.empty(h.size, dtype=complex)
+        assert gridqft._unit_factors(work, out) is out
+        assert work.tobytes() == np.tan(h).tobytes()
+
+    def test_parts_have_the_bits_of_one_call(self):
+        # each entry depends on its own half-angle only: a table filled in
+        # uneven parts, through views of it, has the bits of one call
+        h = np.random.default_rng(4).uniform(-4.0, 4.0, 1001)
+        whole = gridqft._unit_factors(h.copy())
+        table, work = np.empty(h.size, dtype=complex), h.copy()
+        for part in (slice(0, 1), slice(1, 500), slice(500, 501), slice(501, 1001)):
+            gridqft._unit_factors(work[part], table[part])
+        assert table.tobytes() == whole.tobytes()
+
+
 class CountingPool:
     """Stands in for the split pool: records every part handed to it, then runs it there."""
 
@@ -746,10 +793,14 @@ def unit_table(rows: int, m: int, seed: int) -> np.ndarray:
 
 
 def last_axis_columns_reference(table: np.ndarray, c: float) -> np.ndarray:
-    """The transformed columns of ``_last_axis_columns`` as one call over every row."""
+    """The transformed columns of ``_last_axis_columns`` as one call over every row.
+
+    Its twiddle comes from the same unit-factor kernel, since what it checks
+    is the split over rows, not the kernel (``TestUnitFactors`` checks that).
+    """
     m = table.shape[1]
     pre = np.conj(gridqft._axis_twiddle(m)[0]) / math.sqrt(table.size)
-    cols = table * (np.exp(1j * c * grid_axis_points(m)) * pre)
+    cols = table * (gridqft._unit_factors(0.5 * c * grid_axis_points(m)) * pre)
     return np.fft.fft(cols, axis=-1, norm="ortho", out=cols)
 
 
@@ -800,7 +851,7 @@ class TestTwoThreadStages:
         assert pts1.tobytes() == pts2.tobytes()
 
     @pytest.mark.parametrize("rows", [303, 257])
-    def test_odd_row_counts_are_byte_identical(self, monkeypatch, rows):
+    def test_odd_row_counts_split_to_the_bits_of_one_call(self, monkeypatch, rows):
         # tables of 303 and 257 rows of 256: the last-axis stage splits their
         # rows unevenly, and one thread and two give the bits of the one-call
         # reference; the autocorrelation runs three chunks (151, 151 and 1

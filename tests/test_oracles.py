@@ -350,19 +350,26 @@ class TestPerturb:
         assert table.shape == (spec.points,) and not table.flags.writeable
 
     @pytest.mark.parametrize("m, d, eta", [(64, 2, 0.1), (8, 3, 0.02), (512, 1, 0.5)])
-    def test_table_is_exp_of_the_seeded_deviations(self, m, d, eta):
-        # the table writes cos/sin of the deviations the seeded stream draws;
-        # that equals np.exp(1j*delta) bit for bit
+    def test_table_is_the_unit_factors_of_the_seeded_half_angles(self, m, d, eta):
+        # the seeded stream draws the deviations' half-angles: doubled, they
+        # are bit for bit the draws over the full band and (-pi, pi); the
+        # table is their unit factors, within 1e-15 of np.exp(1j*delta)
         spec = GridSpec(m=m, d=d)
         noise = NoiseModel.perturbed(eps=0.1, eta=eta, seed=m + d)
-        rng = np.random.default_rng(noise.seed)
         n_bad = math.ceil(eta / 2 * spec.points)
         band = 2 * math.asin(0.1 / 2)
+        rng = np.random.default_rng(noise.seed)
         delta = rng.uniform(-band, band, spec.points)
         bad = rng.choice(spec.points, n_bad, replace=False)
         delta[bad] = rng.uniform(-np.pi, np.pi, n_bad)
+        rng = np.random.default_rng(noise.seed)
+        halves = rng.uniform(-band / 2, band / 2, spec.points)
+        assert np.array_equal(rng.choice(spec.points, n_bad, replace=False), bad)
+        halves[bad] = rng.uniform(-np.pi / 2, np.pi / 2, n_bad)
+        assert (2 * halves).tobytes() == delta.tobytes()
         table = _deviation_table(noise, spec)
-        assert np.array_equal(table.view(np.uint64), np.exp(1j * delta).view(np.uint64))
+        assert table.tobytes() == gridqft._unit_factors(halves).tobytes()
+        assert np.abs(table - np.exp(1j * delta)).max() <= 1e-15
 
     @pytest.mark.parametrize("m, d, eta", [(64, 2, 0.1), (8, 3, 0.02), (512, 1, 0.5)])
     def test_table_has_exactly_the_bad_points(self, m, d, eta):
@@ -385,7 +392,7 @@ class TestPerturb:
         ids=lambda v: str(v),
     )
     def test_table_is_byte_identical_on_two_threads(self, monkeypatch, m, d):
-        # the draws stay on the calling thread; the cos/sin fill of a table
+        # the draws stay on the calling thread; the tangent fill of a table
         # above the cutoff runs half its points on the pool thread
         spec = GridSpec(m=m, d=d)
         noise = NoiseModel.perturbed(eps=0.1, eta=0.2, seed=m + d)

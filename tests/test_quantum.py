@@ -458,6 +458,40 @@ class TestQLowPrecEstimator:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_resample_sums_stay_within_a_chunk_of_the_product(self):
+        # uniform d = 4 rv over 2^13 outcomes, delta = 0.05, n = 2^12, n' = 16:
+        # outer 203 resamples of k' 1295 draws over 8192 outcomes; the
+        # (outer, support) counts take 12.7 MiB and the whole (outer, support,
+        # d) product of the sums would take 50.8 MiB more (a 69.8 MiB peak)
+        size, d = 2**13, 4
+        values = np.random.default_rng(0).uniform(-0.25, 0.25, (size, d))
+        rv = RandomVariable(prob=np.full(size, 1.0 / size), values=values)
+
+        def run():
+            return qlowprec_estimator(rv, 2.0**12, 16.0, 0.05, IDEAL, np.random.default_rng(1))
+
+        run()  # transform plans are cached on first use
+        tracemalloc.start()
+        try:
+            report = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (report.diagnostics["outer"], report.diagnostics["k_prime"]) == (203, 1295)
+        assert peak < 2 * 203 * size * 8
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_chunked_resample_sums_are_byte_identical(self, monkeypatch, d, rows):
+        # 7 resample rows over 1000 outcomes (long enough for pairwise
+        # summation) in chunks of one row, of three (the last of one) and all
+        rng = np.random.default_rng(d)
+        counts = rng.integers(0, 40, (7, 1000))
+        values = rng.uniform(-0.25, 0.25, (1000, d))
+        monkeypatch.setattr(quantum, "_SUM_CHUNK", rows * values.size)
+        sums = quantum._resample_sums(counts, values)
+        assert sums.tobytes() == (counts[:, :, None] * values).sum(axis=1).tobytes()
+
     def test_frozen_k_prime(self):
         rv = basis_rv(4, scale=0.25)
         rep = qlowprec_estimator(rv, 100.0, 50.0, 0.05, IDEAL, np.random.default_rng(0))

@@ -3,9 +3,19 @@
     python3 tools/seeded_digest.py
 
 Runs the quantum estimators of the tree this tool sits in on a fixed grid of
-cases and prints one line: the number of documents, how many are reports and
-how many refusals, and one sha256 over all of them.  A change that must not
-move any seeded stream prints the same line as its parent.
+cases and prints two lines.  The first gives the number of documents, how
+many are reports and how many refusals, and one sha256 over all of them.  A
+change that must not move any seeded stream prints the same first line as
+its parent.
+
+A CDF inversion rarely flips a draw when its law moves by an ulp, so the
+first line can stay put while the laws behind it change.  The second line
+gives one sha256 over the raw bytes of two of those laws, in the order the
+cases reach them: every distinct noise table the cases perturb with, redrawn
+by the uncached ``_deviation_table.__wrapped__`` at its first use, and every
+closed-form marginal the ideal rounds draw from (``linear_phase_marginals``).
+A change that must keep those laws' bits prints the same second line as its
+parent.
 
 The cases, each under three noises (ideal, perturbed (0.05, 0.01) and
 perturbed (0.5, 0.6), noise seed offset as the CLI's) and trial seeds 0-2:
@@ -42,6 +52,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from qmeanlab import oracles, quantum  # noqa: E402
 from qmeanlab.cli import NOISE_SEED_OFFSET  # noqa: E402
 from qmeanlab.hardness import fractional_phase_rv  # noqa: E402
 from qmeanlab.harness import report_to_dict, standard_battery  # noqa: E402
@@ -123,9 +134,41 @@ def _cases():
                 )
 
 
+def _hash_laws(laws) -> list[int]:
+    """Patch the two law builders the estimators call so that ``laws`` takes their raw bytes.
+
+    Each distinct noise table is redrawn by the uncached function when the
+    cases first use it; every closed-form marginal is taken as it is built.
+    Returns the [tables, marginals] counts, updated as the cases run.
+    """
+    counts = [0, 0]
+    seen = set()
+    cached, closed_form = oracles._deviation_table, quantum.linear_phase_marginals
+
+    def deviation_table(noise, spec):
+        if (noise, spec) not in seen:
+            seen.add((noise, spec))
+            laws.update(cached.__wrapped__(noise, spec).tobytes())
+            counts[0] += 1
+        return cached(noise, spec)
+
+    def linear_phase_marginals(spec, coeffs):
+        out = closed_form(spec, coeffs)
+        for p in out:
+            laws.update(p.tobytes())
+        counts[1] += len(out)
+        return out
+
+    oracles._deviation_table = deviation_table
+    quantum.linear_phase_marginals = linear_phase_marginals
+    return counts
+
+
 def main() -> int:
     digest = hashlib.sha256()
     reports = refusals = 0
+    laws = hashlib.sha256()
+    counts = _hash_laws(laws)
     for key, call in _cases():
         for noise_name in NOISES:
             for seed in SEEDS:
@@ -141,6 +184,8 @@ def main() -> int:
                 digest.update((json.dumps(doc, sort_keys=True) + "\n").encode())
     print(f"{reports + refusals} documents ({reports} reports, {refusals} refusals)"
           f" sha256 {digest.hexdigest()}")
+    print(f"{counts[0]} noise tables and {counts[1]} closed-form marginals"
+          f" sha256 {laws.hexdigest()}")
     return 0
 
 
