@@ -17,14 +17,20 @@ coefficient rows that share the overlay in one call: the column norms of the
 amplitudes transformed along the last, contiguous axis give the last
 coordinate, and only the (row, column) slices drawn are transformed over the
 other axes for the remaining coordinates; no m^d table of probabilities is
-formed.  A block with one distinct last coefficient transforms the overlay
-once.  From two on (at d > 1), the overlay's row autocorrelation, the same
-for every coefficient, gives each marginal by one length-m FFT, and one
-matrix product gives every drawn column, so the block costs a fixed number of
-transforms: the autocorrelation costs about two, and measured faster than
-the direct route from two coefficients on.  At d = 1 the overlay is one row,
-the whole lattice, and each coefficient keeps its own transform, so the
-block's extra memory stays one lattice.
+formed.  Its first stage takes one of two routes.  A block with one distinct
+last coefficient, and every block at d = 1, transforms the overlay once per
+distinct last coefficient; at d = 1 the overlay is one row, the whole
+lattice, and each coefficient's transform is released before the next, so
+the block's extra memory stays one lattice.  From two on at d > 1, the
+overlay's row autocorrelation, the same for every coefficient, gives each
+marginal by one length-m FFT, and one matrix product gives every drawn
+column, so the block costs a fixed number of transforms: the autocorrelation
+costs about two, and measured faster than the direct route from two
+coefficients on.
+
+Every Born draw goes through one CDF inversion, :func:`_draw_in_rows` (a
+single law is a one-row table), and one index-to-point map,
+:func:`_lattice_points`.
 
 Every unit factor a perturbed round builds (the noise table, the axis
 vectors, the twist and the columns of the autocorrelation route) comes from
@@ -408,28 +414,17 @@ def linear_phase_marginals(spec: GridSpec, coeffs) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def _draw_indices(p: np.ndarray, reps: int, rng: np.random.Generator) -> np.ndarray:
-    """``reps`` indices into ``p`` drawn by inverting its normalised cumulative sum.
-
-    One ``rng.random(reps)`` draw and searchsorted (side="right"); the CDF
-    inversion behind every Born sampler here (:func:`_draw_in_rows` is its
-    form over several rows at once).  Searching all but the last
-    CDF entry clamps to the last index a draw that rounding leaves at or above
-    the final sum, without a second pass.
-    """
-    cdf = p / p.sum()
-    return np.searchsorted(np.cumsum(cdf, out=cdf)[:-1], rng.random(reps), side="right")
-
-
 def _draw_in_rows(p: np.ndarray, which: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """For each entry g of ``which``, an index into row g of ``p``, drawn from that row.
 
-    The rows are normalised and laid end to end in one cumulative sum, so row
-    g's CDF runs from s_g to s_{g+1} (about g to g+1).  One ``rng.random``
-    draw u per entry goes to s_g + u*(s_{g+1} - s_g) and is inverted with
-    searchsorted (side="right") as in :func:`_draw_indices`; a draw that
-    rounding leaves at or past its row's end is clamped to the row's last
-    index.  One call draws from every row, with no loop over the rows.
+    The one CDF inversion behind every Born sampler here; a single law is a
+    one-row ``p`` with an all-zero ``which``.  The rows are normalised and
+    laid end to end in one cumulative sum, so row g's CDF runs from s_g to
+    s_{g+1} (about g to g+1).  One ``rng.random`` draw u per entry goes to
+    s_g + u*(s_{g+1} - s_g) and is inverted with searchsorted (side="right");
+    a draw that rounding leaves at or past its row's end is clamped to the
+    row's last index.  One call draws from every row, with no loop over the
+    rows.
     """
     width = p.shape[1]
     cdf = (p / p.sum(axis=1, keepdims=True)).reshape(-1)
@@ -441,16 +436,22 @@ def _draw_in_rows(p: np.ndarray, which: np.ndarray, rng: np.random.Generator) ->
     return np.minimum(np.searchsorted(cdf, target, side="right"), first + width - 1) - first
 
 
+def _lattice_points(idx: np.ndarray, m: int) -> np.ndarray:
+    """The lattice points (2a+1-m)/(2m) of indices a, without building the axis."""
+    return (2 * idx + 1 - m) / (2 * m)
+
+
 def sample_marginals(marginals, reps: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``reps`` lattice points from a product of per-axis marginals, as (reps, d).
 
-    Each axis, in order, draws its indices through one CDF inversion.
+    Each axis, in order, draws its indices from its marginal as a one-row
+    :func:`_draw_in_rows` table.
     """
     m = marginals[0].shape[0]
     idx = np.empty((reps, len(marginals)), dtype=np.int64)
     for j, p in enumerate(marginals):
-        idx[:, j] = _draw_indices(p, reps, rng)
-    return (2 * idx + 1 - m) / (2 * m)  # grid_axis_points(m)[idx]
+        idx[:, j] = _draw_in_rows(p[None], np.zeros(reps, dtype=np.int64), rng)
+    return _lattice_points(idx, m)
 
 
 def _check_mass(total: float) -> None:
@@ -682,17 +683,18 @@ def sample_linear_overlay(
       call (:func:`_draw_in_rows`).
 
     The rows are grouped by their last coefficient, and the first stage takes
-    one of two routes, chosen by the number of distinct ones:
+    one of two routes, chosen by the number of distinct ones and d:
 
-    - with one (every one-row round), the overlay gets one in-place FFT along
-      the last axis (:func:`_last_axis_columns`); its column masses give the
-      marginal, from which every point draws its last coordinate in one CDF
-      inversion (:func:`_draw_indices`), and the drawn columns are kept.  At
-      d = 1 with two or more, each coefficient takes this transform in turn
-      and its points draw from its marginal: there the one row is the whole
-      lattice, so the route below would hold one lattice-sized marginal per
-      coefficient at once, and each transform is a single length-m FFT,
-      which that route does not beat;
+    - with one (every one-row round), or at d = 1, each distinct coefficient
+      in turn gets one in-place FFT of the overlay along the last axis
+      (:func:`_last_axis_columns`); its column masses give the marginal, from
+      which its points draw their last coordinate as a one-row
+      :func:`_draw_in_rows` table.  With one coefficient at d > 1 the drawn
+      columns are kept.  At d = 1 the one row is the whole lattice, so the
+      route below would hold one lattice-sized marginal per coefficient at
+      once, and each transform is a single length-m FFT, which that route
+      does not beat; each coefficient's transformed row is released before
+      the next is made;
     - with two or more at d > 1, the overlay's row autocorrelation rho is
       computed once, at the cost of about two such transforms
       (:func:`_row_autocorrelation`); it does not depend on the coefficient,
@@ -722,16 +724,13 @@ def sample_linear_overlay(
     point_row = np.repeat(np.arange(block.shape[0]), counts)
     lasts, by_last = np.unique(block[:, -1], return_inverse=True)
     idx = np.empty((point_row.size, d), dtype=np.int64)
-    if lasts.size == 1:
-        cols, mass = _last_axis_columns(table, lasts[0])
-        idx[:, -1] = _draw_indices(mass, idx.shape[0], rng)
-    elif d == 1:
-        # the one row is the whole lattice: a (K, m) table of marginals would
-        # hold K lattices at once, so each coefficient takes its own transform
+    if lasts.size == 1 or d == 1:
         point_last = by_last[point_row]
         for k, c in enumerate(lasts):
+            cols = None  # frees the last coefficient's table (at d = 1, the lattice) first
+            cols, mass = _last_axis_columns(table, c)
             mine = np.flatnonzero(point_last == k)
-            idx[mine, 0] = _draw_indices(_last_axis_columns(table, c)[1], mine.size, rng)
+            idx[mine, -1] = _draw_in_rows(mass[None], np.zeros_like(mine), rng)
     else:
         marginals = _last_axis_marginals(*_row_autocorrelation(table), lasts, spec.points)
         idx[:, -1] = _draw_in_rows(marginals, by_last[point_row], rng)
@@ -743,7 +742,7 @@ def sample_linear_overlay(
         else:
             heads = _overlay_columns(table, block[rows, -1], drawn)
         idx[:, :-1] = _draw_other_axes(spec, block, heads, rows, which, rng)
-    return (2 * idx + 1 - m) / (2 * m)  # grid_axis_points(m)[idx]
+    return _lattice_points(idx, m)
 
 
 def measure(state: GridState, reps: int, rng: np.random.Generator) -> np.ndarray:
@@ -751,12 +750,13 @@ def measure(state: GridState, reps: int, rng: np.random.Generator) -> np.ndarray
 
     A product state draws each axis from its own marginal through
     :func:`sample_marginals`; a full state draws flat indices from its
-    row-major joint table, each mapped back to its lattice point.  Both go
-    through the one CDF inversion :func:`_draw_indices`.
+    row-major joint table, as a one-row table, each mapped back to its
+    lattice point.  Both go through the one CDF inversion
+    :func:`_draw_in_rows`.
     """
     dist = measurement_distribution(state)
     if state.is_product:
         return sample_marginals(dist, reps, rng)
-    m = state.spec.m
-    idx = np.column_stack(np.unravel_index(_draw_indices(dist, reps, rng), state.tensor.shape))
-    return (2 * idx + 1 - m) / (2 * m)  # grid_axis_points(m)[idx]
+    flat = _draw_in_rows(dist[None], np.zeros(reps, dtype=np.int64), rng)
+    idx = np.column_stack(np.unravel_index(flat, state.tensor.shape))
+    return _lattice_points(idx, state.spec.m)

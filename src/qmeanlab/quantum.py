@@ -427,18 +427,23 @@ def empirical_rv(rv: RandomVariable, count: int, rng: np.random.Generator) -> Ra
     return RandomVariable(prob=counts / count, values=rv.values[uniq])
 
 
-def _resample_sums(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Row r of the (R, d) result is sum_s counts[r, s] * values[s], with ``values`` (S, d).
+def _resample_sums(col: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Row r of the (R, d) result is sum_i values[col[r, i]] over its k' draws; ``values`` is (S, d).
 
-    The expression ``(counts[:, :, None] * values).sum(axis=1)``, evaluated over chunks of rows
-    so that its (rows, S, d) product stays within ``_SUM_CHUNK`` entries (a chunk holds at least
-    one row); each row's sum is reduced on its own, so it has the bits the whole product gives.
+    Each row's draws are counted over the S support values and the expression
+    ``(counts[:, :, None] * values).sum(axis=1)`` is evaluated over chunks of rows, each chunk's
+    counts built from its own (rows, k') indices, so that its (rows, S, d) product stays within
+    ``_SUM_CHUNK`` entries (a chunk holds at least one row) and no (R, S) table of counts is
+    formed; each row's sum is reduced on its own, so it has the bits the whole product gives.
     """
-    sums = np.empty((counts.shape[0], values.shape[1]))
+    size = values.shape[0]
+    sums = np.empty((col.shape[0], values.shape[1]))
     step = max(1, _SUM_CHUNK // values.size)
-    for start in range(0, counts.shape[0], step):
-        rows = slice(start, start + step)
-        np.sum(counts[rows, :, None] * values, axis=1, out=sums[rows])
+    for start in range(0, col.shape[0], step):
+        chunk = col[start : start + step]
+        cells = np.arange(chunk.shape[0])[:, None] * size + chunk
+        counts = np.bincount(cells.ravel(), minlength=chunk.shape[0] * size).reshape(-1, size)
+        np.sum(counts[:, :, None] * values, axis=1, out=sums[start : start + step])
     return sums
 
 
@@ -482,9 +487,7 @@ def qlowprec_estimator(
     check_draw_table(outer, k_prime)
     draws = rng.choice(rv.size, size=(outer, k_prime), p=rv.prob)
     support, col = np.unique(draws, return_inverse=True)
-    cells = np.arange(outer)[:, None] * support.size + col.reshape(outer, k_prime)
-    counts = np.bincount(cells.ravel(), minlength=outer * support.size).reshape(outer, -1)
-    sums = _resample_sums(counts, rv.values[support])
+    sums = _resample_sums(col.reshape(outer, k_prime), rv.values[support])
     means, group = np.unique(sums / k_prime, axis=0, return_inverse=True)
     group = group.reshape(-1)  # numpy 2.0.0 returns it with a trailing axis
     # every round imprints its mean's phase under the one noise overlay of the

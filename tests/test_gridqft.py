@@ -406,6 +406,58 @@ class TestLinearPhaseMarginals:
             PhaseFunction(evaluate=lambda pts: pts @ [1.0], separable=False, coeffs=np.ones(1))
 
 
+def draw_indices_reference(p: np.ndarray, reps: int, rng: np.random.Generator) -> np.ndarray:
+    """A single law's CDF inversion as a separate formula: one ``rng.random(reps)``
+    searched (side="right") in all but the last entry of the normalised cumulative sum."""
+    cdf = p / p.sum()
+    return np.searchsorted(np.cumsum(cdf, out=cdf)[:-1], rng.random(reps), side="right")
+
+
+@st.composite
+def row_tables(draw):
+    """A (G, width) table of masses, some of them 0, each row with positive mass,
+    and the rows that a batch of entries names."""
+    rows = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 64))
+    mass = st.one_of(st.just(0.0), st.floats(1e-300, 1e300))
+    p = np.array(draw(st.lists(
+        st.lists(mass, min_size=width, max_size=width).filter(lambda r: sum(r) > 0),
+        min_size=rows, max_size=rows,
+    )))
+    which = np.array(draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=200)))
+    return p, which
+
+
+class TestOneCdfInversion:
+    """:func:`gridqft._draw_in_rows` is the one CDF inversion of every Born draw."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(case=row_tables(), seed=st.integers(0, 2**32 - 1))
+    def test_every_draw_lands_on_positive_mass_in_its_own_row(self, case, seed):
+        p, which = case
+        out = gridqft._draw_in_rows(p, which, np.random.default_rng(seed))
+        assert out.shape == which.shape
+        assert np.all((0 <= out) & (out < p.shape[1]))
+        assert np.all(p[which, out] > 0)
+
+    def test_one_row_draws_what_a_single_law_inversion_draws(self):
+        # seeded Fejer laws at every m = 2 .. 2^20: the one-row call draws the
+        # indices of the single-law formula, draw for draw
+        for k in range(1, 21):
+            m = 2**k
+            coeffs = np.random.default_rng(k).uniform(-4.0, 4.0, 4) * m
+            for p in linear_phase_marginals(GridSpec(m=m, d=4), coeffs):
+                reference = draw_indices_reference(p, 2000, np.random.default_rng(k))
+                row = np.zeros(2000, dtype=np.int64)
+                drawn = gridqft._draw_in_rows(p[None], row, np.random.default_rng(k))
+                assert np.array_equal(drawn, reference), f"m={m}"
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 1024])
+    def test_lattice_points_are_the_axis_values(self, m):
+        idx = np.arange(m).repeat(2).reshape(-1, 2)
+        assert np.array_equal(gridqft._lattice_points(idx, m), grid_axis_points(m)[idx])
+
+
 @st.composite
 def perturbed_linear_phases(draw):
     """A perturbed linear phase on a random lattice within the lattice cap."""
@@ -420,29 +472,28 @@ def perturbed_linear_phases(draw):
 def sampled_law(spec: GridSpec, phase: PhaseFunction, reps: int):
     """What :func:`sample_linear_overlay` draws from, caught at its CDF inversions.
 
-    Returns the last-coordinate masses of the first stage, the distinct last
-    indices drawn and the unnormalised conditional slices of those indices
-    (one row each, over the other coordinates in row-major order).
+    Returns the last-coordinate masses of the first stage (its one-row table),
+    the distinct last indices drawn and the unnormalised conditional slices of
+    those indices (one row each, over the other coordinates in row-major
+    order), caught at the second call of :func:`gridqft._draw_in_rows`.
     """
-    seen = {}
-    draw_indices, draw_in_rows = gridqft._draw_indices, gridqft._draw_in_rows
+    calls = []
+    draw_in_rows = gridqft._draw_in_rows
 
-    def last(p, count, rng):
-        idx = draw_indices(p, count, rng)
-        seen["last"], seen["drawn"] = p.copy(), np.unique(idx)
+    def caught(p, which, rng):
+        idx = draw_in_rows(p, which, rng)
+        calls.append((p.copy(), idx))
         return idx
 
-    def rest(p, which, rng):
-        seen["slices"] = p.copy()
-        return draw_in_rows(p, which, rng)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gridqft, "_draw_indices", last)
-        mp.setattr(gridqft, "_draw_in_rows", rest)
+        mp.setattr(gridqft, "_draw_in_rows", caught)
         rng = np.random.default_rng(0)
         pts = sample_linear_overlay(spec, phase.coeffs, phase.overlay, reps, rng)
     assert pts.shape == (reps, spec.d)
-    return seen["last"], seen["drawn"], seen.get("slices")
+    assert len(calls) == (1 if spec.d == 1 else 2)
+    (last, drawn), *rest = calls
+    assert last.shape == (1, spec.m)
+    return last[0], np.unique(drawn), rest[0][0] if rest else None
 
 
 def register_law(spec: GridSpec, coeffs, noise: NoiseModel) -> np.ndarray:

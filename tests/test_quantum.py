@@ -459,11 +459,12 @@ class TestQLowPrecEstimator:
         assert peak < 2**20
 
     def test_resample_sums_stay_within_a_chunk_of_the_product(self):
-        # uniform d = 4 rv over 2^13 outcomes, delta = 0.05, n = 2^12, n' = 16:
-        # outer 203 resamples of k' 1295 draws over 8192 outcomes; the
-        # (outer, support) counts take 12.7 MiB and the whole (outer, support,
-        # d) product of the sums would take 50.8 MiB more (a 69.8 MiB peak)
-        size, d = 2**13, 4
+        # uniform d = 4 rv over 2^15 outcomes, delta = 0.05, n = 2^12, n' = 16:
+        # outer 203 resamples of k' 1295 draws over nearly every outcome; an
+        # (outer, support) table of counts would take 50 MiB and the whole
+        # (outer, support, d) product of the sums 200 MiB more, while each
+        # chunk counts and sums its own rows
+        size, d = 2**15, 4
         values = np.random.default_rng(0).uniform(-0.25, 0.25, (size, d))
         rv = RandomVariable(prob=np.full(size, 1.0 / size), values=values)
 
@@ -478,18 +479,20 @@ class TestQLowPrecEstimator:
         finally:
             tracemalloc.stop()
         assert (report.diagnostics["outer"], report.diagnostics["k_prime"]) == (203, 1295)
-        assert peak < 2 * 203 * size * 8
+        assert peak < 20 * 2**20
 
     @pytest.mark.parametrize("d", [1, 2, 4])
     @pytest.mark.parametrize("rows", [1, 3, 7])
     def test_chunked_resample_sums_are_byte_identical(self, monkeypatch, d, rows):
-        # 7 resample rows over 1000 outcomes (long enough for pairwise
-        # summation) in chunks of one row, of three (the last of one) and all
+        # 7 resamples of 5000 draws over 1000 outcomes (long enough for
+        # pairwise summation) in chunks of one row, of three (the last of one)
+        # and all, against the whole (rows, support) table of counts
         rng = np.random.default_rng(d)
-        counts = rng.integers(0, 40, (7, 1000))
+        col = rng.integers(0, 1000, (7, 5000))
         values = rng.uniform(-0.25, 0.25, (1000, d))
+        counts = np.stack([np.bincount(row, minlength=1000) for row in col])
         monkeypatch.setattr(quantum, "_SUM_CHUNK", rows * values.size)
-        sums = quantum._resample_sums(counts, values)
+        sums = quantum._resample_sums(col, values)
         assert sums.tobytes() == (counts[:, :, None] * values).sum(axis=1).tobytes()
 
     def test_frozen_k_prime(self):

@@ -10,12 +10,15 @@ its parent.
 
 A CDF inversion rarely flips a draw when its law moves by an ulp, so the
 first line can stay put while the laws behind it change.  The second line
-gives one sha256 over the raw bytes of two of those laws, in the order the
-cases reach them: every distinct noise table the cases perturb with, redrawn
-by the uncached ``_deviation_table.__wrapped__`` at its first use, and every
-closed-form marginal the ideal rounds draw from (``linear_phase_marginals``).
-A change that must keep those laws' bits prints the same second line as its
-parent.
+gives one sha256 over the raw bytes of four kinds of those laws, in the order
+the cases reach them: every distinct noise table the cases perturb with,
+redrawn by the uncached ``_deviation_table.__wrapped__`` at its first use;
+every closed-form marginal the ideal rounds draw from
+(``linear_phase_marginals``); and, in the perturbed rounds, every
+last-coordinate marginal of a direct transform (the column masses of
+``gridqft._last_axis_columns``) and every table of last-coordinate marginals
+of the autocorrelation route (``gridqft._last_axis_marginals``).  A change
+that must keep those laws' bits prints the same second line as its parent.
 
 The cases, each under three noises (ideal, perturbed (0.05, 0.01) and
 perturbed (0.5, 0.6), noise seed offset as the CLI's) and trial seeds 0-2:
@@ -52,7 +55,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qmeanlab import oracles, quantum  # noqa: E402
+from qmeanlab import gridqft, oracles, quantum  # noqa: E402
 from qmeanlab.cli import NOISE_SEED_OFFSET  # noqa: E402
 from qmeanlab.hardness import fractional_phase_rv  # noqa: E402
 from qmeanlab.harness import report_to_dict, standard_battery  # noqa: E402
@@ -135,15 +138,17 @@ def _cases():
 
 
 def _hash_laws(laws) -> list[int]:
-    """Patch the two law builders the estimators call so that ``laws`` takes their raw bytes.
+    """Patch the law builders the estimators call so that ``laws`` takes their raw bytes.
 
     Each distinct noise table is redrawn by the uncached function when the
-    cases first use it; every closed-form marginal is taken as it is built.
-    Returns the [tables, marginals] counts, updated as the cases run.
+    cases first use it; every other law is taken as it is built.  Returns the
+    counts [noise tables, closed-form marginals, last-axis masses,
+    autocorrelation marginal tables], updated as the cases run.
     """
-    counts = [0, 0]
+    counts = [0, 0, 0, 0]
     seen = set()
     cached, closed_form = oracles._deviation_table, quantum.linear_phase_marginals
+    columns, marginals = gridqft._last_axis_columns, gridqft._last_axis_marginals
 
     def deviation_table(noise, spec):
         if (noise, spec) not in seen:
@@ -159,8 +164,22 @@ def _hash_laws(laws) -> list[int]:
         counts[1] += len(out)
         return out
 
+    def last_axis_columns(*args):
+        cols, mass = columns(*args)
+        laws.update(mass.tobytes())
+        counts[2] += 1
+        return cols, mass
+
+    def last_axis_marginals(*args):
+        out = marginals(*args)
+        laws.update(out.tobytes())
+        counts[3] += 1
+        return out
+
     oracles._deviation_table = deviation_table
     quantum.linear_phase_marginals = linear_phase_marginals
+    gridqft._last_axis_columns = last_axis_columns
+    gridqft._last_axis_marginals = last_axis_marginals
     return counts
 
 
@@ -184,8 +203,8 @@ def main() -> int:
                 digest.update((json.dumps(doc, sort_keys=True) + "\n").encode())
     print(f"{reports + refusals} documents ({reports} reports, {refusals} refusals)"
           f" sha256 {digest.hexdigest()}")
-    print(f"{counts[0]} noise tables and {counts[1]} closed-form marginals"
-          f" sha256 {laws.hexdigest()}")
+    print(f"{counts[0]} noise tables, {counts[1]} closed-form marginals, {counts[2]} last-axis"
+          f" masses and {counts[3]} autocorrelation marginal tables sha256 {laws.hexdigest()}")
     return 0
 
 
