@@ -10,13 +10,14 @@ import math
 
 import numpy as np
 
-from qmeanlab.gridqft import _ARRAY_BYTES_LOG2
+from qmeanlab.checks import as_integer, check_array_bytes, check_open_unit
 from qmeanlab.oracles import CostLedger
 from qmeanlab.probspace import RandomVariable
 
 __all__ = [
     "sample",
     "check_draw_table",
+    "check_sample_floor",
     "coordinate_median",
     "median_of_means",
     "subgaussian_groups",
@@ -26,8 +27,7 @@ __all__ = [
 
 def check_draw_table(rows: int, cols: int) -> None:
     """Refuse, before it is allocated, a (rows, cols) table of 8-byte draws above 2^30 bytes."""
-    if rows * cols * 8 > 2**_ARRAY_BYTES_LOG2:
-        raise ValueError(f"draw-table memory wall: ({rows}, {cols}) 8-byte draws > 2^{_ARRAY_BYTES_LOG2} bytes")
+    check_array_bytes(rows * cols * 8, f"draw-table memory wall: ({rows}, {cols}) 8-byte draws")
 
 
 def sample(
@@ -40,8 +40,7 @@ def sample(
 
     Charges ``count`` classical samples; refuses a table above 2^30 bytes.
     """
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    as_integer("count", count, at_least=1)
     check_draw_table(count, rv.d)
     idx = rng.choice(rv.size, size=count, p=rv.prob)
     if ledger is not None:
@@ -77,8 +76,7 @@ def median_of_means(draws: np.ndarray, groups: int) -> np.ndarray:
     block.  Fixed grouping keeps the output deterministic given the draws.
     """
     count = draws.shape[0]
-    if groups < 1:
-        raise ValueError(f"groups must be at least 1, got {groups}")
+    as_integer("groups", groups, at_least=1)
     if groups > count:
         raise ValueError(f"groups={groups} exceeds the batch size {count}")
     block = count // groups
@@ -89,9 +87,12 @@ def median_of_means(draws: np.ndarray, groups: int) -> np.ndarray:
     return coordinate_median(means)
 
 
-def _check_delta(delta: float) -> None:
-    if not (0 < delta < 1):
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+def check_sample_floor(n: int, delta: float) -> None:
+    """The sub-Gaussian baseline's data-free preconditions: delta in (0, 1), n >= ceil(log2(1/delta))."""
+    check_open_unit("delta", delta)
+    needed = math.ceil(math.log2(1.0 / delta))
+    if n < needed:
+        raise ValueError(f"n={n} is below ceil(log2(1/delta)) = {needed}")
 
 
 def subgaussian_groups(n: int, delta: float) -> int:
@@ -111,11 +112,8 @@ def subgaussian_estimate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Median-of-means baseline: draws exactly n samples, returns (estimate, draws).
 
-    ``delta`` must lie in (0, 1) and n must be at least ceil(log2(1/delta)).
+    Refused, before any draw, as :func:`check_sample_floor` refuses.
     """
-    _check_delta(delta)
-    needed = math.ceil(math.log2(1.0 / delta))
-    if n < needed:
-        raise ValueError(f"n={n} is below ceil(log2(1/delta)) = {needed}")
+    check_sample_floor(n, delta)
     draws = sample(rv, n, rng, ledger)
     return median_of_means(draws, subgaussian_groups(n, delta)), draws

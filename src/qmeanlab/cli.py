@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checks import as_integer, as_positive
 from .harness import (
     ESTIMATOR_IDS,
     ExperimentConfig,
@@ -117,10 +118,9 @@ def _rv_from_doc(doc, base_dir: Path):
         return parse_distribution_spec(json.dumps(body))
     if kind == "battery":
         body = _rv_body(kind, body, {"name", "d"}, {"scale"})
-        name, d, scale = body["name"], body["d"], body.get("scale", 1.0)
-        if not (_typed(d, int) and d >= 1 and _typed(scale, float) and scale > 0):
-            raise ValueError(f"battery needs an integer d >= 1 and a scale > 0, got {body!r}")
-        dists = standard_battery(d, scale=float(scale))
+        name = body["name"]
+        d = as_integer("battery d", body["d"], at_least=1)
+        dists = standard_battery(d, scale=as_positive("battery scale", body.get("scale", 1.0)))
         if not isinstance(name, str) or name not in dists:
             raise ValueError(f"battery name must be one of {sorted(dists)}, got {name!r}")
         return dists[name]
@@ -129,9 +129,6 @@ def _rv_from_doc(doc, base_dir: Path):
         params = body.get("params", {})
         if not isinstance(params, dict):
             raise ValueError(f"rv 'hard' params must be an object, got {params!r}")
-        for key, value in params.items():
-            if not _typed(value, _param_type(key, body["family"])):
-                raise ValueError(f"hard-instance parameter {key!r} has the wrong type: {value!r}")
         rv, _ = _build_hard(body["family"], params)
         return rv
     raise ValueError(f"unknown rv source {kind!r}")
@@ -200,41 +197,48 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # hard
 
-_PARAM_TYPES = {"d": int, "alpha": int, "seed": int, "sigma": float, "b": str, "normalization": str}
+_STRING_PARAMS = ("b", "normalization")
 
 
-def _param_type(key: str, family: str) -> type:
-    # the fractional-phase family takes a non-integer tilt denominator
-    if key == "n":
-        return float if family == "fracphase" else int
-    if key not in _PARAM_TYPES:
+def _check_param(key: str, value, family: str) -> None:
+    """Refuse a hard-instance parameter not of its key's kind: a negative seed, a b not of 0s and 1s."""
+    name = f"hard-instance parameter {key!r}"
+    if key in _STRING_PARAMS:
+        if not isinstance(value, str) or key == "b" and set(value) - {"0", "1"}:
+            kind = "a string of 0s and 1s" if key == "b" else "a string"
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
+    elif key == "sigma" or key == "n" and family == "fracphase":  # a non-integer tilt denominator
+        as_positive(name, value)
+    elif key in ("n", "d", "alpha", "seed"):
+        as_integer(name, value, at_least=0 if key == "seed" else -math.inf)
+    else:
         raise ValueError(f"unknown hard-instance parameter {key!r}")
-    return _PARAM_TYPES[key]
 
 
-def _typed(value, kind: type) -> bool:
-    """JSON ``value`` is a ``kind``; floats must be finite and accept integers."""
-    if kind is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _parse_params(pairs: list[str], family: str) -> dict:
+def _parse_params(pairs: list[str]) -> dict:
+    """``--params`` pairs as the values a JSON ``params`` object would hold; _build_hard checks them."""
     params: dict = {}
     for pair in pairs:
         key, sep, raw = pair.partition("=")
         if not sep:
             raise ValueError(f"params must look like key=value, got {pair!r}")
-        params[key] = _param_type(key, family)(raw)
+        params[key] = raw if key in _STRING_PARAMS else _number(raw)
     return params
 
 
+def _number(raw: str):
+    """``raw`` as an int, else a float, else the string itself."""
+    for parse in (int, float):
+        try:
+            return parse(raw)
+        except ValueError:
+            pass
+    return raw
+
+
 def _bits_from(params: dict, length: int, balanced: bool = False) -> np.ndarray:
-    if "b" in params:
-        bits = np.array([int(c) for c in params["b"]], dtype=np.int64)
-        if bits.size != length:
-            raise ValueError(f"b must have exactly {length} bits, got {bits.size}")
-        return bits
+    if "b" in params:  # its length is the family's to check
+        return np.array([int(c) for c in params["b"]], dtype=np.int64)
     rng = np.random.default_rng(params.get("seed", 0))
     if balanced:  # the partial-Hadamard family requires weight exactly length/2
         bits = np.zeros(length, dtype=np.int64)
@@ -247,42 +251,34 @@ def _build_hard(family: str, params: dict):
     """Return (rv, meta) for one hard family; meta carries designed moments."""
     if family not in ("low", "high", "fracphase"):
         raise ValueError(f"family must be low, high, or fracphase, got {family!r}")
+    for key, value in params.items():
+        _check_param(key, value, family)
     missing = {"n", "d"} - set(params)
     if missing:
         raise ValueError(f"family {family!r} needs parameter(s) {sorted(missing)}")
-    if family == "low":
-        n, d = int(params["n"]), int(params["d"])
-        sigma = float(params.get("sigma", 1.0))
-        alpha = int(params.get("alpha", 4))
-        b = _bits_from(params, alpha * n, balanced=True)
-        rv = hard_rv_low_precision(n, d, sigma, b, alpha)
-        designed = designed_mean_low_precision(n, d, sigma, b, alpha)
-        used = {"n": n, "d": d, "sigma": sigma, "alpha": alpha, "b": "".join(map(str, b))}
-    elif family == "high":
-        n, d = int(params["n"]), int(params["d"])
-        sigma = float(params.get("sigma", 1.0))
-        alpha = int(params.get("alpha", 4))
-        normalization = params.get("normalization", "d2")
-        rng = np.random.default_rng(params.get("seed", 0))
-        inst = search_parity_instance(d, _high_precision_columns(n, d, alpha), rng)
-        rv = hard_rv_high_precision(n, d, sigma, inst, alpha, normalization)
-        designed = designed_mean_high_precision(n, d, sigma, inst, alpha, normalization)
-        used = {
-            "n": n,
-            "d": d,
-            "sigma": sigma,
-            "alpha": alpha,
-            "normalization": normalization,
-            "seed": params.get("seed", 0),
-            "b": "".join(map(str, inst.b)),
-        }
+    n, d = params["n"], params["d"]
+    if family == "fracphase":
+        n = float(n)
+        b = _bits_from(params, d)
+        rv = fractional_phase_rv(d, n, b)
+        designed = designed_mean_fractional_phase(d, n, b)
+        used = {"d": d, "n": n}
     else:
-        d_prime = int(params["d"])
-        n = float(params["n"])
-        b = _bits_from(params, d_prime)
-        rv = fractional_phase_rv(d_prime, n, b)
-        designed = designed_mean_fractional_phase(d_prime, n, b)
-        used = {"d": d_prime, "n": n, "b": "".join(map(str, b))}
+        sigma, alpha = float(params.get("sigma", 1.0)), params.get("alpha", 4)
+        used = {"n": n, "d": d, "sigma": sigma, "alpha": alpha}
+        if family == "low":
+            b = _bits_from(params, alpha * n, balanced=True)
+            rv = hard_rv_low_precision(n, d, sigma, b, alpha)
+            designed = designed_mean_low_precision(n, d, sigma, b, alpha)
+        else:
+            normalization, seed = params.get("normalization", "d2"), params.get("seed", 0)
+            columns = _high_precision_columns(n, d, alpha)
+            inst = search_parity_instance(d, columns, np.random.default_rng(seed))
+            rv = hard_rv_high_precision(n, d, sigma, inst, alpha, normalization)
+            designed = designed_mean_high_precision(n, d, sigma, inst, alpha, normalization)
+            used.update(normalization=normalization, seed=seed)
+            b = inst.b
+    used["b"] = "".join(map(str, b))
     summary = moments(rv)
     meta = {
         "family": family,
@@ -298,7 +294,7 @@ def _build_hard(family: str, params: dict):
 
 
 def cmd_hard(args: argparse.Namespace) -> int:
-    params = _parse_params(args.params, args.family)
+    params = _parse_params(args.params)
     rv, meta = _build_hard(args.family, params)
     spec_text = serialize_distribution_spec(rv)
     meta_text = json.dumps(meta, indent=1) + "\n"

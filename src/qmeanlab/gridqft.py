@@ -70,12 +70,15 @@ from typing import Callable
 
 import numpy as np
 
+from qmeanlab.checks import as_integer, check_array_bytes, check_power_of_two
+
 __all__ = [
     "GridSpec",
     "GridState",
     "PhaseFunction",
     "lattice_cap",
     "check_lattice_cap",
+    "check_axis_walls",
     "grid_axis_points",
     "grid_points",
     "uniform_superposition",
@@ -96,9 +99,8 @@ _EVAL_CHUNK = 1 << 16
 # Per-axis walls of the closed form: the lattice points (2b+1-m)/(2m) are
 # exact in float64 only for m <= 2^52, and one float64 array over an axis may
 # take at most 2^30 bytes (m <= 2^27, above the 2^26 of near_optimal at
-# n = 2048 on the d=2 ball battery); so may a table of classical draws.
+# n = 2048 on the d=2 ball battery; :func:`qmeanlab.checks.check_array_bytes`).
 _AXIS_PRECISION_LOG2 = 52
-_ARRAY_BYTES_LOG2 = 30
 # The CPUs this process may run on, read once.  With two or more, the noise
 # table's tangent fill and the last-axis transform of a perturbed round over
 # more than _SPLIT_MIN amplitudes run half their rows on one pool thread
@@ -119,7 +121,7 @@ def lattice_cap() -> int:
     return _LATTICE_CAP
 
 
-def _check_axis_walls(m: int) -> None:
+def check_axis_walls(m: int) -> None:
     """Refuse, before anything is allocated, an axis past the precision or memory wall."""
     log2_m = m.bit_length() - 1
     if log2_m > _AXIS_PRECISION_LOG2:
@@ -127,11 +129,7 @@ def _check_axis_walls(m: int) -> None:
             f"per-axis precision wall: m = 2^{log2_m} > 2^{_AXIS_PRECISION_LOG2} lattice points"
             " are not exact in float64"
         )
-    if log2_m + 3 > _ARRAY_BYTES_LOG2:
-        raise ValueError(
-            f"per-axis memory wall: m = 2^{log2_m} needs 2^{log2_m + 3} bytes per axis"
-            f" > 2^{_ARRAY_BYTES_LOG2}"
-        )
+    check_array_bytes(8 * m, f"per-axis memory wall: m = 2^{log2_m} needs 2^{log2_m + 3} bytes per axis")
 
 
 def check_lattice_cap(spec: GridSpec) -> None:
@@ -156,10 +154,8 @@ class GridSpec:
     d: int
 
     def __post_init__(self) -> None:
-        if self.m < 1 or (self.m & (self.m - 1)) != 0:
-            raise ValueError(f"m must be a positive power of two, got {self.m}")
-        if self.d < 1:
-            raise ValueError(f"d must be positive, got {self.d}")
+        check_power_of_two("m", self.m)
+        as_integer("d", self.d, at_least=1)
 
     @property
     def points(self) -> int:
@@ -213,18 +209,14 @@ class GridState:
             tensor = np.ascontiguousarray(self.tensor, dtype=complex)
             if tensor.shape != expected:
                 raise ValueError(f"tensor shape {tensor.shape} != {expected}")
-            nrm = float(np.linalg.norm(tensor.reshape(-1)))
-            if abs(nrm - 1.0) > 1e-9:
-                raise ValueError(f"state norm drifted to {nrm!r}")
+            _check_norm(float(np.linalg.norm(tensor.reshape(-1))))
             tensor.flags.writeable = False
             object.__setattr__(self, "tensor", tensor)
         else:
             axes = tuple(np.ascontiguousarray(a, dtype=complex) for a in self.axes)
             if len(axes) != self.spec.d or any(a.shape != (self.spec.m,) for a in axes):
                 raise ValueError("product form needs d vectors of length m")
-            total = math.prod(float(np.linalg.norm(a)) for a in axes)
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"state norm drifted to {total!r}")
+            _check_norm(math.prod(float(np.linalg.norm(a)) for a in axes))
             for a in axes:
                 a.flags.writeable = False
             object.__setattr__(self, "axes", axes)
@@ -388,13 +380,14 @@ def linear_phase_marginals(spec: GridSpec, coeffs) -> tuple[np.ndarray, ...]:
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
     if coeffs.shape != (spec.d,):
         raise ValueError(f"linear phase has {coeffs.shape[0]} coefficients, expected {spec.d}")
-    _check_axis_walls(m)
+    check_axis_walls(m)
     if m == 1:
         return (np.ones(1),) * spec.d
     pi_v = np.pi * grid_axis_points(m)
     # A phase c of order m resolves only to its float64 ulp, so the rounding
     # drift of the mass grows with m (at most 5e-11 over 20 random c at
-    # m = 2^23); the bound grows with it instead of staying a flat 1e-9.
+    # m = 2^23); the bound grows with it instead of staying a flat 1e-9.  It
+    # bounds the mass, not the norm, so _check_norm would pass other laws.
     tol = max(1e-9, 16 * m * 2.0**-52)
     out = []
     for c in coeffs:
@@ -454,9 +447,8 @@ def sample_marginals(marginals, reps: int, rng: np.random.Generator) -> np.ndarr
     return _lattice_points(idx, m)
 
 
-def _check_mass(total: float) -> None:
-    """Refuse a Born law whose total mass is not 1, as :class:`GridState` checks its norm."""
-    nrm = math.sqrt(total)
+def _check_norm(nrm: float) -> None:
+    """Refuse a state, or a Born law of mass nrm^2, whose norm is not 1 within 1e-9."""
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"state norm drifted to {nrm!r}")
 
@@ -555,7 +547,7 @@ def _last_axis_columns(table: np.ndarray, c: float) -> tuple[np.ndarray, np.ndar
 
     _in_halves(stage, table.shape[0], table.size)
     mass = _column_masses(cols)
-    _check_mass(float(mass.sum()))
+    _check_norm(math.sqrt(float(mass.sum())))
     return cols, mass
 
 
@@ -586,7 +578,7 @@ def _row_autocorrelation(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         power[1] += _column_masses(np.fft.fft(rows, axis=-1, out=rows))
     circ, twisted = np.fft.ifft(power, axis=-1)
     twisted *= np.conj(twist)
-    _check_mass(float(circ[0].real) / table.size)
+    _check_norm(math.sqrt(float(circ[0].real) / table.size))
     pos, neg = (circ + twisted) / 2, (circ - twisted) / 2
     neg[0] = 0.0  # rho(-m): no pair of entries lies m apart
     return pos, neg

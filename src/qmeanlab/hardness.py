@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qmeanlab.checks import as_integer, check_power_of_two
 from qmeanlab.probspace import RandomVariable
 
 __all__ = [
@@ -28,8 +29,7 @@ __all__ = [
 
 
 def _sylvester_signs(d: int) -> np.ndarray:
-    if d < 1 or (d & (d - 1)) != 0:
-        raise ValueError(f"d must be a positive power of two, got {d}")
+    # the d x d sign matrix; d is a power of two, checked by the caller
     s = np.array([[1]], dtype=np.int64)
     block = np.array([[1, 1], [1, -1]], dtype=np.int64)
     while s.shape[0] < d:
@@ -39,6 +39,7 @@ def _sylvester_signs(d: int) -> np.ndarray:
 
 def hadamard(d: int) -> np.ndarray:
     """Sylvester Hadamard matrix, entries +-1/sqrt(d), first row/column positive."""
+    check_power_of_two("d", d)
     return _sylvester_signs(d) / math.sqrt(d)
 
 
@@ -56,14 +57,8 @@ class SearchParityInstance:
     M: int
 
     def __post_init__(self) -> None:
-        A = np.asarray(self.A)
-        b = np.asarray(self.b)
-        if A.shape != (self.N, self.M):
-            raise ValueError(f"A has shape {A.shape}, expected ({self.N}, {self.M})")
-        if b.shape != (self.N,):
-            raise ValueError(f"b has shape {b.shape}, expected ({self.N},)")
-        if not np.isin(A, (0, 1)).all() or not np.isin(b, (0, 1)).all():
-            raise ValueError("A and b must be 0/1 valued")
+        A = _check_bits(self.A, (self.N, self.M), "A")
+        b = _check_bits(self.b, (self.N,), "b")
         weights = A.sum(axis=1)
         low, high = self.M // 2, self.M // 2 + 1
         if int((weights == low).sum()) != self.N // 2:
@@ -75,8 +70,6 @@ class SearchParityInstance:
             raise ValueError(f"row weights must be {low} or {high}")
         if not np.array_equal(b, (weights == high).astype(b.dtype)):
             raise ValueError("b must indicate exactly the heavy rows")
-        A = np.ascontiguousarray(A, dtype=np.int64)
-        b = np.ascontiguousarray(b, dtype=np.int64)
         A.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "A", A)
@@ -85,8 +78,7 @@ class SearchParityInstance:
 
 def search_parity_instance(N: int, M: int, rng: np.random.Generator) -> SearchParityInstance:
     """Uniformly random instance: heavy rows and each row's support are seeded."""
-    if N < 1 or M < 1:
-        raise ValueError(f"N and M must be at least 1, got {N}, {M}")
+    N, M = as_integer("N", N, at_least=1), as_integer("M", M, at_least=1)
     b = np.zeros(N, dtype=np.int64)
     heavy = rng.choice(N, size=N - N // 2, replace=False)
     b[heavy] = 1
@@ -98,13 +90,14 @@ def search_parity_instance(N: int, M: int, rng: np.random.Generator) -> SearchPa
     return SearchParityInstance(A=A, b=b, N=N, M=M)
 
 
-def _check_bits(b, length: int, name: str) -> np.ndarray:
-    b = np.asarray(b)
-    if b.shape != (length,):
-        raise ValueError(f"{name} has shape {b.shape}, expected ({length},)")
-    if not np.isin(b, (0, 1)).all():
+def _check_bits(bits, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """``bits`` as a new int64 array of ``shape``, every entry 0 or 1."""
+    bits = np.asarray(bits)
+    if bits.shape != shape:
+        raise ValueError(f"{name} has shape {bits.shape}, expected {shape}")
+    if not np.isin(bits, (0, 1)).all():
         raise ValueError(f"{name} must be 0/1 valued")
-    return b.astype(np.int64)
+    return bits.astype(np.int64)
 
 
 def hard_rv_low_precision(
@@ -116,20 +109,20 @@ def hard_rv_low_precision(
     * b_i * H_i; Tr of the covariance is sigma^2 exactly and the mean is a
     rescaled H^T b, so exact mean knowledge recovers b by one matrix product.
     """
-    if n < 1 or alpha < 1:
-        raise ValueError(f"n and alpha must be positive integers, got {n}, {alpha}")
-    if d < 1 or (d & (d - 1)) != 0:
-        raise ValueError(f"d must be a positive power of two, got {d}")
+    n, alpha = as_integer("n", n, at_least=1), as_integer("alpha", alpha, at_least=1)
+    check_power_of_two("d", d)
     count = alpha * n
     if count > d:
         raise ValueError(f"alpha*n = {count} exceeds d = {d}")
     if count % 2 != 0:
         raise ValueError(f"alpha*n = {count} must be even (b has weight alpha*n/2)")
-    b = _check_bits(b, count, "b")
+    b = _check_bits(b, (count,), "b")
     if int(b.sum()) != count // 2:
         raise ValueError(f"b must have Hamming weight alpha*n/2 = {count // 2}, got {int(b.sum())}")
-    rows = hadamard(d)[:count]
     scale = alpha * sigma * math.sqrt(n / ((alpha**2 * n - alpha) / 2.0))
+    if not math.isfinite(scale):
+        raise ValueError(f"value scale alpha*sigma*sqrt(2n/(alpha^2 n - alpha)) = {scale} is not finite")
+    rows = _sylvester_signs(d)[:count] / math.sqrt(d)
     values = scale * b[:, None] * rows
     return RandomVariable(prob=np.full(count, 1.0 / count), values=values)
 
@@ -140,13 +133,16 @@ def designed_mean_low_precision(n: int, d: int, sigma: float, b, alpha: int) -> 
     return sigma / math.sqrt(n * (alpha**2 * n - alpha) / 2.0) * (b @ rows)
 
 
+# D = (alpha n)^2 - k d^2 of the high-precision family, k by normalization
+_NORMALIZATION = {"d2": 1, "2d2": 2}
+
+
 def _high_precision_columns(n: int, d: int, alpha: int) -> int:
     """M = alpha*n/d of the high-precision family, once n, alpha and d are checked.
 
     It runs before the (d, M) search instance is built, so bad shapes fail here.
     """
-    if n < 1 or alpha < 1:
-        raise ValueError(f"n and alpha must be positive integers, got {n}, {alpha}")
+    n, alpha = as_integer("n", n, at_least=1), as_integer("alpha", alpha, at_least=1)
     if d < 2 or d % 2 != 0:
         raise ValueError(f"d must be even and at least 2, got {d}")
     count = alpha * n
@@ -183,14 +179,9 @@ def hard_rv_high_precision(
         raise ValueError(
             f"instance shape ({inst.N}, {inst.M}) does not match (d, alpha*n/d) = ({d}, {M})"
         )
-    if normalization == "d2":
-        D = count**2 - d**2
-    elif normalization == "2d2":
-        D = count**2 - 2 * d**2
-    else:
+    if normalization not in _NORMALIZATION:
         raise ValueError(f"normalization must be 'd2' or '2d2', got {normalization!r}")
-    if D <= 0:
-        raise ValueError(f"normalization denominator (alpha*n)^2 adjustment is {D} <= 0")
+    D = count**2 - _NORMALIZATION[normalization] * d**2  # at least 2d^2: M is even, so alpha*n >= 2d
     scale = alpha * sigma * n / math.sqrt(D)
     signs = 2 * inst.A - 1  # (-1)^(1 + A): +1 where A = 1, -1 where A = 0
     values = np.zeros((count, d))
@@ -203,7 +194,7 @@ def designed_mean_high_precision(
     n: int, d: int, sigma: float, inst: SearchParityInstance, alpha: int, normalization: str = "d2"
 ) -> np.ndarray:
     count = alpha * n
-    D = count**2 - d**2 if normalization == "d2" else count**2 - 2 * d**2
+    D = count**2 - _NORMALIZATION[normalization] * d**2
     return 2.0 * sigma / math.sqrt(D) * inst.b.astype(float)
 
 
@@ -217,11 +208,10 @@ def fractional_phase_rv(d_prime: int, n: float, b) -> RandomVariable:
     (1 -+ b_j d'/n)/(2d'), which is also how they are computed: exact powers
     of two when b_j = 0, so the b = 0 mean is exactly (1/8) e_1.
     """
-    if d_prime < 1 or (d_prime & (d_prime - 1)) != 0:
-        raise ValueError(f"d' must be a positive power of two, got {d_prime}")
+    check_power_of_two("d'", d_prime)
     if d_prime > n:
         raise ValueError(f"d' = {d_prime} exceeds n = {n!r} (arcsin argument above 1)")
-    b = _check_bits(b, d_prime, "b")
+    b = _check_bits(b, (d_prime,), "b")
     tilt = b * (d_prime / n)
     prob = np.empty(2 * d_prime)
     prob[0::2] = (1.0 - tilt) / (2 * d_prime)  # x = 0

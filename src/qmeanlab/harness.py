@@ -20,8 +20,9 @@ from typing import Any
 
 import numpy as np
 
-from qmeanlab.classical import _check_delta, check_draw_table, subgaussian_estimate
-from qmeanlab.gridqft import GridSpec, _check_axis_walls, check_lattice_cap
+from qmeanlab.checks import as_integer, as_positive, as_real, check_norm_bound, check_open_unit
+from qmeanlab.classical import check_draw_table, subgaussian_estimate
+from qmeanlab.gridqft import GridSpec, check_axis_walls, check_lattice_cap
 from qmeanlab.oracles import CostLedger, NoiseModel
 from qmeanlab.probspace import RandomVariable, mean, moments
 from qmeanlab.quantum import (
@@ -122,27 +123,11 @@ _MAX_BUDGET = 2.0**53
 
 def _budget(name: str, value) -> float:
     """``value`` as a float budget: a real number (not bool), finite, positive, at most 2^53."""
-    budget = _real(name, value)
-    if not (math.isfinite(budget) and budget > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    budget = as_positive(name, value)
     # an integer compares exactly, so 2^53 + 1 is refused although it rounds to 2^53
     if budget > _MAX_BUDGET or (isinstance(value, numbers.Integral) and int(value) > _MAX_BUDGET):
         raise ValueError(f"{name} must be at most 2^53, got {value!r}")
     return budget
-
-
-def _real(name: str, value) -> float:
-    """``value`` as a float; Python and NumPy real numbers only (not bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; Python and NumPy integers only (not bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -177,14 +162,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown estimator {self.estimator!r}; expected one of {ESTIMATOR_IDS}"
             )
-        for name in ("trials", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        object.__setattr__(self, "trials", as_integer("trials", self.trials, at_least=1))
+        object.__setattr__(self, "seed", as_integer("seed", self.seed))
         if self.seed < 0:
             raise ValueError(f"seed must be at least 0, got {self.seed}")
-        object.__setattr__(self, "delta", _real("delta", self.delta))
-        _check_delta(self.delta)
+        object.__setattr__(self, "delta", as_real("delta", self.delta))
+        check_open_unit("delta", self.delta)
         for name in ("n", "nprime"):
             value = getattr(self, name)
             if value is not None:
@@ -203,9 +186,8 @@ class ExperimentConfig:
         if self.estimator in _NEEDS_NPRIME and self.nprime is None and not self.nprime_grid:
             raise ValueError(f"estimator {self.estimator!r} needs nprime or nprime_grid")
         if self.l2 is not None:
-            object.__setattr__(self, "l2", _real("l2", self.l2))
-            if not (0.0 < self.l2 <= 1.0):
-                raise ValueError(f"l2 must lie in (0, 1], got {self.l2!r}")
+            object.__setattr__(self, "l2", as_real("l2", self.l2))
+            check_norm_bound("l2", self.l2)
 
 
 @dataclass(frozen=True)
@@ -296,7 +278,7 @@ def _plan_cell(config: ExperimentConfig) -> tuple[Plan, str, float]:
         for m, _ in cell.rounds:
             if config.noise.mode == "perturbed":
                 check_lattice_cap(GridSpec(m=m, d=rv.d))
-            _check_axis_walls(m)
+            check_axis_walls(m)
         for rows, cols in cell.draws:
             check_draw_table(rows, cols)
     except ValueError as exc:

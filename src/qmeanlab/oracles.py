@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from qmeanlab.checks import as_integer, check_norm_bound, check_open_unit
 from qmeanlab.gridqft import (
     GridSpec,
     PhaseFunction,
@@ -36,7 +37,6 @@ __all__ = [
     "binary_phase_is_linear",
     "directional_phases_binary",
     "directional_phases_phase_model",
-    "check_l2",
     "check_binary_model",
     "check_phase_range",
     "perturb",
@@ -106,12 +106,10 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.mode not in ("ideal", "perturbed"):
             raise ValueError(f"mode must be 'ideal' or 'perturbed', got {self.mode!r}")
-        if self.mode == "perturbed" and not (0 < self.eps < 1 and 0 < self.eta < 1):
-            raise ValueError(f"perturbed noise needs eps, eta in (0,1), got {self.eps}, {self.eta}")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"noise seed must be an integer at least 0, got {seed!r}")
-        object.__setattr__(self, "seed", int(seed))
+        if self.mode == "perturbed":
+            check_open_unit("noise eps", self.eps)
+            check_open_unit("noise eta", self.eta)
+        object.__setattr__(self, "seed", as_integer("noise seed", self.seed, at_least=0))
 
     @classmethod
     def ideal(cls) -> NoiseModel:
@@ -150,15 +148,9 @@ def binary_phase_is_linear(rv: RandomVariable, alpha: float, m: int) -> bool:
     return _clamp_argument_bound(rv, alpha, m) <= 1.0
 
 
-def check_l2(L2: float) -> None:
-    """The binary model's norm bound: L2 in (0, 1]."""
-    if not (0 < L2 <= 1):
-        raise ValueError(f"L2 must lie in (0, 1], got {L2!r}")
-
-
 def check_binary_model(rv: RandomVariable, L2: float) -> None:
     """Preconditions of the binary model: L2 in (0, 1], ||X|| <= 1, E||X|| <= L2."""
-    check_l2(L2)
+    check_norm_bound("L2", L2)
     norms = np.linalg.norm(rv.values, axis=1)
     if norms.max(initial=0.0) > 1.0 + 1e-12:
         worst = int(np.argmax(norms))
@@ -203,8 +195,7 @@ def directional_phases_binary(
     queries for each of the ``reps`` repetitions that use the phase.
     """
     check_binary_model(rv, L2)
-    if not (0 < alpha < 1):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    check_open_unit("alpha", alpha)
     if m < 1.0 / L2:
         raise ValueError(f"m={m} is below 1/L2 = {1.0 / L2!r}")
     if not binary_phase_is_linear(rv, alpha, m):
@@ -336,8 +327,10 @@ def quantile_oracle(
     rng consumption, but the same ledger charges, so cost accounting stays
     comparable between the two modes.
     """
-    if not (0 < p <= 1) or not (0 < delta < 1) or not (0 < c < 1):
-        raise ValueError(f"need p in (0, 1], delta and c in (0, 1); got {p!r}, {delta!r}, {c!r}")
+    if not (0 < p <= 1):
+        raise ValueError(f"need p in (0, 1], got {p!r}")
+    check_open_unit("delta", delta)
+    check_open_unit("c", c)
     if exact:
         out = exact_quantile(rv_scalar, p)
     else:

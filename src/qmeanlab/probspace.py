@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qmeanlab.checks import as_integer, as_real
+
 _PROB_SUM_TOL = 1e-12
 _PARSE_SUM_TOL = 1e-9
 
@@ -206,27 +208,18 @@ def parse_distribution_spec(text: str) -> RandomVariable:
     for field in ("d", "prob", "values"):
         if field not in doc:
             raise ValueError(f"missing required field {field!r}")
-    d = doc["d"]
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise ValueError(f"field 'd' must be a positive integer, got {d!r}")
-    prob_raw = doc["prob"]
-    values_raw = doc["values"]
-    if not isinstance(prob_raw, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in prob_raw
-    ):
+    d = as_integer("field 'd'", doc["d"], at_least=1)
+    prob_raw, values_raw = doc["prob"], doc["values"]
+    if not isinstance(prob_raw, list):
         raise ValueError("field 'prob' must be a list of numbers")
+    prob = np.array([as_real("field 'prob' entry", x) for x in prob_raw])
     if not isinstance(values_raw, list) or len(values_raw) != len(prob_raw):
-        raise ValueError(
-            f"field 'values' must list one row per outcome ({len(prob_raw)} expected)"
-        )
+        raise ValueError(f"field 'values' must list one row per outcome ({len(prob_raw)} expected)")
+    rows = []
     for k, row in enumerate(values_raw):
         if not isinstance(row, list) or len(row) != d:
             raise ValueError(f"values row {k} must have length d={d}")
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row):
-            raise ValueError(f"values row {k} must contain numbers only")
-    prob = _float_array(prob_raw, "prob")
-    if np.any(prob < 0.0):
-        raise ValueError("field 'prob' must be nonnegative")
+        rows.append([as_real(f"field 'values' row {k} entry", x) for x in row])
     total = float(prob.sum())
     if abs(total - 1.0) > _PARSE_SUM_TOL:
         raise ValueError(f"field 'prob' must sum to 1 within {_PARSE_SUM_TOL}, got {total!r}")
@@ -242,15 +235,7 @@ def parse_distribution_spec(text: str) -> RandomVariable:
         ):
             raise ValueError("field 'omega' must be a list of strings, one per outcome")
         labels = tuple(omega)
-    return RandomVariable(prob=prob, values=_float_array(values_raw, "values"), labels=labels)
-
-
-def _float_array(raw: list, field: str) -> np.ndarray:
-    """``raw`` as a float64 array; a JSON integer beyond float range names its field."""
-    try:
-        return np.asarray(raw, dtype=float)
-    except OverflowError as exc:
-        raise ValueError(f"field {field!r} holds an integer too large for a float") from exc
+    return RandomVariable(prob=prob, values=np.array(rows), labels=labels)
 
 
 def serialize_distribution_spec(rv: RandomVariable) -> str:

@@ -21,7 +21,8 @@ from typing import Any
 
 import numpy as np
 
-from qmeanlab.classical import _check_delta, check_draw_table, coordinate_median, subgaussian_estimate
+from qmeanlab.checks import check_norm_bound, check_open_unit
+from qmeanlab.classical import check_draw_table, check_sample_floor, coordinate_median, subgaussian_estimate
 from qmeanlab.gridqft import (
     GridSpec,
     PhaseFunction,
@@ -33,7 +34,6 @@ from qmeanlab.oracles import (
     CostLedger,
     NoiseModel,
     check_binary_model,
-    check_l2,
     check_phase_range,
     directional_phases_binary,
     directional_phases_phase_model,
@@ -144,6 +144,7 @@ def plan(estimator: str, d: int, n: float, nprime: float | None, delta: float, L
     """The plan of ``estimator`` (a harness id), or the ValueError it raises on these budgets alone."""
     inputs = (estimator, d, n, nprime, delta, L2)
     if estimator == "classical":
+        check_sample_floor(int(n), delta)
         return Plan(*inputs, {}, (), (), ((int(n), d),))
     if estimator == "phase_model":
         branch = expected_branch(n, nprime, d, delta)
@@ -151,11 +152,11 @@ def plan(estimator: str, d: int, n: float, nprime: float | None, delta: float, L
             return Plan(*inputs, {"branch": branch}, (), (), ())
         inner = plan("qlowprec" if branch == "low_precision" else "qphase", d, n, nprime, delta, None)
         return Plan(*inputs, {"branch": branch}, (inner,), inner.rounds, inner.draws)
-    _check_delta(delta)
+    check_open_unit("delta", delta)
     if estimator == "bounded":
         if n < 1:
             raise ValueError(f"n must be at least 1, got {n!r}")
-        check_l2(L2)
+        check_norm_bound("L2", L2)
         if n <= math.log2(d / delta) / math.sqrt(L2):
             return Plan(*inputs, {"early_exit": True}, (), (), ())
         alpha = 1.0 / math.sqrt(math.log2(400.0 * math.pi * n * math.sqrt(d)))
@@ -168,6 +169,7 @@ def plan(estimator: str, d: int, n: float, nprime: float | None, delta: float, L
         raise ValueError(f"n={n!r} is below log2(d/delta) = {log_term!r}")
     if estimator == "euclidean":
         if n <= d:
+            check_sample_floor(int(n), delta)
             return Plan(*inputs, {"branch": "classical"}, (), (), ((int(n), d),))
         inner = plan("near_optimal", d, n, None, delta, None)
         return Plan(*inputs, {"branch": "quantum"}, (inner,), inner.rounds, inner.draws)
@@ -512,7 +514,7 @@ def regime_classify(n: float, nprime: float, d: int, delta: float) -> str:
     """
     if n <= 0 or nprime <= 0 or d < 1:
         raise ValueError(f"budgets and dimension must be positive, got n={n}, nprime={nprime}, d={d}")
-    _check_delta(delta)
+    check_open_unit("delta", delta)
     if nprime < d or n < math.log2(d / delta):
         return "TRIVIAL"
     phase = d / nprime

@@ -369,6 +369,18 @@ class TestSweep:
                 "phase_model", "phase_model_dispatch", 0.05, 8,
                 "nprime=8.0 is below sqrt(d)*log2(d/delta) = 12.64",
             ),
+            # the classical baseline's floor n >= ceil(log2(1/delta)), on its int(n) draws
+            (
+                {"battery": {"name": "ball", "d": 2}},
+                "classical", "subgaussian_estimate", 0.001, 2,
+                "n=2 is below ceil(log2(1/delta)) = 10",
+            ),
+            # euclidean's classical branch at d = 1: log2(1/delta) <= n <= 1 draws int(n) = 0
+            (
+                {"inline": {"d": 1, "prob": [0.5, 0.5], "values": [[0.1], [0.2]]}},
+                "euclidean", "euclidean_estimator", 0.6, 0.9,
+                "n=0 is below ceil(log2(1/delta)) = 1",
+            ),
         ],
     )
     def test_data_free_refusal_is_one_line_before_any_trial(
@@ -450,17 +462,27 @@ class TestHard:
         heavy = mean_vec > mean_vec.max() / 2
         assert "".join("1" if h else "0" for h in heavy) == b
 
-    # the family's shape checks run before the search instance is built:
-    # d=0 used to divide by zero and alpha=0 to blame the instance's N and M
+    # --params and a sweep's hard.params refuse a bad parameter with the same
+    # line.  The high family's shape checks run before the search instance is
+    # built: d=0 used to divide by zero and alpha=0 to blame the instance's N
+    # and M.  n=inf used to run from --params, seed=-1 and b=1x to fail inside
+    # numpy and int(), and sigma=1e308 to print a numpy warning first.
     @pytest.mark.parametrize(
-        "params, name",
-        [({"n": 2, "d": 0}, "d"), ({"n": 2, "d": 2, "alpha": 0}, "alpha")],
+        "params, name, family",
+        [
+            pytest.param({"n": 2, "d": 0}, "d", "high", id="params0-d"),
+            pytest.param({"n": 2, "d": 2, "alpha": 0}, "alpha", "high", id="params1-alpha"),
+            pytest.param({"d": 2, "n": math.inf}, "n", "fracphase", id="fracphase-n-inf"),
+            pytest.param({"n": 4, "d": 4, "seed": -1}, "seed", "high", id="high-seed-negative"),
+            pytest.param({"n": 1, "d": 4, "alpha": 2, "b": "1x"}, "b", "low", id="low-b-not-bits"),
+            pytest.param({"n": 1, "d": 4, "alpha": 2, "sigma": 1e308}, "scale", "low", id="low-scale-inf"),
+        ],
     )
-    def test_bad_high_family_shape_exits_2(self, tmp_path, capsys, params, name):
+    def test_bad_high_family_shape_exits_2(self, tmp_path, capsys, params, name, family):
         pairs = [f"{key}={value}" for key, value in params.items()]
-        assert main(["hard", "--family", "high", "--params", *pairs]) == 2
+        assert main(["hard", "--family", family, "--params", *pairs]) == 2
         config_doc = {
-            "rv": {"hard": {"family": "high", "params": params}},
+            "rv": {"hard": {"family": family, "params": params}},
             "estimator": "classical", "trials": 1, "seed": 0, "n": 8,
         }
         config_path = tmp_path / "high.json"
@@ -500,7 +522,7 @@ class TestHard:
 # is about input handling, not scale), dimensions from 0 to 4.
 
 _JUNK = st.sampled_from([None, True, -1, 0.5, math.nan, math.inf, -math.inf, "x", [], {}, [8]])
-_EDGE = [0, -1, 2**53 + 1, 1e308]
+_EDGE = [0, -1, 2**53 + 1, 1e308, 10**400]
 _BUDGET = st.sampled_from([1, 8, 16, 32, 8, 16, *_EDGE])
 _GRID = st.lists(_BUDGET, min_size=1, max_size=3, unique=True).map(sorted)
 _HARD = {
@@ -520,7 +542,7 @@ _EDGE_PARAM = {
     "n": st.sampled_from([0, -1, 2.5]),
     "d": st.integers(0, 4),
     "alpha": st.sampled_from([0, -1, 3]),
-    "sigma": st.sampled_from([0, -1.0]),
+    "sigma": st.sampled_from([0, -1.0, 1e308]),
     "seed": st.just(-1),
     "b": st.sampled_from(["", "01", "2"]),
     "normalization": st.just("d3"),

@@ -395,7 +395,7 @@ class TestLinearPhaseMarginals:
 
     def test_walls_admit_every_m_up_to_2_27(self):
         for k in range(28):
-            gridqft._check_axis_walls(2**k)
+            gridqft.check_axis_walls(2**k)
 
     def test_coefficient_count_must_match(self):
         with pytest.raises(ValueError, match="2 coefficients, expected 3"):

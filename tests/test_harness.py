@@ -97,7 +97,7 @@ class TestExperimentConfig:
     def test_budgets_are_checked_once_at_construction(self):
         rv = battery_ball(2)
         for bad in (float("nan"), float("inf"), 0.0, -4.0, "many", [8], 2**53 + 1, 1e308,
-                    True, "64", np.int64(2**53 + 1)):
+                    True, "64", np.int64(2**53 + 1), 10**400):
             with pytest.raises(ValueError, match="nprime"):
                 ExperimentConfig(rv=rv, estimator="qphase", trials=1, seed=0, n=8, nprime=bad)
         with pytest.raises(ValueError, match="finite and positive"):
@@ -246,8 +246,9 @@ class TestRunTrials:
                 run_trials(cfg)
 
     def test_all_trials_failing_raises(self):
+        # an l2 below E||X||_2 depends on the data, so only a trial refuses it
         cfg = ExperimentConfig(
-            rv=battery_ball(2), estimator="classical", trials=3, seed=0, delta=0.001, n=2
+            rv=battery_ball(2), estimator="bounded", trials=3, seed=0, n=8, l2=0.01
         )
         with pytest.raises(RuntimeError, match="all 3 trials failed"):
             run_trials(cfg)
