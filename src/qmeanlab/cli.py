@@ -24,16 +24,18 @@ import numpy as np
 
 from .checks import as_integer, as_positive
 from .harness import (
+    BATTERIES,
     ESTIMATOR_IDS,
     ExperimentConfig,
     export,
     report_to_dict,
     run_sweep,
     run_trials,
-    standard_battery,
 )
 from .hardness import (
+    _check_fractional_shape,
     _high_precision_columns,
+    _low_precision_count,
     designed_mean_fractional_phase,
     designed_mean_high_precision,
     designed_mean_low_precision,
@@ -120,10 +122,10 @@ def _rv_from_doc(doc, base_dir: Path):
         body = _rv_body(kind, body, {"name", "d"}, {"scale"})
         name = body["name"]
         d = as_integer("battery d", body["d"], at_least=1)
-        dists = standard_battery(d, scale=as_positive("battery scale", body.get("scale", 1.0)))
-        if not isinstance(name, str) or name not in dists:
-            raise ValueError(f"battery name must be one of {sorted(dists)}, got {name!r}")
-        return dists[name]
+        scale = as_positive("battery scale", body.get("scale", 1.0))
+        if not isinstance(name, str) or name not in BATTERIES:
+            raise ValueError(f"battery name must be one of {sorted(BATTERIES)}, got {name!r}")
+        return BATTERIES[name](d, scale)
     if kind == "hard":
         body = _rv_body(kind, body, {"family"}, {"params"})
         params = body.get("params", {})
@@ -259,6 +261,7 @@ def _build_hard(family: str, params: dict):
     n, d = params["n"], params["d"]
     if family == "fracphase":
         n = float(n)
+        _check_fractional_shape(d, n)
         b = _bits_from(params, d)
         rv = fractional_phase_rv(d, n, b)
         designed = designed_mean_fractional_phase(d, n, b)
@@ -267,7 +270,7 @@ def _build_hard(family: str, params: dict):
         sigma, alpha = float(params.get("sigma", 1.0)), params.get("alpha", 4)
         used = {"n": n, "d": d, "sigma": sigma, "alpha": alpha}
         if family == "low":
-            b = _bits_from(params, alpha * n, balanced=True)
+            b = _bits_from(params, _low_precision_count(n, d, alpha), balanced=True)
             rv = hard_rv_low_precision(n, d, sigma, b, alpha)
             designed = designed_mean_low_precision(n, d, sigma, b, alpha)
         else:

@@ -29,15 +29,16 @@ costs about two, and measured faster than the direct route from two
 coefficients on.
 
 Every Born draw goes through one CDF inversion, :func:`_draw_in_rows` (a
-single law is a one-row table), and one index-to-point map,
+single law is a one-row table).  Every lattice point, drawn or built (the
+register's axis and points too), comes from one index-to-point map,
 :func:`_lattice_points`.
 
 Every unit factor a perturbed round builds (the noise table, the axis
 vectors, the twist and the columns of the autocorrelation route) comes from
 one kernel, :func:`_unit_factors`: e^{2i*h} from a vectorised tangent of the
 half-angle h, within 4e-16 of ``np.exp`` and more than twice as fast as a
-cos/sin fill.  The register keeps ``np.exp``, so the reference the samplers are
-tested against does not share it.
+cos/sin fill.  The register multiplies by the same noise table but keeps
+``np.exp`` for every factor of its own, so the reference does not share it.
 
 On a host with two or more CPUs, two m^d stages of a perturbed round run on
 two threads: the multiply and in-place FFT of :func:`_last_axis_columns` over
@@ -172,10 +173,10 @@ class PhaseFunction:
     phases), which lets product-form states stay in product form.  A linear
     phase theta_u = <coeffs, u> also carries ``coeffs``, which lets a round
     sample it from :func:`linear_phase_marginals` without a register.  A
-    linear phase overlaid with seeded deviations, theta_u = <coeffs, u> +
-    delta_u, is not separable; it keeps ``coeffs`` and carries ``overlay``,
-    the flat row-major table of the m^d unit-modulus factors e^{i*delta_u},
-    which lets a round sample it through :func:`sample_linear_overlay`.
+    phase with an ``overlay``, the flat row-major table of m^d unit-modulus
+    factors, is theta_u = evaluate(u) + arg(overlay_u) and is not separable;
+    a perturbed linear phase keeps ``coeffs`` and its linear ``evaluate``,
+    and a round samples it through :func:`sample_linear_overlay`.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -236,16 +237,29 @@ class GridState:
         return GridState(spec=self.spec, tensor=tensor.reshape((self.spec.m,) * self.spec.d))
 
 
+def _lattice_points(idx: np.ndarray, m: int) -> np.ndarray:
+    """The lattice points (2a+1-m)/(2m) of indices a: the one index-to-point map.
+
+    As (a - (m-1)/2)/m, the same bits (exact half-integers, an exact halving) in one pass fewer.
+    """
+    pts = np.subtract(idx, (m - 1) / 2)
+    pts /= m
+    return pts
+
+
+def _flat_points(flat: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """The lattice points of flat row-major indices, as an (N, d) array."""
+    return _lattice_points(np.stack(np.unravel_index(flat, (spec.m,) * spec.d), axis=1), spec.m)
+
+
 def grid_axis_points(m: int) -> np.ndarray:
     """The m axis values (2a+1-m)/(2m), symmetric about 0 inside (-1/2, 1/2)."""
-    return np.arange(1.0 - m, m, 2.0) / (2 * m)  # exact odd integers 2a+1-m
+    return _lattice_points(np.arange(m, dtype=float), m)
 
 
 def grid_points(spec: GridSpec) -> np.ndarray:
     """All m^d lattice points, row-major over axes, as an (m^d, d) array."""
-    axis = grid_axis_points(spec.m)
-    grids = np.meshgrid(*([axis] * spec.d), indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=1)
+    return _flat_points(np.arange(spec.points), spec)
 
 
 def uniform_superposition(spec: GridSpec) -> GridState:
@@ -260,22 +274,18 @@ def state_from_amplitudes(spec: GridSpec, amplitudes: np.ndarray) -> GridState:
     return GridState(spec=spec, tensor=amplitudes.reshape((spec.m,) * spec.d))
 
 
-def _points_chunk(spec: GridSpec, start: int, stop: int, axis: np.ndarray) -> np.ndarray:
-    idx = np.unravel_index(np.arange(start, stop), (spec.m,) * spec.d)
-    return np.column_stack([axis[i] for i in idx])
-
-
 def apply_phase_function(state: GridState, theta: PhaseFunction) -> GridState:
     """Multiply the amplitude at each u by e^{i*theta_u}; norm is preserved.
 
     A separable phase on a product-form state multiplies each axis vector by
     its own factor and keeps product form.  Every other combination goes
     through ``theta.evaluate`` on the full tensor, materializing a product
-    state first (and can therefore hit the lattice cap).
+    state first (and can therefore hit the lattice cap); a phase with an
+    ``overlay`` then multiplies each amplitude by its overlay factor too.
     """
     spec = state.spec
-    axis = grid_axis_points(spec.m)
     if theta.separable and state.is_product:
+        axis = grid_axis_points(spec.m)
         if len(theta.axis_components) != spec.d:
             raise ValueError(
                 f"phase has {len(theta.axis_components)} axis components, expected {spec.d}"
@@ -289,8 +299,10 @@ def apply_phase_function(state: GridState, theta: PhaseFunction) -> GridState:
     flat = full.tensor.reshape(-1).copy()
     for start in range(0, flat.shape[0], _EVAL_CHUNK):
         stop = min(start + _EVAL_CHUNK, flat.shape[0])
-        pts = _points_chunk(spec, start, stop, axis)
+        pts = _flat_points(np.arange(start, stop), spec)
         flat[start:stop] *= np.exp(1j * np.asarray(theta.evaluate(pts), dtype=float))
+        if theta.overlay is not None:
+            flat[start:stop] *= theta.overlay[start:stop]
     return GridState(spec=spec, tensor=flat.reshape((spec.m,) * spec.d))
 
 
@@ -427,11 +439,6 @@ def _draw_in_rows(p: np.ndarray, which: np.ndarray, rng: np.random.Generator) ->
     target = starts[which] + rng.random(which.size) * (ends - starts)[which]
     first = which * width
     return np.minimum(np.searchsorted(cdf, target, side="right"), first + width - 1) - first
-
-
-def _lattice_points(idx: np.ndarray, m: int) -> np.ndarray:
-    """The lattice points (2a+1-m)/(2m) of indices a, without building the axis."""
-    return (2 * idx + 1 - m) / (2 * m)
 
 
 def sample_marginals(marginals, reps: int, rng: np.random.Generator) -> np.ndarray:
@@ -749,6 +756,4 @@ def measure(state: GridState, reps: int, rng: np.random.Generator) -> np.ndarray
     dist = measurement_distribution(state)
     if state.is_product:
         return sample_marginals(dist, reps, rng)
-    flat = _draw_in_rows(dist[None], np.zeros(reps, dtype=np.int64), rng)
-    idx = np.column_stack(np.unravel_index(flat, state.tensor.shape))
-    return _lattice_points(idx, state.spec.m)
+    return _flat_points(_draw_in_rows(dist[None], np.zeros(reps, dtype=np.int64), rng), state.spec)

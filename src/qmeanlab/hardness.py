@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qmeanlab.checks import as_integer, check_power_of_two
+from qmeanlab.checks import as_integer, check_array_bytes, check_power_of_two
 from qmeanlab.probspace import RandomVariable
 
 __all__ = [
@@ -28,19 +28,23 @@ __all__ = [
 ]
 
 
-def _sylvester_signs(d: int) -> np.ndarray:
-    # the d x d sign matrix; d is a power of two, checked by the caller
-    s = np.array([[1]], dtype=np.int64)
-    block = np.array([[1, 1], [1, -1]], dtype=np.int64)
-    while s.shape[0] < d:
-        s = np.kron(s, block)
-    return s
+def _sylvester_signs(rows: int, d: int) -> np.ndarray:
+    """The first ``rows`` rows of the d x d Sylvester sign matrix, built on demand.
+
+    Entry (i, j) is (-1)^popcount(i & j), the parity summed one bit at a time;
+    d is a power of two, checked by the caller.
+    """
+    ij = np.arange(rows, dtype=np.int64)[:, None] & np.arange(d, dtype=np.int64)
+    parity = np.zeros_like(ij)
+    for bit in range(int(d).bit_length() - 1):  # d = 2^k: i & j has bits 0..k-1
+        parity ^= (ij >> bit) & 1
+    return 1 - 2 * parity
 
 
 def hadamard(d: int) -> np.ndarray:
     """Sylvester Hadamard matrix, entries +-1/sqrt(d), first row/column positive."""
     check_power_of_two("d", d)
-    return _sylvester_signs(d) / math.sqrt(d)
+    return _sylvester_signs(d, d) / math.sqrt(d)
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,27 @@ def hard_rv_low_precision(
     * b_i * H_i; Tr of the covariance is sigma^2 exactly and the mean is a
     rescaled H^T b, so exact mean knowledge recovers b by one matrix product.
     """
+    count = _low_precision_count(n, d, alpha)
+    b = _check_bits(b, (count,), "b")
+    if int(b.sum()) != count // 2:
+        raise ValueError(f"b must have Hamming weight alpha*n/2 = {count // 2}, got {int(b.sum())}")
+    scale = alpha * sigma * math.sqrt(n / ((alpha**2 * n - alpha) / 2.0))
+    if not math.isfinite(scale):
+        raise ValueError(f"value scale alpha*sigma*sqrt(2n/(alpha^2 n - alpha)) = {scale} is not finite")
+    rows = _sylvester_signs(count, d) / math.sqrt(d)
+    values = scale * b[:, None] * rows
+    return RandomVariable(prob=np.full(count, 1.0 / count), values=values)
+
+
+def designed_mean_low_precision(n: int, d: int, sigma: float, b, alpha: int) -> np.ndarray:
+    b = np.asarray(b, dtype=float)
+    rows = _sylvester_signs(_low_precision_count(n, d, alpha), d) / math.sqrt(d)
+    return sigma / math.sqrt(n * (alpha**2 * n - alpha) / 2.0) * (b @ rows)
+
+
+def _low_precision_count(n: int, d: int, alpha: int) -> int:
+    """alpha*n of the low-precision family, once n, alpha, d and its (alpha*n, d) value
+    table (at most 2^30 bytes) are checked; it runs before the bits are drawn."""
     n, alpha = as_integer("n", n, at_least=1), as_integer("alpha", alpha, at_least=1)
     check_power_of_two("d", d)
     count = alpha * n
@@ -116,21 +141,8 @@ def hard_rv_low_precision(
         raise ValueError(f"alpha*n = {count} exceeds d = {d}")
     if count % 2 != 0:
         raise ValueError(f"alpha*n = {count} must be even (b has weight alpha*n/2)")
-    b = _check_bits(b, (count,), "b")
-    if int(b.sum()) != count // 2:
-        raise ValueError(f"b must have Hamming weight alpha*n/2 = {count // 2}, got {int(b.sum())}")
-    scale = alpha * sigma * math.sqrt(n / ((alpha**2 * n - alpha) / 2.0))
-    if not math.isfinite(scale):
-        raise ValueError(f"value scale alpha*sigma*sqrt(2n/(alpha^2 n - alpha)) = {scale} is not finite")
-    rows = _sylvester_signs(d)[:count] / math.sqrt(d)
-    values = scale * b[:, None] * rows
-    return RandomVariable(prob=np.full(count, 1.0 / count), values=values)
-
-
-def designed_mean_low_precision(n: int, d: int, sigma: float, b, alpha: int) -> np.ndarray:
-    b = np.asarray(b, dtype=float)
-    rows = hadamard(d)[: alpha * n]
-    return sigma / math.sqrt(n * (alpha**2 * n - alpha) / 2.0) * (b @ rows)
+    check_array_bytes(8 * count * d, f"value table memory wall: {count} x {d} entries")
+    return count
 
 
 # D = (alpha n)^2 - k d^2 of the high-precision family, k by normalization
@@ -140,7 +152,8 @@ _NORMALIZATION = {"d2": 1, "2d2": 2}
 def _high_precision_columns(n: int, d: int, alpha: int) -> int:
     """M = alpha*n/d of the high-precision family, once n, alpha and d are checked.
 
-    It runs before the (d, M) search instance is built, so bad shapes fail here.
+    It runs before the (d, M) search instance is built, so bad shapes and a
+    value table above the memory wall fail here.
     """
     n, alpha = as_integer("n", n, at_least=1), as_integer("alpha", alpha, at_least=1)
     if d < 2 or d % 2 != 0:
@@ -154,6 +167,7 @@ def _high_precision_columns(n: int, d: int, alpha: int) -> int:
             f"alpha*n/d = {M} must be even (odd column counts shift every row "
             "parity and the mean no longer indicates the heavy rows)"
         )
+    check_array_bytes(8 * count * d, f"value table memory wall: {count} x {d} entries")
     return M
 
 
@@ -198,6 +212,15 @@ def designed_mean_high_precision(
     return 2.0 * sigma / math.sqrt(D) * inst.b.astype(float)
 
 
+def _check_fractional_shape(d_prime: int, n: float) -> None:
+    """Refuse a fractional-phase d' that is not a power of two or exceeds n, or whose
+    (2d', d') value table passes 2^30 bytes; it runs before the bits are drawn."""
+    check_power_of_two("d'", d_prime)
+    if d_prime > n:
+        raise ValueError(f"d' = {d_prime} exceeds n = {n!r} (arcsin argument above 1)")
+    check_array_bytes(16 * d_prime * d_prime, f"value table memory wall: {2 * d_prime} x {d_prime} entries")
+
+
 def fractional_phase_rv(d_prime: int, n: float, b) -> RandomVariable:
     """Two-outcome-per-direction family with a fractionally tilted measure.
 
@@ -208,9 +231,7 @@ def fractional_phase_rv(d_prime: int, n: float, b) -> RandomVariable:
     (1 -+ b_j d'/n)/(2d'), which is also how they are computed: exact powers
     of two when b_j = 0, so the b = 0 mean is exactly (1/8) e_1.
     """
-    check_power_of_two("d'", d_prime)
-    if d_prime > n:
-        raise ValueError(f"d' = {d_prime} exceeds n = {n!r} (arcsin argument above 1)")
+    _check_fractional_shape(d_prime, n)
     b = _check_bits(b, (d_prime,), "b")
     tilt = b * (d_prime / n)
     prob = np.empty(2 * d_prime)
@@ -218,7 +239,7 @@ def fractional_phase_rv(d_prime: int, n: float, b) -> RandomVariable:
     prob[1::2] = (1.0 + tilt) / (2 * d_prime)  # x = 1
     # sqrt(d')/4 * H e_j has entries +-1/4 exactly; build them from the
     # integer sign matrix so no irrational factors are ever multiplied
-    signs = _sylvester_signs(d_prime)
+    signs = _sylvester_signs(d_prime, d_prime)
     values = np.zeros((2 * d_prime, d_prime))
     values[1::2] = 0.25 * signs.T
     return RandomVariable(prob=prob, values=values)

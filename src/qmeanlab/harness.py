@@ -20,7 +20,9 @@ from typing import Any
 
 import numpy as np
 
-from qmeanlab.checks import as_integer, as_positive, as_real, check_norm_bound, check_open_unit
+from qmeanlab.checks import (
+    as_integer, as_positive, as_real, check_array_bytes, check_norm_bound, check_open_unit,
+)
 from qmeanlab.classical import check_draw_table, subgaussian_estimate
 from qmeanlab.gridqft import GridSpec, check_axis_walls, check_lattice_cap
 from qmeanlab.oracles import CostLedger, NoiseModel
@@ -59,6 +61,7 @@ __all__ = [
     "battery_ball",
     "battery_basis",
     "battery_heavylight",
+    "BATTERIES",
     "standard_battery",
 ]
 
@@ -483,19 +486,20 @@ def battery_ball(d: int, scale: float = 1.0) -> RandomVariable:
 
 def battery_basis(d: int, scale: float = 1.0) -> RandomVariable:
     """X = e_i with probability p_i = 2(i+1)/(d(d+1))."""
+    check_array_bytes(8 * d * d, f"basis battery memory wall: {d} x {d} entries")
     prob = 2.0 * np.arange(1.0, d + 1.0) / (d * (d + 1.0))
     return RandomVariable(prob=prob, values=scale * np.eye(d))
 
 
 def battery_heavylight(d: int, scale: float = 1.0) -> RandomVariable:
     """A common light point and a rare heavy one, 20x apart in norm."""
-    values = np.vstack([0.05 * np.eye(d)[0], np.full(d, 1.0 / math.sqrt(d))])
+    values = np.vstack([0.05 * np.eye(1, d), np.full(d, 1.0 / math.sqrt(d))])
     return RandomVariable(prob=np.array([0.75, 0.25]), values=scale * values)
 
 
+# Each battery's builder by name; a sweep builds only the one it names.
+BATTERIES = {"ball": battery_ball, "basis": battery_basis, "heavylight": battery_heavylight}
+
+
 def standard_battery(d: int, scale: float = 1.0) -> dict[str, RandomVariable]:
-    return {
-        "ball": battery_ball(d, scale),
-        "basis": battery_basis(d, scale),
-        "heavylight": battery_heavylight(d, scale),
-    }
+    return {name: build(d, scale) for name, build in BATTERIES.items()}

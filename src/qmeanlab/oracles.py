@@ -235,12 +235,6 @@ def directional_phases_phase_model(
     return linear_phase_function(m * mean(rv))
 
 
-def _flat_grid_indices(pts: np.ndarray, m: int) -> np.ndarray:
-    # invert u = (2a+1-m)/(2m) per axis, then ravel row-major (ValueError off the grid)
-    a = np.rint(m * pts + (m - 1) / 2.0).astype(np.int64)
-    return np.ravel_multi_index(tuple(a.T), (m,) * pts.shape[1])
-
-
 @functools.lru_cache(maxsize=1)
 def _deviation_table(noise: NoiseModel, spec: GridSpec) -> np.ndarray:
     """The seeded per-point deviations of ``perturb``, drawn once per (noise, spec).
@@ -288,23 +282,21 @@ def perturb(phase: PhaseFunction, noise: NoiseModel, spec: GridSpec) -> PhaseFun
     eps band on good points, uniform in (-pi, pi] on ceil(eta/2*|G|) bad
     points drawn uniformly without replacement.  The result is non-separable
     and subject to the lattice cap, which is checked before the table is
-    drawn.  It keeps the phase's ``coeffs`` and carries the read-only table
-    of factors e^{i*delta} as its ``overlay``, from which a round samples it
-    by the chain rule (:func:`qmeanlab.gridqft.sample_linear_overlay`); a
-    phase without ``coeffs`` is refused, as :class:`PhaseFunction` refuses
-    an overlay on it.  ``evaluate`` gives the perturbed phase pointwise, for
-    the register the tests compare rounds against.
+    drawn.  It keeps the phase's linear ``evaluate`` and ``coeffs`` and
+    carries the deviations only in its ``overlay``, the read-only table of
+    factors e^{i*delta}: a round samples it by the chain rule
+    (:func:`qmeanlab.gridqft.sample_linear_overlay`), and the register
+    multiplies by the same table (:func:`qmeanlab.gridqft.apply_phase_function`).
+    A phase without ``coeffs`` is refused, as :class:`PhaseFunction` refuses
+    an overlay on it.
     """
     if noise.mode == "ideal":
         return phase
     check_lattice_cap(spec)
-    table = _deviation_table(noise, spec)
-    base = phase.evaluate
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        return np.asarray(base(pts), dtype=float) + np.angle(table[_flat_grid_indices(pts, spec.m)])
-
-    return PhaseFunction(evaluate=evaluate, separable=False, coeffs=phase.coeffs, overlay=table)
+    return PhaseFunction(
+        evaluate=phase.evaluate, separable=False, coeffs=phase.coeffs,
+        overlay=_deviation_table(noise, spec),
+    )
 
 
 def quantile_oracle(

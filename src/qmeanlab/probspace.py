@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qmeanlab.checks import as_integer, as_real
+from qmeanlab.checks import as_integer, as_real, check_array_bytes
 
 _PROB_SUM_TOL = 1e-12
 _PARSE_SUM_TOL = 1e-9
@@ -116,8 +116,10 @@ def moments(rv: RandomVariable) -> MomentSummary:
     """All five moment fields computed exactly from the finite support.
 
     The spectral norm is the top eigenvalue of the covariance matrix from
-    ``np.linalg.eigvalsh`` (exact up to float64 arithmetic).
+    ``np.linalg.eigvalsh`` (exact up to float64 arithmetic).  A d x d
+    covariance above 2^30 bytes is refused before anything is computed.
     """
+    check_array_bytes(8 * rv.d * rv.d, f"covariance memory wall: {rv.d} x {rv.d} entries")
     mu = mean(rv)
     # finite values may overflow the second moments; inf/nan are handled below
     with np.errstate(over="ignore", invalid="ignore"):

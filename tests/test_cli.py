@@ -466,10 +466,14 @@ class TestHard:
     # line.  The high family's shape checks run before the search instance is
     # built: d=0 used to divide by zero and alpha=0 to blame the instance's N
     # and M.  n=inf used to run from --params, seed=-1 and b=1x to fail inside
-    # numpy and int(), and sigma=1e308 to print a numpy warning first.
+    # numpy and int(), and sigma=1e308 to print a numpy warning first.  A low
+    # n=-1 and a fractional d=-2 used to reach numpy's "negative dimensions"
+    # when the bits were drawn before the family's shape checks.
     @pytest.mark.parametrize(
         "params, name, family",
         [
+            pytest.param({"n": -1, "d": 4}, "n", "low", id="low-n-negative"),
+            pytest.param({"n": 4, "d": -2}, "d", "fracphase", id="fracphase-d-negative"),
             pytest.param({"n": 2, "d": 0}, "d", "high", id="params0-d"),
             pytest.param({"n": 2, "d": 2, "alpha": 0}, "alpha", "high", id="params1-alpha"),
             pytest.param({"d": 2, "n": math.inf}, "n", "fracphase", id="fracphase-n-inf"),
@@ -493,6 +497,65 @@ class TestHard:
         lines = captured.err.splitlines()
         assert len(lines) == 2 and lines[0] == lines[1]
         assert lines[0].startswith("error:") and re.search(rf"\b{name}\b", lines[0])
+
+    @pytest.mark.parametrize(
+        "family, pairs, line",
+        [
+            ("low", ["n=8", "d=4", "alpha=2"], "alpha*n = 16 exceeds d = 4"),
+            ("low", ["n=3", "d=8", "alpha=1"], "alpha*n = 3 must be even"),
+            ("fracphase", ["n=4", "d=8"], "d' = 8 exceeds n = 4.0"),
+            ("fracphase", ["n=4", "d=3"], "d' must be a positive power of two, got 3"),
+        ],
+    )
+    def test_family_shape_is_refused_before_bits_are_drawn(
+        self, monkeypatch, capsys, family, pairs, line
+    ):
+        import qmeanlab.cli as cli
+
+        monkeypatch.setattr(cli, "_bits_from", lambda *args, **kwargs: pytest.fail("bits drawn"))
+        assert main(["hard", "--family", family, "--params", *pairs]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {line}")
+
+    # Each instance builder refuses a table above 2^30 bytes before it is
+    # built: a family's value table, the d x d covariance of the metadata's
+    # moments, the d x d basis battery.
+    @pytest.mark.parametrize(
+        "argv, wall",
+        [
+            (["hard", "--family", "low", "--params", "n=1", "d=65536", "alpha=2"],
+             "covariance memory wall: 65536 x 65536 entries"),
+            (["hard", "--family", "fracphase", "--params", "d=65536", "n=65536"],
+             "value table memory wall: 131072 x 65536 entries"),
+            (["hard", "--family", "high", "--params", "n=32768", "d=16384", "alpha=1"],
+             "value table memory wall: 32768 x 16384 entries"),
+            ({"battery": {"name": "basis", "d": 20000}}, "basis battery memory wall: 20000 x 20000 entries"),
+        ],
+        ids=["low-covariance", "fracphase-table", "high-table", "basis-battery"],
+    )
+    def test_table_past_the_memory_wall_exits_2_with_one_line(self, tmp_path, capsys, argv, wall):
+        if isinstance(argv, dict):
+            config_doc = {"rv": argv, "estimator": "classical", "trials": 1, "seed": 0, "n": 64}
+            config_path = tmp_path / "wall.json"
+            config_path.write_text(json.dumps(config_doc), encoding="utf-8")
+            argv = ["sweep", "--config", str(config_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {wall} > 2^30 bytes\n"
+
+    def test_battery_sweep_builds_only_the_battery_it_names(self, tmp_path, capsys, monkeypatch):
+        import qmeanlab.harness as harness
+
+        for name in ("basis", "heavylight"):
+            monkeypatch.setitem(harness.BATTERIES, name, lambda *args: pytest.fail("built"))
+        config_doc = {
+            "rv": {"battery": {"name": "ball", "d": 2}},
+            "estimator": "classical", "trials": 1, "seed": 0, "n": 64,
+        }
+        config_path = tmp_path / "ball.json"
+        config_path.write_text(json.dumps(config_doc), encoding="utf-8")
+        assert main(["sweep", "--config", str(config_path)]) == 0
+        assert capsys.readouterr().out.startswith("classical n=64 nprime=- d=2")
 
     def test_fractional_n_allowed_only_for_fracphase(self, capsys):
         assert main(["hard", "--family", "fracphase", "--params", "d=2", "n=3.5", "b=00"]) == 0

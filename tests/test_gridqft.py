@@ -73,6 +73,17 @@ class TestGridGeometry:
         expected = [[-0.25, -0.25], [-0.25, 0.25], [0.25, -0.25], [0.25, 0.25]]
         assert np.array_equal(pts, expected)
 
+    def test_points_are_the_exact_odd_ratios(self):
+        # the one index-to-point map gives the ratios (2a+1-m)/(2m) bit for bit
+        for k in range(24):
+            m = 2**k
+            assert grid_axis_points(m).tobytes() == (np.arange(1.0 - m, m, 2.0) / (2 * m)).tobytes()
+        for m, d in ((1, 3), (2, 4), (8, 3), (64, 2), (4096, 1), (16, 4), (256, 2)):
+            axis = np.arange(1.0 - m, m, 2.0) / (2 * m)
+            grids = np.meshgrid(*([axis] * d), indexing="ij")
+            reference = np.stack([g.reshape(-1) for g in grids], axis=1)
+            assert grid_points(GridSpec(m=m, d=d)).tobytes() == reference.tobytes()
+
     def test_points_symmetric_inside_open_box(self):
         for m in (2, 8, 64):
             axis = grid_axis_points(m)
@@ -152,6 +163,18 @@ class TestApplyPhase:
         assert np.allclose(
             on_product.materialized().tensor, on_full.tensor, atol=1e-12
         )
+
+    @pytest.mark.parametrize("m, d", [(8, 2), (4, 3), (512, 2)])  # 512^2: four chunks
+    def test_overlay_multiplies_after_the_evaluate_factor(self, m, d):
+        # before the transform, a perturbed phase's full tensor is the uniform
+        # amplitude times e^{i*evaluate} times the overlay, bit for bit
+        spec = GridSpec(m=m, d=d)
+        noise = NoiseModel.perturbed(eps=0.3, eta=0.2, seed=m + d)
+        phase = perturb(linear_phase_function(np.arange(1.0, d + 1.0) * m / 3), noise, spec)
+        out = apply_phase_function(uniform_superposition(spec), phase)
+        uniform = uniform_superposition(spec).materialized().tensor.reshape(-1)
+        expected = uniform * np.exp(1j * phase.evaluate(grid_points(spec))) * phase.overlay
+        assert out.tensor.reshape(-1).tobytes() == expected.tobytes()
 
     def test_nonseparable_phase_materializes_product_state(self):
         spec = GridSpec(m=4, d=2)

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from qmeanlab import hardness
 from qmeanlab.classical import subgaussian_estimate
 from qmeanlab.hardness import (
     SearchParityInstance,
@@ -52,6 +53,40 @@ class TestHadamard:
         for bad in (0, 3, 6, -2):
             with pytest.raises(ValueError, match="power of two"):
                 hadamard(bad)
+
+    def test_sign_rows_match_the_kronecker_build(self):
+        # rows on demand, entry (i, j) = (-1)^popcount(i & j), are the
+        # leading rows of the Kronecker-built sign matrix for every d <= 1024
+        signs = np.array([[1]], dtype=np.int64)
+        for k in range(11):
+            d = 2**k
+            for rows in {1, min(3, d), d}:
+                assert np.array_equal(hardness._sylvester_signs(rows, d), signs[:rows])
+            signs = np.kron(signs, np.array([[1, 1], [1, -1]], dtype=np.int64))
+
+
+class TestMemoryWalls:
+    """Each family refuses a value table above 2^30 bytes before building anything."""
+
+    @pytest.fixture(autouse=True)
+    def no_sign_rows(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("sign rows were built past the wall")
+
+        monkeypatch.setattr(hardness, "_sylvester_signs", built)
+
+    def test_low_family(self):
+        b = np.tile([0, 1], 2**15)
+        with pytest.raises(ValueError, match=r"^value table memory wall: 65536 x 2097152 entries > 2\^30 bytes$"):
+            hard_rv_low_precision(2**14, 2**21, 1.0, b, 4)
+
+    def test_high_family(self):
+        with pytest.raises(ValueError, match=r"^value table memory wall: 32768 x 16384 entries > 2\^30 bytes$"):
+            hardness._high_precision_columns(2**15, 2**14, 1)
+
+    def test_fractional_family(self):
+        with pytest.raises(ValueError, match=r"^value table memory wall: 131072 x 65536 entries > 2\^30 bytes$"):
+            fractional_phase_rv(2**16, 2.0**16, np.zeros(2**16, dtype=int))
 
 
 class TestSearchParityInstance:

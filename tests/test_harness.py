@@ -552,6 +552,23 @@ class TestBattery:
     def test_standard_battery_keys(self):
         assert set(standard_battery(2)) == {"ball", "basis", "heavylight"}
 
+    def test_basis_refuses_its_table_past_the_memory_wall(self, monkeypatch):
+        # 8 * 11585^2 bytes fit under 2^30, 8 * 11586^2 do not; nothing is built
+        monkeypatch.setattr(np, "eye", lambda *args: pytest.fail("the identity was built"))
+        with pytest.raises(ValueError, match=r"^basis battery memory wall: 11586 x 11586 entries > 2\^30 bytes$"):
+            battery_basis(11586)
+
+    def test_heavylight_builds_no_d_by_d_table(self, monkeypatch):
+        real_eye = np.eye
+
+        def eye(n, m=None):
+            assert n * (n if m is None else m) <= 2**20, "a d x d identity was built"
+            return real_eye(n, m)
+
+        monkeypatch.setattr(np, "eye", eye)
+        rv = battery_heavylight(2**16)
+        assert rv.values.shape == (2, 2**16) and rv.values[0, 0] == 0.05 and not rv.values[0, 1:].any()
+
 
 def test_cost_envelope_formula():
     assert cost_envelope(64, 2, 0.1) == pytest.approx(

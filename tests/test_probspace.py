@@ -120,6 +120,12 @@ class TestMoments:
         assert abs(summ.cov_trace - 1.0) < 1e-12
         assert abs(summ.spectral_norm - 1.0) < 1e-8
 
+    def test_covariance_past_the_memory_wall_is_refused(self):
+        # 8 * 11586^2 bytes pass 2^30: refused before the d x d table is formed
+        with pytest.raises(ValueError, match=r"^covariance memory wall: 11586 x 11586 entries > 2\^30 bytes$"):
+            moments(point_mass(np.zeros(11586)))
+        assert moments(point_mass(np.zeros(2048))).cov_trace == 0.0
+
     def test_spectral_norm_antisymmetric_start(self):
         # Sigma = [[1,-1],[-1,1]] has top eigenvector (1,-1)/sqrt(2), exactly
         # orthogonal to the all-ones vector; its eigenvalue is still 2.

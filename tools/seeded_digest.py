@@ -3,7 +3,7 @@
     python3 tools/seeded_digest.py
 
 Runs the quantum estimators of the tree this tool sits in on a fixed grid of
-cases and prints two lines.  The first gives the number of documents, how
+cases and prints three lines.  The first gives the number of documents, how
 many are reports and how many refusals, and one sha256 over all of them.  A
 change that must not move any seeded stream prints the same first line as
 its parent.
@@ -36,6 +36,15 @@ perturbed (0.5, 0.6), noise seed offset as the CLI's) and trial seeds 0-2:
   one at (7, 32) on d = 8, the high-precision one elsewhere, and at (8, 16)
   on d = 8 the refusal of its n' by the high-precision estimator.
 
+The third line covers the instances the estimators run on: one sha256 over
+the documents of ``qmeanlab hard`` (its stdout, stderr and exit code, run
+in-process) on a fixed list of ``--params`` (``HARD_CASES``: each family
+with seeded and with explicit bits, both normalizations, fractional n, and
+the family refusals), then the ``serialize_distribution_spec`` text of every
+``standard_battery`` at d in {2, 3, 16} and scale 1 and 0.25.  A change that
+must keep every instance's bits and every refusal's text prints the same
+third line as its parent.
+
 Each case gives one document: its key and either the estimator's
 ``report_to_dict`` or, when the estimator refuses the inputs with a
 ValueError (a lattice cap, a budget too small), the one-line message.  The
@@ -46,7 +55,9 @@ round, so on a host with two or more CPUs the digest covers them too.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -55,12 +66,12 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qmeanlab import gridqft, oracles, quantum  # noqa: E402
+from qmeanlab import cli, gridqft, oracles, quantum  # noqa: E402
 from qmeanlab.cli import NOISE_SEED_OFFSET  # noqa: E402
 from qmeanlab.hardness import fractional_phase_rv  # noqa: E402
 from qmeanlab.harness import report_to_dict, standard_battery  # noqa: E402
 from qmeanlab.oracles import NoiseModel  # noqa: E402
-from qmeanlab.probspace import moments  # noqa: E402
+from qmeanlab.probspace import moments, serialize_distribution_spec  # noqa: E402
 from qmeanlab.quantum import (  # noqa: E402
     bounded_estimator,
     euclidean_estimator,
@@ -78,6 +89,47 @@ PHASE_BUDGETS = ((4, 2), (8, 16), (16, 8), (32, 64), (64, 16))
 FRACPHASE_BUDGETS = ((4, 2), (8, 16), (32, 64))
 EUCLIDEAN_BUDGETS = (4, 8, 32)
 DISPATCH_BUDGETS = ((4, 2), (7, 32), (8, 16), (32, 64))
+HARD_CASES = (
+    ("low", "n=4", "d=16", "sigma=1.0", "alpha=4", "seed=0"),
+    ("low", "n=2", "d=8", "seed=3"),
+    ("low", "n=1", "d=4", "alpha=2", "b=01"),
+    ("low", "n=2", "d=16", "sigma=0.3", "alpha=4", "b=01100110"),
+    ("high", "n=4", "d=4", "seed=1"),
+    ("high", "n=8", "d=4", "alpha=2", "normalization=d2", "seed=2"),
+    ("high", "n=4", "d=2", "sigma=0.5", "alpha=4", "normalization=2d2", "seed=5"),
+    ("fracphase", "d=4", "n=8"),
+    ("fracphase", "d=8", "n=20", "seed=2"),
+    ("fracphase", "d=4", "n=8", "b=1010"),
+    ("fracphase", "d=2", "n=3.5", "b=01"),
+    ("fracphase", "d=4", "n=6.25", "seed=7"),
+    # refusals
+    ("low", "n=8", "d=4", "alpha=2"),
+    ("low", "n=3", "d=8", "alpha=1"),
+    ("low", "n=1", "d=6", "alpha=2"),
+    ("low", "n=0", "d=4"),
+    ("low", "n=1", "d=4", "alpha=0"),
+    ("low", "n=3.5", "d=16"),
+    ("low", "n=1", "d=4", "alpha=2", "b=11"),
+    ("low", "n=1", "d=4", "alpha=2", "b=0101"),
+    ("low", "n=1", "d=4", "alpha=2", "b=1x"),
+    ("low", "n=1", "d=4", "alpha=2", "sigma=1e308"),
+    ("low", "d=16"),
+    ("low", "waffles=3"),
+    ("high", "n=2", "d=3"),
+    ("high", "n=2", "d=0"),
+    ("high", "n=2", "d=2", "alpha=0"),
+    ("high", "n=3", "d=2", "alpha=1"),
+    ("high", "n=2", "d=2", "alpha=1"),
+    ("high", "n=4", "d=4", "normalization=d3"),
+    ("high", "n=4", "d=4", "seed=-1"),
+    ("fracphase", "d=8", "n=4"),
+    ("fracphase", "d=3", "n=4"),
+    ("fracphase", "d=0", "n=4"),
+    ("fracphase", "d=4", "n=8", "b=101"),
+    ("fracphase", "d=2", "n=nan"),
+    ("fracphase", "d=2", "n=inf"),
+)
+BATTERY_SHAPES = ((2, 1.0), (2, 0.25), (3, 1.0), (3, 0.25), (16, 1.0), (16, 0.25))
 
 
 def _noise(name: str, seed: int) -> NoiseModel:
@@ -183,6 +235,19 @@ def _hash_laws(laws) -> list[int]:
     return counts
 
 
+def _instance_documents():
+    """One document per ``HARD_CASES`` entry, then one per battery spec, in order."""
+    for family, *pairs in HARD_CASES:
+        argv = ["hard", "--family", family, "--params", *pairs]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        yield {"argv": argv, "code": code, "out": out.getvalue(), "err": err.getvalue()}
+    for d, scale in BATTERY_SHAPES:
+        for name, rv in standard_battery(d, scale).items():
+            yield {"battery": [name, d, scale], "spec": serialize_distribution_spec(rv)}
+
+
 def main() -> int:
     digest = hashlib.sha256()
     reports = refusals = 0
@@ -205,6 +270,12 @@ def main() -> int:
           f" sha256 {digest.hexdigest()}")
     print(f"{counts[0]} noise tables, {counts[1]} closed-form marginals, {counts[2]} last-axis"
           f" masses and {counts[3]} autocorrelation marginal tables sha256 {laws.hexdigest()}")
+    instances = hashlib.sha256()
+    docs = list(_instance_documents())
+    for doc in docs:
+        instances.update((json.dumps(doc, sort_keys=True) + "\n").encode())
+    print(f"{len(docs)} instance documents ({len(HARD_CASES)} hard, {len(docs) - len(HARD_CASES)}"
+          f" battery specs) sha256 {instances.hexdigest()}")
     return 0
 
 
