@@ -199,22 +199,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # hard
 
+# the parameters each family reads, for ``--params`` and a sweep's hard params alike
+_FAMILY_PARAMS = {
+    "low": ("n", "d", "sigma", "alpha", "b", "seed"),
+    "high": ("n", "d", "sigma", "alpha", "normalization", "seed"),
+    "fracphase": ("n", "d", "b", "seed"),
+}
 _STRING_PARAMS = ("b", "normalization")
 
 
 def _check_param(key: str, value, family: str) -> None:
-    """Refuse a hard-instance parameter not of its key's kind: a negative seed, a b not of 0s and 1s."""
+    """Refuse a hard-instance parameter its family does not read, or not of its key's kind:
+    a negative seed, a b not of 0s and 1s."""
     name = f"hard-instance parameter {key!r}"
+    if key not in _FAMILY_PARAMS[family]:
+        raise ValueError(f"unknown {name}")
     if key in _STRING_PARAMS:
         if not isinstance(value, str) or key == "b" and set(value) - {"0", "1"}:
             kind = "a string of 0s and 1s" if key == "b" else "a string"
             raise ValueError(f"{name} must be {kind}, got {value!r}")
     elif key == "sigma" or key == "n" and family == "fracphase":  # a non-integer tilt denominator
         as_positive(name, value)
-    elif key in ("n", "d", "alpha", "seed"):
-        as_integer(name, value, at_least=0 if key == "seed" else -math.inf)
     else:
-        raise ValueError(f"unknown hard-instance parameter {key!r}")
+        as_integer(name, value, at_least=0 if key == "seed" else -math.inf)
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -251,7 +258,7 @@ def _bits_from(params: dict, length: int, balanced: bool = False) -> np.ndarray:
 
 def _build_hard(family: str, params: dict):
     """Return (rv, meta) for one hard family; meta carries designed moments."""
-    if family not in ("low", "high", "fracphase"):
+    if family not in _FAMILY_PARAMS:
         raise ValueError(f"family must be low, high, or fracphase, got {family!r}")
     for key, value in params.items():
         _check_param(key, value, family)
@@ -339,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_hard = sub.add_parser("hard", help="Generate a hard-instance distribution.")
-    p_hard.add_argument("--family", required=True, choices=("low", "high", "fracphase"))
+    p_hard.add_argument("--family", required=True, choices=tuple(_FAMILY_PARAMS))
     p_hard.add_argument(
         "--params",
         nargs="*",

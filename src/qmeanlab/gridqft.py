@@ -8,10 +8,12 @@ reduces to a standard radix-2 FFT conjugated by diagonal twiddle factors.
 
 Estimators never build the register: every phase they imprint is linear.  A
 linear phase c_j*u_j has as Born law after the inverse transform the
-closed-form Fejer kernel of :func:`linear_phase_marginals`, and
-:func:`sample_marginals` inverts it with the same per-axis draws
-:func:`measure` makes on a product state.  A linear phase overlaid with a
-table of unit-modulus factors (a perturbed linear phase) is drawn by
+closed-form Fejer kernel of :func:`linear_phase_marginals`, which hands out
+one axis law at a time, and :func:`sample_marginals` draws each axis before
+it takes the next law, with the same per-axis draws :func:`measure` makes on
+a product state, so an ideal round holds a few axis arrays at any d, not d
+of them.  A linear phase overlaid with a table of unit-modulus factors (a
+perturbed linear phase) is drawn by
 :func:`sample_linear_overlay` through the chain rule, for a whole block of
 coefficient rows that share the overlay in one call: the column norms of the
 amplitudes transformed along the last, contiguous axis give the last
@@ -54,8 +56,8 @@ row-by-row, and every reduction runs after the join, over the whole table,
 so a split round gives the same bits as one thread.
 
 The closed form refuses an axis past its precision wall (m > 2^52) or memory
-wall (2^30 bytes per axis array) before allocating it.  The register
-(:class:`GridState`, :func:`apply_phase_function`, :func:`qft`,
+wall (2^30 bytes per axis array) when it is called, before allocating it.
+The register (:class:`GridState`, :func:`apply_phase_function`, :func:`qft`,
 :func:`measure`) is the reference those samplers are tested against, and what
 the acceptance gate's transform numerics run.
 """
@@ -67,7 +69,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -372,21 +374,23 @@ def measurement_distribution(state: GridState):
     return np.abs(state.tensor.reshape(-1)) ** 2
 
 
-def linear_phase_marginals(spec: GridSpec, coeffs) -> tuple[np.ndarray, ...]:
-    """Exact per-axis Born marginals of a linear phase, without a register.
+def linear_phase_marginals(spec: GridSpec, coeffs) -> Iterator[np.ndarray]:
+    """Exact per-axis Born marginals of a linear phase, without a register, one axis at a time.
 
-    Equal to ``measurement_distribution(inverse_qft(apply_phase_function(
-    uniform_superposition(spec), theta)))`` for theta_u = <coeffs, u>.  With
-    y_b = c/(2m) - pi*v_b the marginal of axis coefficient c is the Fejer
-    kernel p_b = sin^2(m*y_b) / (m^2 sin^2 y_b).  The numerator is the same for
-    every b (the y_b are pi/m apart); it is computed once, at the b nearest
-    the peak, from the same rounded y_b as that bin's denominator, so the peak
-    stays exact when c lies within rounding of a lattice hit.  An exact hit
-    (sin y_b = 0) is a point mass; m = 1 has the single outcome 0.  Real
-    float64 arithmetic throughout; the raw mass of every axis is checked
-    against 1, as :class:`GridState` checks its norm.  An m whose lattice
-    points are not exact in float64 (m > 2^52) or whose per-axis arrays would
-    pass 2^30 bytes (m > 2^27) is refused before anything is allocated.
+    Equal, axis by axis, to ``measurement_distribution(inverse_qft(
+    apply_phase_function(uniform_superposition(spec), theta)))`` for theta_u =
+    <coeffs, u>.  With y_b = c/(2m) - pi*v_b the marginal of axis coefficient
+    c is the Fejer kernel p_b = sin^2(m*y_b) / (m^2 sin^2 y_b).  The numerator
+    is the same for every b (the y_b are pi/m apart); it is computed once, at
+    the b nearest the peak, from the same rounded y_b as that bin's
+    denominator, so the peak stays exact when c lies within rounding of a
+    lattice hit.  An exact hit (sin y_b = 0) is a point mass; m = 1 has the
+    single outcome 0.  Real float64 arithmetic throughout; the raw mass of
+    every axis is checked against 1, as :class:`GridState` checks its norm.
+    The coefficient count and the walls (m > 2^52 points are not exact in
+    float64; m > 2^27 passes 2^30 bytes per axis array) are checked when this
+    is called, before anything is allocated; each axis law is made only when
+    the iterator reaches it, so :func:`sample_marginals` holds a few at any d.
     """
     m = spec.m
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
@@ -394,29 +398,32 @@ def linear_phase_marginals(spec: GridSpec, coeffs) -> tuple[np.ndarray, ...]:
         raise ValueError(f"linear phase has {coeffs.shape[0]} coefficients, expected {spec.d}")
     check_axis_walls(m)
     if m == 1:
-        return (np.ones(1),) * spec.d
+        return (np.ones(1) for _ in coeffs)
     pi_v = np.pi * grid_axis_points(m)
     # A phase c of order m resolves only to its float64 ulp, so the rounding
     # drift of the mass grows with m (at most 5e-11 over 20 random c at
     # m = 2^23); the bound grows with it instead of staying a flat 1e-9.  It
     # bounds the mass, not the norm, so _check_norm would pass other laws.
     tol = max(1e-9, 16 * m * 2.0**-52)
-    out = []
-    for c in coeffs:
-        p = np.subtract(c / (2 * m), pi_v)  # y_b, then sin^2 y_b, then p_b in place
-        np.square(np.sin(p, out=p), out=p)
-        peak = int(np.argmin(p))
-        if p[peak] == 0.0:
-            p[:] = 0.0
-            p[peak] = 1.0
-        else:
-            y_peak = c / (2 * m) - pi_v[peak]
-            np.divide((math.sin(m * y_peak) / m) ** 2, p, out=p)
-            total = float(p.sum())
-            if abs(total - 1.0) > tol:
-                raise ValueError(f"state norm drifted to {math.sqrt(total)!r}")
-        out.append(p)
-    return tuple(out)
+    return (_fejer_kernel(c, pi_v, tol) for c in coeffs)
+
+
+def _fejer_kernel(c: float, pi_v: np.ndarray, tol: float) -> np.ndarray:
+    """The marginal of axis coefficient c of :func:`linear_phase_marginals`, given pi*v_b and its mass bound."""
+    m = pi_v.shape[0]
+    p = np.subtract(c / (2 * m), pi_v)  # y_b, then sin^2 y_b, then p_b in place
+    np.square(np.sin(p, out=p), out=p)
+    peak = int(np.argmin(p))
+    if p[peak] == 0.0:
+        p[:] = 0.0
+        p[peak] = 1.0
+        return p
+    y_peak = c / (2 * m) - pi_v[peak]
+    np.divide((math.sin(m * y_peak) / m) ** 2, p, out=p)
+    total = float(p.sum())
+    if abs(total - 1.0) > tol:
+        raise ValueError(f"state norm drifted to {math.sqrt(total)!r}")
+    return p
 
 
 def _draw_in_rows(p: np.ndarray, which: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -444,14 +451,15 @@ def _draw_in_rows(p: np.ndarray, which: np.ndarray, rng: np.random.Generator) ->
 def sample_marginals(marginals, reps: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``reps`` lattice points from a product of per-axis marginals, as (reps, d).
 
-    Each axis, in order, draws its indices from its marginal as a one-row
-    :func:`_draw_in_rows` table.
+    ``marginals`` is any iterable of the d axis laws.  Each axis, in order,
+    draws its indices from its law as a one-row :func:`_draw_in_rows` table
+    and maps them to points before the next law is taken, so a lazy iterable
+    (:func:`linear_phase_marginals`) is held one axis at a time.
     """
-    m = marginals[0].shape[0]
-    idx = np.empty((reps, len(marginals)), dtype=np.int64)
-    for j, p in enumerate(marginals):
-        idx[:, j] = _draw_in_rows(p[None], np.zeros(reps, dtype=np.int64), rng)
-    return _lattice_points(idx, m)
+    return np.stack([
+        _lattice_points(_draw_in_rows(p[None], np.zeros(reps, dtype=np.int64), rng), p.shape[0])
+        for p in marginals
+    ], axis=1)
 
 
 def _check_norm(nrm: float) -> None:

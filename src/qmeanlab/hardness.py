@@ -28,17 +28,28 @@ __all__ = [
 ]
 
 
-def _sylvester_signs(rows: int, d: int) -> np.ndarray:
-    """The first ``rows`` rows of the d x d Sylvester sign matrix, built on demand.
+_SIGN_CHUNK = 1 << 16  # entries of one chunk of sign rows, 512 KiB as float64
+
+
+def _sylvester_signs(rows: int, d: int, start: int = 0) -> np.ndarray:
+    """Rows start..start+rows-1 of the d x d Sylvester sign matrix, built on demand.
 
     Entry (i, j) is (-1)^popcount(i & j), the parity summed one bit at a time;
     d is a power of two, checked by the caller.
     """
-    ij = np.arange(rows, dtype=np.int64)[:, None] & np.arange(d, dtype=np.int64)
+    ij = np.arange(start, start + rows, dtype=np.int64)[:, None] & np.arange(d, dtype=np.int64)
     parity = np.zeros_like(ij)
     for bit in range(int(d).bit_length() - 1):  # d = 2^k: i & j has bits 0..k-1
         parity ^= (ij >> bit) & 1
     return 1 - 2 * parity
+
+
+def _sign_row_chunks(d: int):
+    """(start, rows start.. of the d x d sign matrix) in order, each chunk of at most
+    ``_SIGN_CHUNK`` entries (one row at least), so no d x d table is built."""
+    step = max(1, _SIGN_CHUNK // d)
+    for start in range(0, d, step):
+        yield start, _sylvester_signs(min(step, d - start), d, start)
 
 
 def hadamard(d: int) -> np.ndarray:
@@ -238,15 +249,22 @@ def fractional_phase_rv(d_prime: int, n: float, b) -> RandomVariable:
     prob[0::2] = (1.0 - tilt) / (2 * d_prime)  # x = 0
     prob[1::2] = (1.0 + tilt) / (2 * d_prime)  # x = 1
     # sqrt(d')/4 * H e_j has entries +-1/4 exactly; build them from the
-    # integer sign matrix so no irrational factors are ever multiplied
-    signs = _sylvester_signs(d_prime, d_prime)
+    # integer sign rows (H is symmetric, so row j is column j) so no
+    # irrational factors are ever multiplied
     values = np.zeros((2 * d_prime, d_prime))
-    values[1::2] = 0.25 * signs.T
+    for start, signs in _sign_row_chunks(d_prime):
+        values[2 * start + 1 : 2 * (start + len(signs)) : 2] = 0.25 * signs
     return RandomVariable(prob=prob, values=values)
 
 
 def designed_mean_fractional_phase(d_prime: int, n: float, b) -> np.ndarray:
+    """(1/8) e_1 + sqrt(d')/(8n) * H b, H b over chunks of rows of ``hadamard(d')``, with the
+    bits of the whole product (seeded bits matched at every d' up to the wall's 2^13)."""
+    check_power_of_two("d'", d_prime)
     b = np.asarray(b, dtype=float)
-    out = math.sqrt(d_prime) / (8.0 * n) * (hadamard(d_prime) @ b)
+    hb = np.empty(d_prime)
+    for start, signs in _sign_row_chunks(d_prime):
+        hb[start : start + len(signs)] = signs / math.sqrt(d_prime) @ b
+    out = math.sqrt(d_prime) / (8.0 * n) * hb
     out[0] += 0.125
     return out

@@ -8,8 +8,10 @@ each reads its branch, lattice sizes and repetition counts from its
 :func:`plan`, which the budgets alone decide, so a harness can refuse a cell
 before its first trial.  Every phase an estimator imprints is linear (a
 binary phase whose clamp would fire is refused by its oracle), so no round
-builds a register (:func:`_run_phase_reps`).  The (n, n') regime map that the
-phase-model dispatcher branches on lives here.
+builds a register: a round (:func:`_run_phase_reps`) takes only the phases'
+coefficient rows and the noise overlay of :func:`qmeanlab.oracles.perturb`
+(None under ideal noise).  The (n, n') regime map that the phase-model
+dispatcher branches on lives here.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from qmeanlab.checks import check_norm_bound, check_open_unit
 from qmeanlab.classical import check_draw_table, check_sample_floor, coordinate_median, subgaussian_estimate
 from qmeanlab.gridqft import (
     GridSpec,
-    PhaseFunction,
     linear_phase_marginals,
     sample_linear_overlay,
     sample_marginals,
@@ -203,19 +204,18 @@ def plan(estimator: str, d: int, n: float, nprime: float | None, delta: float, L
 
 
 def _run_phase_reps(
-    spec: GridSpec, phase: PhaseFunction, rows: np.ndarray, reps, scale: float, rng: np.random.Generator
+    spec: GridSpec, overlay: np.ndarray | None, rows: np.ndarray, reps, scale: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Scaled measurements of a (G, d) block of coefficient rows, ``reps`` per row, in row order.
+    """Scaled measurements of the linear phases of a (G, d) block of coefficient rows, ``reps`` per row.
 
-    The phase is linear (it carries ``coeffs``; a one-round block is its own), so no register is
-    built.  Under ideal noise each row, in order, samples its closed-form Born marginals with the
-    draws :func:`qmeanlab.gridqft.measure` makes on the register; under the phase's noise
-    ``overlay`` the whole block draws by the chain rule in one call (``sample_linear_overlay``).
+    The points come back in row order, and no register is built.  Under ideal noise (``overlay``
+    None) each row, in order, samples its closed-form Born marginals one axis at a time, with the
+    draws :func:`qmeanlab.gridqft.measure` makes on the register; under a noise ``overlay`` (the
+    table :func:`qmeanlab.oracles.perturb` gives the phase) the whole block draws by the chain rule
+    in one call (``sample_linear_overlay``).
     """
-    if phase.coeffs is None:
-        raise TypeError("a phase-estimation round samples only linear phases (with coeffs)")
-    if phase.overlay is not None:
-        points = sample_linear_overlay(spec, rows, phase.overlay, reps, rng)
+    if overlay is not None:
+        points = sample_linear_overlay(spec, rows, overlay, reps, rng)
     else:
         points = np.concatenate([
             sample_marginals(linear_phase_marginals(spec, c), count, rng) for c, count in zip(rows, reps)
@@ -255,10 +255,10 @@ def bounded_estimator(
 
     # one oracle construction, charged once per repetition that uses it
     phase = directional_phases_binary(rv, L2, m, alpha, BINARY_ORACLE_EPS, ledger, reps)
-    compute_phase = perturb(phase, noise, spec)
+    overlay = perturb(phase, noise, spec).overlay
 
-    per_rep = _run_phase_reps(spec, compute_phase, phase.coeffs[None], [reps], 2.0 * math.pi / alpha, rng)
-    diagnostics = {**planned.diagnostics, "fast_path": compute_phase.separable}
+    per_rep = _run_phase_reps(spec, overlay, phase.coeffs[None], [reps], 2.0 * math.pi / alpha, rng)
+    diagnostics = {**planned.diagnostics, "fast_path": overlay is None}
     return EstimateReport(coordinate_median(per_rep), truth, ledger, "bounded", params, diagnostics)
 
 
@@ -414,9 +414,9 @@ def qphase_estimator(
 
     ledger = CostLedger()
     phase = directional_phases_phase_model(rv, m, PHASE_ORACLE_EPS, PHASE_ORACLE_ETA, ledger, reps)
-    compute_phase = perturb(phase, noise, spec)
+    overlay = perturb(phase, noise, spec).overlay
 
-    per_rep = _run_phase_reps(spec, compute_phase, phase.coeffs[None], [reps], 2.0 * math.pi, rng)
+    per_rep = _run_phase_reps(spec, overlay, phase.coeffs[None], [reps], 2.0 * math.pi, rng)
     params = _params(noise, n=float(n), nprime=float(nprime), delta=float(delta))
     diagnostics = {**planned.diagnostics, "eps": PHASE_ORACLE_EPS, "eta": PHASE_ORACLE_ETA}
     return EstimateReport(coordinate_median(per_rep), mean(rv), ledger, "qphase", params, diagnostics)
@@ -495,9 +495,9 @@ def qlowprec_estimator(
     # every round imprints its mean's phase under the one noise overlay of the
     # oracle's grid; the block's measurements come back grouped by mean, and
     # are left so: the coordinate median sorts each column anyway
-    compute_phase = perturb(oracle, noise, spec)
+    overlay = perturb(oracle, noise, spec).overlay
     sizes = np.bincount(group, minlength=len(means))
-    per_rep = _run_phase_reps(spec, compute_phase, m * means, sizes, 2.0 * math.pi, rng)
+    per_rep = _run_phase_reps(spec, overlay, m * means, sizes, 2.0 * math.pi, rng)
     params = _params(noise, n=float(n), nprime=float(nprime), delta=float(delta))
     diagnostics = {**planned.diagnostics, "tables": len(means)}
     return EstimateReport(coordinate_median(per_rep), mean(rv), ledger, "qlowprec", params, diagnostics)

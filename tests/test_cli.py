@@ -222,6 +222,7 @@ class TestSweep:
             {"hard": {"family": "fracphase", "params": {"d": [2], "n": 4}}},
             {"hard": {"family": "fracphase", "params": {"d": 2, "n": 4, "b": 10}}},
             {"hard": {"family": "fracphase", "params": {"d": 2, "n": 4, "waffles": 1}}},
+            {"hard": {"family": "high", "params": {"n": 4, "d": 2, "b": "10"}}},
             {"inline": {"d": 1, "prob": [0.5, 0.5], "values": [[math.nan], [0.25]]}},
             {"inline": {"d": 1, "prob": [0.5, 0.5], "values": [[1e400], [0.25]]}},
             # finite values whose moments overflow: the error bound is not finite
@@ -575,6 +576,21 @@ class TestHard:
     def test_bad_param_key(self, capsys):
         assert main(["hard", "--family", "low", "--params", "waffles=3"]) == 2
         assert "waffles" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "family, params, key",
+        [
+            ("fracphase", ["n=4", "d=2", "sigma=3", "alpha=9", "normalization=zz"], "sigma"),
+            ("low", ["n=2", "d=8", "normalization=zz"], "normalization"),
+            ("high", ["n=4", "d=2", "b=10", "seed=0"], "b"),
+        ],
+    )
+    def test_param_the_family_does_not_read_exits_2(self, capsys, family, params, key):
+        # a key another family reads is refused by name, not dropped or echoed
+        assert main(["hard", "--family", family, "--params", *params]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown hard-instance parameter {key!r}\n"
 
 
 # --- fuzzed sweep documents ------------------------------------------------

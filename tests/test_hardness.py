@@ -7,6 +7,7 @@ independent brute-force enumeration before the generators were written.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,41 @@ class TestFractionalPhaseFamily:
     def test_rejects_overlarge_dimension(self):
         with pytest.raises(ValueError, match="exceeds n"):
             fractional_phase_rv(8, 4.0, np.zeros(8, dtype=int))
+
+    @pytest.mark.parametrize("chunk_rows", [8, None])
+    def test_designed_mean_has_the_bits_of_the_whole_product(self, monkeypatch, chunk_rows):
+        # sign rows in chunks of 8 and of the default size, against the one
+        # product with hadamard(d') at every d' up to 2^11
+        rng = np.random.default_rng(13)
+        for k in range(12):
+            d_prime, n = 2**k, 3.0 * 2**k
+            if chunk_rows is not None:
+                monkeypatch.setattr(hardness, "_SIGN_CHUNK", chunk_rows * d_prime)
+            b = rng.integers(0, 2, d_prime)
+            whole = math.sqrt(d_prime) / (8.0 * n) * (hadamard(d_prime) @ b.astype(float))
+            whole[0] += 0.125
+            assert np.array_equal(designed_mean_fractional_phase(d_prime, n, b), whole), d_prime
+
+    @pytest.mark.parametrize(
+        "build, bound",
+        [
+            # hadamard(1024) alone is 8 MiB; the chunks of sign rows stay within half of it
+            (designed_mean_fractional_phase, 4 * 2**20),
+            # the 16 MiB value table and the random variable's own copy of it,
+            # plus as much again for the chunks, not the 8 MiB sign matrix and
+            # its temporaries (42 MiB in all when those were built)
+            (fractional_phase_rv, 2 * 16 * 2**20 + 4 * 2**20),
+        ],
+    )
+    def test_builders_hold_no_square_sign_table(self, build, bound):
+        b = np.arange(1024) % 2
+        tracemalloc.start()
+        try:
+            build(1024, 2048.0, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestClassicalFloor:

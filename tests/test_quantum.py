@@ -23,7 +23,6 @@ from qmeanlab import gridqft, quantum
 from qmeanlab.classical import coordinate_median
 from qmeanlab.gridqft import (
     GridSpec,
-    PhaseFunction,
     apply_phase_function,
     grid_axis_points,
     inverse_qft,
@@ -109,7 +108,7 @@ class TestPhaseRounds:
         phase = linear_phase_function(np.array([0.61, -0.23]) * 2 * math.pi * m)
         for seed in range(3):
             closed = quantum._run_phase_reps(
-                spec, phase, phase.coeffs[None], [200], 1.0, np.random.default_rng(seed)
+                spec, None, phase.coeffs[None], [200], 1.0, np.random.default_rng(seed)
             )
             state = inverse_qft(apply_phase_function(uniform_superposition(spec), phase))
             register = measure(state, 200, np.random.default_rng(seed))
@@ -130,7 +129,7 @@ class TestPhaseRounds:
         )
         draws = 40_000
         pts = quantum._run_phase_reps(
-            spec, phase, phase.coeffs[None], [draws], 1.0, np.random.default_rng(0)
+            spec, phase.overlay, phase.coeffs[None], [draws], 1.0, np.random.default_rng(0)
         )
         idx = np.rint(m * pts + (m - 1) / 2.0).astype(np.int64)
         counts = np.bincount(np.ravel_multi_index(tuple(idx.T), (m,) * d), minlength=spec.points)
@@ -144,7 +143,7 @@ class TestPhaseRounds:
 
     def test_no_linear_round_builds_a_register(self, monkeypatch):
         # ideal (closed-form marginals) or perturbed (chain rule over its overlay),
-        # a round builds no register state; a phase without coeffs is refused
+        # a round builds no register state
         register = {"apply_phase_function", "inverse_qft", "measure", "uniform_superposition"}
         assert not register & set(vars(quantum))
 
@@ -155,13 +154,24 @@ class TestPhaseRounds:
         spec = GridSpec(m=8, d=2)
         phase = linear_phase_function(np.array([3.0, -5.0]))
         noisy = perturb(phase, NoiseModel.perturbed(eps=0.1, eta=0.1, seed=0), spec)
-        for round_phase in (phase, noisy):
-            quantum._run_phase_reps(
-                spec, round_phase, round_phase.coeffs[None], [10], 1.0, np.random.default_rng(0)
-            )
-        built = PhaseFunction(evaluate=noisy.evaluate, separable=False)
-        with pytest.raises(TypeError, match="only linear phases"):
-            quantum._run_phase_reps(spec, built, np.zeros((1, 2)), [10], 1.0, np.random.default_rng(0))
+        for overlay in (None, noisy.overlay):
+            quantum._run_phase_reps(spec, overlay, phase.coeffs[None], [10], 1.0, np.random.default_rng(0))
+
+    def test_ideal_round_holds_a_few_axis_laws_at_d_64(self):
+        # 64 axes of m = 2^18 points: one axis law is 2 MiB and all of them
+        # 128 MiB; each axis is drawn before the next law is made, so the
+        # round's traced peak stays within four axis arrays
+        m, d = 2**18, 64
+        spec = GridSpec(m=m, d=d)
+        coeffs = np.random.default_rng(0).uniform(-0.5, 0.5, (1, d)) * 2 * math.pi * m
+        tracemalloc.start()
+        try:
+            pts = quantum._run_phase_reps(spec, None, coeffs, [30], 1.0, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pts.shape == (30, d)
+        assert peak <= 4 * 8 * m
 
 
 class TestBoundedEstimator:
@@ -601,9 +611,8 @@ def per_repetition_qlowprec(rv, noise, diagnostics, rng) -> tuple[float, CostLed
         inner = CostLedger()
         phase = directional_phases_phase_model(pbar, m, PHASE_ORACLE_EPS, PHASE_ORACLE_ETA, inner)
         ledger.charge(phase_queries=inner.phase_queries)
-        round_phase = perturb(phase, noise, spec)
-        block = phase.coeffs[None]
-        per_rep[r] = quantum._run_phase_reps(spec, round_phase, block, [1], 2 * math.pi, rng)[0]
+        overlay = perturb(phase, noise, spec).overlay
+        per_rep[r] = quantum._run_phase_reps(spec, overlay, phase.coeffs[None], [1], 2 * math.pi, rng)[0]
     return float(np.abs(coordinate_median(per_rep) - mean(rv)).max()), ledger
 
 

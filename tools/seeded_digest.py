@@ -210,11 +210,15 @@ def _hash_laws(laws) -> list[int]:
         return cached(noise, spec)
 
     def linear_phase_marginals(spec, coeffs):
-        out = closed_form(spec, coeffs)
-        for p in out:
-            laws.update(p.tobytes())
-        counts[1] += len(out)
-        return out
+        out = closed_form(spec, coeffs)  # checks the call now, hands out the axes lazily
+
+        def each():
+            for p in out:
+                laws.update(p.tobytes())
+                counts[1] += 1
+                yield p
+
+        return each()
 
     def last_axis_columns(*args):
         cols, mass = columns(*args)
