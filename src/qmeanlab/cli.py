@@ -258,7 +258,7 @@ def _bits_from(params: dict, length: int, balanced: bool = False) -> np.ndarray:
 
 def _build_hard(family: str, params: dict):
     """Return (rv, meta) for one hard family; meta carries designed moments."""
-    if family not in _FAMILY_PARAMS:
+    if not isinstance(family, str) or family not in _FAMILY_PARAMS:
         raise ValueError(f"family must be low, high, or fracphase, got {family!r}")
     for key, value in params.items():
         _check_param(key, value, family)

@@ -34,22 +34,34 @@ _SIGN_CHUNK = 1 << 16  # entries of one chunk of sign rows, 512 KiB as float64
 def _sylvester_signs(rows: int, d: int, start: int = 0) -> np.ndarray:
     """Rows start..start+rows-1 of the d x d Sylvester sign matrix, built on demand.
 
-    Entry (i, j) is (-1)^popcount(i & j), the parity summed one bit at a time;
-    d is a power of two, checked by the caller.
+    Entry (i, j) is (-1)^popcount(i & j), the parity folded into bit 0 by xor
+    shifts in place (8, 4, 2, 1 for 16 bits), so one temporary of the rows'
+    size is held; d is a power of two, checked by the caller.
     """
-    ij = np.arange(start, start + rows, dtype=np.int64)[:, None] & np.arange(d, dtype=np.int64)
-    parity = np.zeros_like(ij)
-    for bit in range(int(d).bit_length() - 1):  # d = 2^k: i & j has bits 0..k-1
-        parity ^= (ij >> bit) & 1
-    return 1 - 2 * parity
+    x = np.arange(start, start + rows, dtype=np.int64)[:, None] & np.arange(d, dtype=np.int64)
+    bits = int(d).bit_length() - 1  # d = 2^k: i & j has bits 0..k-1
+    for j in reversed(range(max(bits - 1, 0).bit_length())):
+        x ^= x >> (1 << j)
+    x &= 1
+    x *= -2
+    x += 1
+    return x
 
 
-def _sign_row_chunks(d: int):
-    """(start, rows start.. of the d x d sign matrix) in order, each chunk of at most
-    ``_SIGN_CHUNK`` entries (one row at least), so no d x d table is built."""
+def _sign_row_chunks(rows: int, d: int):
+    """(start, rows start.. of the d x d sign matrix) in order over its first ``rows`` rows,
+    each chunk of at most ``_SIGN_CHUNK`` entries (one row at least), so no rows x d table
+    is built."""
     step = max(1, _SIGN_CHUNK // d)
-    for start in range(0, d, step):
-        yield start, _sylvester_signs(min(step, d - start), d, start)
+    for start in range(0, rows, step):
+        yield start, _sylvester_signs(min(step, rows - start), d, start)
+
+
+def _handed_over(prob: np.ndarray, values: np.ndarray) -> RandomVariable:
+    """The random variable of a builder's finished tables, marked read-only so it takes them
+    without a copy."""
+    prob.flags.writeable = values.flags.writeable = False
+    return RandomVariable(prob=prob, values=values)
 
 
 def hadamard(d: int) -> np.ndarray:
@@ -131,9 +143,12 @@ def hard_rv_low_precision(
     scale = alpha * sigma * math.sqrt(n / ((alpha**2 * n - alpha) / 2.0))
     if not math.isfinite(scale):
         raise ValueError(f"value scale alpha*sigma*sqrt(2n/(alpha^2 n - alpha)) = {scale} is not finite")
-    rows = _sylvester_signs(count, d) / math.sqrt(d)
-    values = scale * b[:, None] * rows
-    return RandomVariable(prob=np.full(count, 1.0 / count), values=values)
+    # entry by entry the product of the whole table, filled chunk by chunk
+    values = np.empty((count, d))
+    for start, signs in _sign_row_chunks(count, d):
+        stop = start + len(signs)
+        values[start:stop] = scale * b[start:stop, None] * (signs / math.sqrt(d))
+    return _handed_over(np.full(count, 1.0 / count), values)
 
 
 def designed_mean_low_precision(n: int, d: int, sigma: float, b, alpha: int) -> np.ndarray:
@@ -212,7 +227,7 @@ def hard_rv_high_precision(
     values = np.zeros((count, d))
     for i in range(d):
         values[i * M : (i + 1) * M, i] = scale * signs[i]
-    return RandomVariable(prob=np.full(count, 1.0 / count), values=values)
+    return _handed_over(np.full(count, 1.0 / count), values)
 
 
 def designed_mean_high_precision(
@@ -252,9 +267,9 @@ def fractional_phase_rv(d_prime: int, n: float, b) -> RandomVariable:
     # integer sign rows (H is symmetric, so row j is column j) so no
     # irrational factors are ever multiplied
     values = np.zeros((2 * d_prime, d_prime))
-    for start, signs in _sign_row_chunks(d_prime):
+    for start, signs in _sign_row_chunks(d_prime, d_prime):
         values[2 * start + 1 : 2 * (start + len(signs)) : 2] = 0.25 * signs
-    return RandomVariable(prob=prob, values=values)
+    return _handed_over(prob, values)
 
 
 def designed_mean_fractional_phase(d_prime: int, n: float, b) -> np.ndarray:
@@ -263,7 +278,7 @@ def designed_mean_fractional_phase(d_prime: int, n: float, b) -> np.ndarray:
     check_power_of_two("d'", d_prime)
     b = np.asarray(b, dtype=float)
     hb = np.empty(d_prime)
-    for start, signs in _sign_row_chunks(d_prime):
+    for start, signs in _sign_row_chunks(d_prime, d_prime):
         hb[start : start + len(signs)] = signs / math.sqrt(d_prime) @ b
     out = math.sqrt(d_prime) / (8.0 * n) * hb
     out[0] += 0.125

@@ -26,7 +26,7 @@ from qmeanlab.checks import (
 from qmeanlab.classical import check_draw_table, subgaussian_estimate
 from qmeanlab.gridqft import GridSpec, check_axis_walls, check_lattice_cap
 from qmeanlab.oracles import CostLedger, NoiseModel
-from qmeanlab.probspace import RandomVariable, mean, moments
+from qmeanlab.probspace import RandomVariable, mean, moments, spectral_norm
 from qmeanlab.quantum import (
     EstimateReport,
     Plan,
@@ -256,9 +256,8 @@ def error_bound(
     if estimator == "qlowprec":
         return "err_inf", max(1.0 / math.sqrt(n), d / nprime) * log_term
     if estimator == "classical":
-        m = moments(rv)
-        return "err_l2", math.sqrt(m.cov_trace / n) + math.sqrt(
-            m.spectral_norm * math.log2(2.0 / delta) / n
+        return "err_l2", math.sqrt(moments(rv).cov_trace / n) + math.sqrt(
+            spectral_norm(rv) * math.log2(2.0 / delta) / n
         )
     raise ValueError(f"unknown estimator {estimator!r}")
 

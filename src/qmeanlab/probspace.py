@@ -24,6 +24,7 @@ __all__ = [
     "MomentSummary",
     "mean",
     "moments",
+    "spectral_norm",
     "exact_quantile",
     "truncate_normalized",
     "norm_rv",
@@ -31,6 +32,19 @@ __all__ = [
     "parse_distribution_spec",
     "serialize_distribution_spec",
 ]
+
+
+def _frozen(table) -> np.ndarray:
+    """``table`` as a read-only C-ordered float64 array: taken as is when it already is one
+    that owns its data (a builder's finished table), copied otherwise."""
+    if (
+        type(table) is np.ndarray and table.dtype == np.float64 and table.flags.owndata
+        and table.flags.c_contiguous and not table.flags.writeable
+    ):
+        return table
+    table = np.asarray(table, dtype=float).copy()
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -41,6 +55,10 @@ class RandomVariable:
         prob: length-K probability vector, finite, nonnegative, summing to 1.
         values: finite K x d matrix; row k is the observation on outcome k.
         labels: K distinct outcome identifiers (defaults to "0", "1", ...).
+
+    ``prob`` and ``values`` are held read-only.  A read-only float64 array
+    that owns its data is held as given; any other input is copied, so
+    writing to it later leaves the variable unchanged.
     """
 
     prob: np.ndarray
@@ -48,8 +66,7 @@ class RandomVariable:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        prob = np.asarray(self.prob, dtype=float).copy()
-        values = np.asarray(self.values, dtype=float).copy()
+        prob, values = _frozen(self.prob), _frozen(self.values)
         if prob.ndim != 1:
             raise ValueError(f"prob must be 1-d, got shape {prob.shape}")
         if values.ndim != 2:
@@ -76,8 +93,6 @@ class RandomVariable:
             )
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be pairwise distinct")
-        prob.flags.writeable = False
-        values.flags.writeable = False
         object.__setattr__(self, "prob", prob)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", tuple(labels))
@@ -93,16 +108,15 @@ class RandomVariable:
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """Exact moments of a finite random variable.
+    """Exact O(K·d) moments of a finite random variable; no d x d array is built.
 
-    ``cov_trace`` is Tr of the covariance matrix, ``spectral_norm`` its largest
-    eigenvalue clamped to [0, cov_trace], ``exp_norm2``/``exp_norm2_sq`` the
-    first two moments of the Euclidean norm.
+    ``cov_trace`` is Tr of the covariance matrix, ``exp_norm2``/``exp_norm2_sq``
+    the first two moments of the Euclidean norm.  The covariance's largest
+    eigenvalue is :func:`spectral_norm`'s.
     """
 
     mean: np.ndarray
     cov_trace: float
-    spectral_norm: float
     exp_norm2: float
     exp_norm2_sq: float
 
@@ -113,32 +127,31 @@ def mean(rv: RandomVariable) -> np.ndarray:
 
 
 def moments(rv: RandomVariable) -> MomentSummary:
-    """All five moment fields computed exactly from the finite support.
-
-    The spectral norm is the top eigenvalue of the covariance matrix from
-    ``np.linalg.eigvalsh`` (exact up to float64 arithmetic).  A d x d
-    covariance above 2^30 bytes is refused before anything is computed.
-    """
-    check_array_bytes(8 * rv.d * rv.d, f"covariance memory wall: {rv.d} x {rv.d} entries")
+    """The four moment fields computed exactly from the finite support in O(K·d)."""
     mu = mean(rv)
-    # finite values may overflow the second moments; inf/nan are handled below
+    # finite values may overflow the second moments
     with np.errstate(over="ignore", invalid="ignore"):
         sq_norms = np.einsum("kd,kd->k", rv.values, rv.values)
         exp_norm2_sq = float(rv.prob @ sq_norms)
         exp_norm2 = float(rv.prob @ np.sqrt(sq_norms))
         cov_trace = max(exp_norm2_sq - float(mu @ mu), 0.0)
-        centered = rv.values - mu
+    return MomentSummary(mean=mu, cov_trace=cov_trace, exp_norm2=exp_norm2, exp_norm2_sq=exp_norm2_sq)
+
+
+def spectral_norm(rv: RandomVariable) -> float:
+    """The covariance's largest eigenvalue (exact up to float64 arithmetic), clamped to
+    [0, Tr of the covariance]; only the classical bound reads it.
+
+    A d x d covariance above 2^30 bytes is refused before anything is computed.
+    """
+    check_array_bytes(8 * rv.d * rv.d, f"covariance memory wall: {rv.d} x {rv.d} entries")
+    m = moments(rv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = rv.values - m.mean
         sigma = (centered * rv.prob[:, None]).T @ centered
-    # eigvalsh refuses an overflowed sigma; ||Sigma|| <= Tr(Sigma) bounds it then
+    # the eigen-solver refuses an overflowed sigma; ||Sigma|| <= Tr(Sigma) bounds it then
     top = float(np.linalg.eigvalsh(sigma)[-1]) if np.isfinite(sigma).all() else math.inf
-    spectral = min(max(top, 0.0), cov_trace) if cov_trace > 0 else 0.0
-    return MomentSummary(
-        mean=mu,
-        cov_trace=cov_trace,
-        spectral_norm=spectral,
-        exp_norm2=exp_norm2,
-        exp_norm2_sq=exp_norm2_sq,
-    )
+    return min(max(top, 0.0), m.cov_trace) if m.cov_trace > 0 else 0.0
 
 
 def exact_quantile(rv_scalar: RandomVariable, p: float) -> float:
@@ -154,12 +167,10 @@ def exact_quantile(rv_scalar: RandomVariable, p: float) -> float:
     support, inverse = np.unique(rv_scalar.values[:, 0], return_inverse=True)
     weight = np.zeros(support.shape[0])
     np.add.at(weight, inverse, rv_scalar.prob)
-    acc = 0.0
-    for i in range(support.shape[0] - 1, -1, -1):
-        acc += weight[i]
-        if acc >= p - 1e-12:  # roundoff guard for accumulated probabilities
-            return float(support[i])
-    return float(support[0])
+    # the CCDF from the top down, summed in that order (numpy accumulates sequentially)
+    reached = np.cumsum(weight[::-1]) >= p - 1e-12  # roundoff guard for accumulated probabilities
+    top = int(np.argmax(reached)) if reached.any() else reached.shape[0] - 1
+    return float(support[-1 - top])
 
 
 def truncate_normalized(rv: RandomVariable, a_lo: float, a_hi: float) -> RandomVariable:
@@ -175,13 +186,15 @@ def truncate_normalized(rv: RandomVariable, a_lo: float, a_hi: float) -> RandomV
     norms = np.linalg.norm(rv.values, axis=1)
     keep = (a_lo < norms) & (norms <= a_hi)
     new_values = np.where(keep[:, None], rv.values / a_hi, 0.0)
+    new_values.flags.writeable = False
     return RandomVariable(prob=rv.prob, values=new_values, labels=rv.labels)
 
 
 def norm_rv(rv: RandomVariable) -> RandomVariable:
     """The univariate random variable of Euclidean norms on the same space."""
-    norms = np.linalg.norm(rv.values, axis=1)
-    return RandomVariable(prob=rv.prob, values=norms[:, None], labels=rv.labels)
+    norms = np.linalg.norm(rv.values, axis=1, keepdims=True)
+    norms.flags.writeable = False
+    return RandomVariable(prob=rv.prob, values=norms, labels=rv.labels)
 
 
 def shift(rv: RandomVariable, eta: np.ndarray) -> RandomVariable:
@@ -189,7 +202,9 @@ def shift(rv: RandomVariable, eta: np.ndarray) -> RandomVariable:
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (rv.d,):
         raise ValueError(f"eta has shape {eta.shape}, expected ({rv.d},)")
-    return RandomVariable(prob=rv.prob, values=rv.values - eta, labels=rv.labels)
+    values = rv.values - eta
+    values.flags.writeable = False
+    return RandomVariable(prob=rv.prob, values=values, labels=rv.labels)
 
 
 def parse_distribution_spec(text: str) -> RandomVariable:

@@ -426,7 +426,9 @@ def empirical_rv(rv: RandomVariable, count: int, rng: np.random.Generator) -> Ra
     """Empirical distribution of ``count`` draws, as a RandomVariable."""
     idx = rng.choice(rv.size, size=count, p=rv.prob)
     uniq, counts = np.unique(idx, return_counts=True)
-    return RandomVariable(prob=counts / count, values=rv.values[uniq])
+    prob, values = counts / count, rv.values[uniq]
+    prob.flags.writeable = values.flags.writeable = False
+    return RandomVariable(prob=prob, values=values)
 
 
 def _resample_sums(col: np.ndarray, values: np.ndarray) -> np.ndarray:

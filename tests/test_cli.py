@@ -229,6 +229,8 @@ class TestSweep:
             {"battery": {"name": "ball", "d": 2, "scale": 1e308}},
             # a JSON integer too large for a float
             {"inline": {"d": 1, "prob": [0.5, 0.5], "values": [[10**400], [0.25]]}},
+            # a family that is not a string
+            {"hard": {"family": [], "params": {"n": 4, "d": 16}}},
         ],
     )
     def test_malformed_rv_exits_2(self, tmp_path, capsys, rv):
@@ -518,20 +520,21 @@ class TestHard:
         assert capsys.readouterr().err.startswith(f"error: {line}")
 
     # Each instance builder refuses a table above 2^30 bytes before it is
-    # built: a family's value table, the d x d covariance of the metadata's
-    # moments, the d x d basis battery.
+    # built: a family's value table, the d x d basis battery, and the d x d
+    # covariance that only the classical bound reads (the O(K·d) moment
+    # summary builds none), refused when its cell is planned.
     @pytest.mark.parametrize(
         "argv, wall",
         [
-            (["hard", "--family", "low", "--params", "n=1", "d=65536", "alpha=2"],
-             "covariance memory wall: 65536 x 65536 entries"),
+            ({"battery": {"name": "heavylight", "d": 16384}},
+             "classical cell n=64.0 nprime=None: covariance memory wall: 16384 x 16384 entries"),
             (["hard", "--family", "fracphase", "--params", "d=65536", "n=65536"],
              "value table memory wall: 131072 x 65536 entries"),
             (["hard", "--family", "high", "--params", "n=32768", "d=16384", "alpha=1"],
              "value table memory wall: 32768 x 16384 entries"),
             ({"battery": {"name": "basis", "d": 20000}}, "basis battery memory wall: 20000 x 20000 entries"),
         ],
-        ids=["low-covariance", "fracphase-table", "high-table", "basis-battery"],
+        ids=["classical-covariance", "fracphase-table", "high-table", "basis-battery"],
     )
     def test_table_past_the_memory_wall_exits_2_with_one_line(self, tmp_path, capsys, argv, wall):
         if isinstance(argv, dict):
@@ -543,6 +546,26 @@ class TestHard:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {wall} > 2^30 bytes\n"
+
+    def test_low_family_past_the_covariance_wall_builds(self, capsys):
+        # a 2 x 65536 table (1 MiB) whose d x d covariance would be 32 GiB
+        assert main(["hard", "--family", "low", "--params", "n=1", "d=65536", "alpha=2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["meta"]["moments"]["mean"]) == 65536
+
+    def test_early_exit_bounded_sweep_past_the_covariance_wall_runs(self, tmp_path, capsys):
+        # n = 16 <= log2(d/delta)/sqrt(E||X||): the bound, the plan and the
+        # binary-model check read only the O(K·d) moments
+        config_doc = {
+            "rv": {"battery": {"name": "heavylight", "d": 16384}},
+            "estimator": "bounded", "trials": 1, "seed": 0, "n": 16,
+        }
+        config_path = tmp_path / "bounded.json"
+        config_path.write_text(json.dumps(config_doc), encoding="utf-8")
+        assert main(["sweep", "--config", str(config_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("bounded n=16 nprime=- d=16384")
 
     def test_battery_sweep_builds_only_the_battery_it_names(self, tmp_path, capsys, monkeypatch):
         import qmeanlab.harness as harness

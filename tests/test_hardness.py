@@ -147,6 +147,32 @@ class TestLowPrecisionFamily:
             b_tilde = math.sqrt(n * (alpha**2 * n - alpha) / 2.0) / sigma * (rows @ mean(rv))
             assert np.max(np.abs(b_tilde - b)) <= 1e-9
 
+    @pytest.mark.parametrize("chunk_rows", [1, 3, None])
+    def test_values_have_the_bits_of_the_whole_product(self, monkeypatch, chunk_rows):
+        # the table filled from chunks of sign rows is the one product
+        # scale * b * (first alpha*n Sylvester rows / sqrt(d)), entry by entry
+        rng = np.random.default_rng(7)
+        for n, d, alpha, sigma in [(1, 2, 2, 1.0), (4, 16, 4, 0.3), (8, 64, 2, 2.0), (16, 256, 4, 1.0)]:
+            if chunk_rows is not None:
+                monkeypatch.setattr(hardness, "_SIGN_CHUNK", chunk_rows * d)
+            count = alpha * n
+            b = random_bits(count, count // 2, rng)
+            scale = alpha * sigma * math.sqrt(n / ((alpha**2 * n - alpha) / 2.0))
+            whole = scale * b[:, None] * (hardness._sylvester_signs(count, d) / math.sqrt(d))
+            assert np.array_equal(hard_rv_low_precision(n, d, sigma, b, alpha).values, whole), (n, d)
+
+    def test_builder_holds_its_table_and_a_few_sign_rows(self):
+        # the 4 MiB (128, 4096) table, taken by the random variable without a
+        # copy, and one 2^16-entry chunk of sign rows with its temporaries
+        b = np.arange(128) % 2
+        tracemalloc.start()
+        try:
+            hard_rv_low_precision(64, 4096, 1.0, b, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
+
     def test_preconditions(self):
         rng = np.random.default_rng(6)
         good_b = random_bits(16, 8, rng)
@@ -266,10 +292,10 @@ class TestFractionalPhaseFamily:
         [
             # hadamard(1024) alone is 8 MiB; the chunks of sign rows stay within half of it
             (designed_mean_fractional_phase, 4 * 2**20),
-            # the 16 MiB value table and the random variable's own copy of it,
-            # plus as much again for the chunks, not the 8 MiB sign matrix and
-            # its temporaries (42 MiB in all when those were built)
-            (fractional_phase_rv, 2 * 16 * 2**20 + 4 * 2**20),
+            # the 16 MiB value table, which the random variable takes without a
+            # copy, plus as much again for the chunks, not the 8 MiB sign matrix
+            # and its temporaries (42 MiB in all when those were built)
+            (fractional_phase_rv, 16 * 2**20 + 4 * 2**20),
         ],
     )
     def test_builders_hold_no_square_sign_table(self, build, bound):

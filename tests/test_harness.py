@@ -36,7 +36,7 @@ from qmeanlab.harness import (
     standard_battery,
 )
 from qmeanlab.oracles import NoiseModel
-from qmeanlab.probspace import RandomVariable, mean, moments
+from qmeanlab.probspace import RandomVariable, mean, moments, spectral_norm
 from qmeanlab.quantum import bounded_estimator, phase_model_dispatch
 
 IDEAL = NoiseModel.ideal()
@@ -369,10 +369,9 @@ class TestErrorBound:
     def test_classical_uses_l2_field(self):
         rv = battery_ball(2)
         name, bound = error_bound("classical", rv, 25, None, 0.5, None)
-        m = moments(rv)
         assert name == "err_l2"
         assert bound == pytest.approx(
-            math.sqrt(m.cov_trace / 25) + math.sqrt(m.spectral_norm * 2 / 25), rel=1e-12
+            math.sqrt(moments(rv).cov_trace / 25) + math.sqrt(spectral_norm(rv) * 2 / 25), rel=1e-12
         )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from hypothesis import strategies as st
 
 from qmeanlab import gridqft
 from qmeanlab.gridqft import GridSpec, PhaseFunction, grid_points
+from qmeanlab.harness import battery_heavylight
 from qmeanlab.oracles import (
     CostLedger,
     NoiseModel,
     _deviation_table,
     binary_phase_is_linear,
+    check_binary_model,
     directional_phases_binary,
     directional_phases_phase_model,
     linear_phase_function,
@@ -198,6 +201,18 @@ class TestBinaryPhases:
         rv = uniform_rv([[1.2, 0.0]])
         with pytest.raises(ValueError, match="norm"):
             directional_phases_binary(rv, L2=1.0, m=8, alpha=0.5, eps=0.04, ledger=CostLedger())
+
+    def test_binary_model_check_builds_no_square_table(self):
+        # the check reads E||X|| from the O(K·d) moments: a 4096 x 4096
+        # covariance alone would be 128 MiB
+        rv = battery_heavylight(4096)
+        tracemalloc.start()
+        try:
+            check_binary_model(rv, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
     def test_ledger_charge_formula(self):
         rv = uniform_rv([[0.25, 0.0], [0.0, -0.25]])

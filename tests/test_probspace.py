@@ -24,6 +24,7 @@ from qmeanlab.probspace import (
     parse_distribution_spec,
     serialize_distribution_spec,
     shift,
+    spectral_norm,
     truncate_normalized,
 )
 
@@ -89,6 +90,22 @@ class TestRandomVariable:
         with pytest.raises(ValueError):
             rv.prob[0] = 0.9
 
+    def test_writeable_input_is_copied(self):
+        prob, values = np.array([0.25, 0.75]), np.array([[1.0, 0.0], [0.0, 1.0]])
+        rv = RandomVariable(prob=prob, values=values)
+        prob[:] = 0.5
+        values[0, 0] = 9.0
+        assert rv.prob.tolist() == [0.25, 0.75]
+        assert rv.values.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_read_only_owned_table_is_taken_as_is(self):
+        values = np.array([[1.0, 0.0], [0.0, 1.0]])
+        values.flags.writeable = False
+        assert RandomVariable(prob=[0.5, 0.5], values=values).values is values
+        # a read-only view does not own its data: copied
+        view = values[:, :1]
+        assert RandomVariable(prob=[0.5, 0.5], values=view).values is not view
+
 
 class TestMean:
     def test_uniform_basis_vectors(self):
@@ -112,25 +129,26 @@ class TestMoments:
     def test_point_mass_has_zero_covariance(self):
         summ = moments(point_mass([2.0, 3.0]))
         assert summ.cov_trace == 0.0
-        assert summ.spectral_norm == 0.0
+        assert spectral_norm(point_mass([2.0, 3.0])) == 0.0
 
     def test_plus_minus_one(self):
         # E[X^2] - E[X]^2 = 1 - 0 = 1 for X uniform on {+1, -1}
-        summ = moments(uniform_rv([[1.0], [-1.0]]))
-        assert abs(summ.cov_trace - 1.0) < 1e-12
-        assert abs(summ.spectral_norm - 1.0) < 1e-8
+        rv = uniform_rv([[1.0], [-1.0]])
+        assert abs(moments(rv).cov_trace - 1.0) < 1e-12
+        assert abs(spectral_norm(rv) - 1.0) < 1e-8
 
     def test_covariance_past_the_memory_wall_is_refused(self):
-        # 8 * 11586^2 bytes pass 2^30: refused before the d x d table is formed
+        # 8 * 11586^2 bytes pass 2^30: refused before the d x d table is formed;
+        # the O(K·d) summary builds no such table and has no wall
         with pytest.raises(ValueError, match=r"^covariance memory wall: 11586 x 11586 entries > 2\^30 bytes$"):
-            moments(point_mass(np.zeros(11586)))
-        assert moments(point_mass(np.zeros(2048))).cov_trace == 0.0
+            spectral_norm(point_mass(np.zeros(11586)))
+        assert spectral_norm(point_mass(np.zeros(2048))) == 0.0
+        assert moments(point_mass(np.zeros(11586))).cov_trace == 0.0
 
     def test_spectral_norm_antisymmetric_start(self):
         # Sigma = [[1,-1],[-1,1]] has top eigenvector (1,-1)/sqrt(2), exactly
         # orthogonal to the all-ones vector; its eigenvalue is still 2.
-        summ = moments(uniform_rv([[1.0, -1.0], [-1.0, 1.0]]))
-        assert abs(summ.spectral_norm - 2.0) < 1e-8
+        assert abs(spectral_norm(uniform_rv([[1.0, -1.0], [-1.0, 1.0]])) - 2.0) < 1e-8
 
     def test_identity_trace_vs_norm_moments(self):
         rng = np.random.default_rng(11)
@@ -142,7 +160,7 @@ class TestMoments:
             summ = moments(rv)
             assert abs(summ.cov_trace - (summ.exp_norm2_sq - np.linalg.norm(mean(rv)) ** 2)) < 1e-10
             assert summ.exp_norm2**2 <= summ.exp_norm2_sq + 1e-12
-            assert -1e-12 <= summ.spectral_norm <= summ.cov_trace + 1e-9
+            assert -1e-12 <= spectral_norm(rv) <= summ.cov_trace + 1e-9
 
     def test_spectral_norm_against_dense_eigensolver(self):
         rng = np.random.default_rng(5)
@@ -155,15 +173,15 @@ class TestMoments:
             centered = rv.values - mu
             sigma = (centered * p[:, None]).T @ centered
             expected = float(np.linalg.eigvalsh(sigma)[-1])
-            assert abs(moments(rv).spectral_norm - expected) < 1e-12 * max(1.0, expected)
+            assert abs(spectral_norm(rv) - expected) < 1e-12 * max(1.0, expected)
 
     def test_overflowed_covariance_keeps_its_trace(self):
         # finite values whose covariance overflows: the norm is bounded by the trace
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # moments handles the overflow itself
-            summ = moments(uniform_rv([[1e200], [-1e200]]))
-        assert summ.cov_trace == math.inf
-        assert summ.spectral_norm == math.inf
+            warnings.simplefilter("error")  # moments and spectral_norm handle the overflow themselves
+            rv = uniform_rv([[1e200], [-1e200]])
+            assert moments(rv).cov_trace == math.inf
+            assert spectral_norm(rv) == math.inf
 
 
 class TestClamp:
@@ -185,7 +203,34 @@ def brute_quantile(values, probs, p):
     return values[order[-1]]
 
 
+def loop_quantile(rv_scalar, p):
+    """Reference: the CCDF accumulated one support value at a time from the top."""
+    support, inverse = np.unique(rv_scalar.values[:, 0], return_inverse=True)
+    weight = np.zeros(support.shape[0])
+    np.add.at(weight, inverse, rv_scalar.prob)
+    acc = 0.0
+    for i in range(support.shape[0] - 1, -1, -1):
+        acc += weight[i]
+        if acc >= p - 1e-12:
+            return float(support[i])
+    return float(support[0])
+
+
 class TestExactQuantile:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        values=st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.1, 1.0, 3.0]) | _FINITE, min_size=1, max_size=12),
+        data=st.data(),
+    )
+    def test_has_the_bits_of_the_loop(self, values, data):
+        weights = np.array(data.draw(st.lists(_WEIGHTS, min_size=len(values), max_size=len(values))))
+        assume(weights.sum() > 0.0)
+        rv = RandomVariable(prob=weights / weights.sum(), values=np.array(values)[:, None])
+        # p at random, at 0 and 1, and on the accumulated sums themselves
+        sums = np.cumsum(np.sort(rv.prob)[::-1]).tolist()
+        p = data.draw(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0] + [min(x, 1.0) for x in sums]))
+        assert exact_quantile(rv, p) == loop_quantile(rv, p)
+
     def test_uniform_three_points(self):
         rv = uniform_rv([[1.0], [2.0], [3.0]])
         assert exact_quantile(rv, 0.5) == 2.0

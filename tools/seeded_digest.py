@@ -39,8 +39,9 @@ perturbed (0.5, 0.6), noise seed offset as the CLI's) and trial seeds 0-2:
 The third line covers the instances the estimators run on: one sha256 over
 the documents of ``qmeanlab hard`` (its stdout, stderr and exit code, run
 in-process) on a fixed list of ``--params`` (``HARD_CASES``: each family
-with seeded and with explicit bits, both normalizations, fractional n, and
-the family refusals), then the ``serialize_distribution_spec`` text of every
+with seeded and with explicit bits, both normalizations, fractional n, a
+low instance at d = 16384, whose metadata moments are read without any
+d x d covariance, and the family refusals), then the ``serialize_distribution_spec`` text of every
 ``standard_battery`` at d in {2, 3, 16} and scale 1 and 0.25.  A change that
 must keep every instance's bits and every refusal's text prints the same
 third line as its parent.
@@ -94,6 +95,7 @@ HARD_CASES = (
     ("low", "n=2", "d=8", "seed=3"),
     ("low", "n=1", "d=4", "alpha=2", "b=01"),
     ("low", "n=2", "d=16", "sigma=0.3", "alpha=4", "b=01100110"),
+    ("low", "n=1", "d=16384", "alpha=2", "seed=0"),
     ("high", "n=4", "d=4", "seed=1"),
     ("high", "n=8", "d=4", "alpha=2", "normalization=d2", "seed=2"),
     ("high", "n=4", "d=2", "sigma=0.5", "alpha=4", "normalization=2d2", "seed=5"),
