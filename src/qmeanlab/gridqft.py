@@ -8,12 +8,22 @@ reduces to a standard radix-2 FFT conjugated by diagonal twiddle factors.
 
 Estimators never build the register: every phase they imprint is linear.  A
 linear phase c_j*u_j has as Born law after the inverse transform the
-closed-form Fejer kernel of :func:`linear_phase_marginals`, which hands out
-one axis law at a time, and :func:`sample_marginals` draws each axis before
-it takes the next law, with the same per-axis draws :func:`measure` makes on
-a product state, so an ideal round holds a few axis arrays at any d, not d
-of them.  A linear phase overlaid with a table of unit-modulus factors (a
-perturbed linear phase) is drawn by
+closed-form Fejer kernel p_b = sin^2(m*y_b) / (m^2 sin^2 y_b), y_b =
+c_j/(2m) - pi*v_b, which one tile kernel, :func:`_fejer_terms`, evaluates in
+its tangent form num * (1 + 1/tan^2 y_b) (1/sin^2 = 1 + 1/tan^2, and numpy's
+tangent is vectorised where its sine is not).  :func:`sample_linear_phase`
+draws a whole block of ideal rounds in one call, vectorised over every
+(row, axis) pair: an axis of at most one tile (2^16 points) evaluates many
+pairs' laws as one table and inverts them together; a wider axis streams
+each law in cache-resident tiles into masses of blocks of 2^10 entries,
+inverts the block masses, then evaluates again only the blocks hit and
+inverts within them (a two-level inversion).  An ideal round holds no O(m)
+array.  :func:`linear_phase_marginals` builds whole axis laws from the same
+kernel, one at a time, and :func:`sample_marginals` draws each axis with
+the draws :func:`measure` makes on a product state; with the same seed the
+two paths take the same uniforms in the same order, and their inversions
+differ only in rounding.  A linear phase overlaid with a table of
+unit-modulus factors (a perturbed linear phase) is drawn by
 :func:`sample_linear_overlay` through the chain rule, for a whole block of
 coefficient rows that share the overlay in one call: the column norms of the
 amplitudes transformed along the last, contiguous axis give the last
@@ -55,8 +65,10 @@ the calling thread, in its order.  Each split step is elementwise or
 row-by-row, and every reduction runs after the join, over the whole table,
 so a split round gives the same bits as one thread.
 
-The closed form refuses an axis past its precision wall (m > 2^52) or memory
-wall (2^30 bytes per axis array) when it is called, before allocating it.
+The closed form and the ideal sampler refuse an axis past its precision wall
+(m > 2^52) or memory wall (2^30 bytes per axis array) when called, before
+allocating anything; the sampler holds no axis array, but keeps both walls
+as they are, so a plan refuses the same cells.
 The register (:class:`GridState`, :func:`apply_phase_function`, :func:`qft`,
 :func:`measure`) is the reference those samplers are tested against, and what
 the acceptance gate's transform numerics run.
@@ -93,6 +105,7 @@ __all__ = [
     "measurement_distribution",
     "linear_phase_marginals",
     "sample_marginals",
+    "sample_linear_phase",
     "sample_linear_overlay",
     "measure",
 ]
@@ -104,6 +117,15 @@ _EVAL_CHUNK = 1 << 16
 # take at most 2^30 bytes (m <= 2^27, above the 2^26 of near_optimal at
 # n = 2048 on the d=2 ball battery; :func:`qmeanlab.checks.check_array_bytes`).
 _AXIS_PRECISION_LOG2 = 52
+# An ideal round evaluates its Fejer laws in tiles of 2^16 lattice indices, so
+# a tile's float64 buffers stay in cache: near_optimal trials at d = 2 (the
+# shell_d2 cells) took 5.2-5.4 ms each with tiles of 2^14 to 2^16 points and
+# 7.5 ms with 2^17, on a 2-vCPU VM.  A wider axis keeps the masses of blocks of
+# 2^10 entries and evaluates again only the blocks its draws hit, 16 at a time
+# (a d = 64, m = 2^18 round then traces under 2 MiB).
+_TILE = 1 << 16
+_BLOCK = 1 << 10
+_HIT_BLOCKS = 16
 # The CPUs this process may run on, read once.  With two or more, the noise
 # table's tangent fill and the last-axis transform of a perturbed round over
 # more than _SPLIT_MIN amplitudes run half their rows on one pool thread
@@ -239,13 +261,17 @@ class GridState:
         return GridState(spec=self.spec, tensor=tensor.reshape((self.spec.m,) * self.spec.d))
 
 
-def _lattice_points(idx: np.ndarray, m: int) -> np.ndarray:
-    """The lattice points (2a+1-m)/(2m) of indices a: the one index-to-point map.
+def _lattice_points(
+    idx: np.ndarray, m: int, scale: float = 1.0, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``scale`` times the lattice points (2a+1-m)/(2m) of indices a: the one index-to-point map.
 
-    As (a - (m-1)/2)/m, the same bits (exact half-integers, an exact halving) in one pass fewer.
+    As (a - (m-1)/2) * (scale/m), into ``out``: a - (m-1)/2 is an exact
+    half-integer and m a power of two, so this is scale * ((2a+1-m)/(2m))
+    rounded once, the same bits as the ratio times ``scale``, in passes fewer.
     """
-    pts = np.subtract(idx, (m - 1) / 2)
-    pts /= m
+    pts = np.subtract(idx, (m - 1) / 2, out=out)
+    pts *= scale / m
     return pts
 
 
@@ -379,18 +405,15 @@ def linear_phase_marginals(spec: GridSpec, coeffs) -> Iterator[np.ndarray]:
 
     Equal, axis by axis, to ``measurement_distribution(inverse_qft(
     apply_phase_function(uniform_superposition(spec), theta)))`` for theta_u =
-    <coeffs, u>.  With y_b = c/(2m) - pi*v_b the marginal of axis coefficient
-    c is the Fejer kernel p_b = sin^2(m*y_b) / (m^2 sin^2 y_b).  The numerator
-    is the same for every b (the y_b are pi/m apart); it is computed once, at
-    the b nearest the peak, from the same rounded y_b as that bin's
-    denominator, so the peak stays exact when c lies within rounding of a
-    lattice hit.  An exact hit (sin y_b = 0) is a point mass; m = 1 has the
-    single outcome 0.  Real float64 arithmetic throughout; the raw mass of
-    every axis is checked against 1, as :class:`GridState` checks its norm.
-    The coefficient count and the walls (m > 2^52 points are not exact in
-    float64; m > 2^27 passes 2^30 bytes per axis array) are checked when this
-    is called, before anything is allocated; each axis law is made only when
-    the iterator reaches it, so :func:`sample_marginals` holds a few at any d.
+    <coeffs, u>: the Fejer kernel of each axis coefficient c, built from the
+    tile kernel the ideal round samples (:func:`_fejer_laws`), so the register
+    stays the independent reference.  An exact hit is a point mass; m = 1 has
+    the single outcome 0.  The raw mass of every axis is checked against 1
+    (:func:`_check_mass`).  The coefficient count and the walls (m > 2^52
+    points are not exact in float64; m > 2^27 passes 2^30 bytes per axis
+    array) are checked when this is called, before anything is allocated;
+    each axis law is made only when the iterator reaches it, so
+    :func:`sample_marginals` holds a few at any d.
     """
     m = spec.m
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
@@ -399,53 +422,239 @@ def linear_phase_marginals(spec: GridSpec, coeffs) -> Iterator[np.ndarray]:
     check_axis_walls(m)
     if m == 1:
         return (np.ones(1) for _ in coeffs)
-    pi_v = np.pi * grid_axis_points(m)
-    # A phase c of order m resolves only to its float64 ulp, so the rounding
-    # drift of the mass grows with m (at most 5e-11 over 20 random c at
-    # m = 2^23); the bound grows with it instead of staying a flat 1e-9.  It
-    # bounds the mass, not the norm, so _check_norm would pass other laws.
-    tol = max(1e-9, 16 * m * 2.0**-52)
-    return (_fejer_kernel(c, pi_v, tol) for c in coeffs)
+    return (_axis_law(np.array([c / (2 * m)]), m) for c in coeffs)
 
 
-def _fejer_kernel(c: float, pi_v: np.ndarray, tol: float) -> np.ndarray:
-    """The marginal of axis coefficient c of :func:`linear_phase_marginals`, given pi*v_b and its mass bound."""
-    m = pi_v.shape[0]
-    p = np.subtract(c / (2 * m), pi_v)  # y_b, then sin^2 y_b, then p_b in place
-    np.square(np.sin(p, out=p), out=p)
-    peak = int(np.argmin(p))
-    if p[peak] == 0.0:
-        p[:] = 0.0
-        p[peak] = 1.0
+def _axis_law(half: np.ndarray, m: int) -> np.ndarray:
+    """The mass-checked (m,) Fejer law of the one base ``half`` = [c/(2m)]."""
+    peak, num = _fejer_peaks(half, m)
+    if num[0] == 0.0:
+        p = np.zeros(m)
+        p[peak[0]] = 1.0
         return p
-    y_peak = c / (2 * m) - pi_v[peak]
-    np.divide((math.sin(m * y_peak) / m) ** 2, p, out=p)
-    total = float(p.sum())
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"state norm drifted to {math.sqrt(total)!r}")
+    (p,) = _fejer_laws(half, num, _lattice_points(np.arange(m), m, np.pi))
+    _check_mass(p.sum(keepdims=True), m)
     return p
 
 
-def _draw_in_rows(p: np.ndarray, which: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """For each entry g of ``which``, an index into row g of ``p``, drawn from that row.
+def _fejer_terms(
+    halves: np.ndarray, pi_v: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """1/tan^2 y for y = halves - pi_v (broadcast): the one Fejer kernel, into ``out``.
+
+    With y_b = c/(2m) - pi*v_b the Born law of axis coefficient c is the
+    Fejer kernel p_b = sin^2(m*y_b) / (m^2 sin^2 y_b); the numerator
+    num = sin^2(m*y_b)/m^2 is the same for every b (the y_b are pi/m apart),
+    and 1/sin^2 y = 1 + 1/tan^2 y, so p_b = num * (1 + 1/tan^2 y_b).  numpy's
+    float64 tangent is vectorised where its sine is not: over 2^20 points in
+    (-1.5, 1.5) ``np.sin`` took 4.1 ms and ``np.tan`` 1.2 ms on a 2-vCPU VM.  The y_b are
+    formed as the sine form formed them, bit for bit.  An exact hit (y_b = 0)
+    would divide by zero; callers draw it as a point mass instead.
+    """
+    y = np.subtract(halves, pi_v, out=out)
+    np.tan(y, out=y)
+    np.multiply(y, y, out=y)
+    return np.divide(1.0, y, out=y)
+
+
+def _fejer_peaks(halves: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The peak index of each Fejer law of bases ``halves`` = c/(2m), and its factor num.
+
+    The peak is the b whose y_b lies nearest a multiple of pi: one of the
+    three indices around (c/pi + m - 1)/2, mod m, whichever has the smallest
+    |tan y_b|.  num = (sin(m*y_peak)/m)^2 is computed from the same rounded
+    y_b as that bin's term, so the peak stays exact when c lies within
+    rounding of a lattice hit; it is 0 exactly at a hit (y_peak = 0), whose
+    law is the point mass at its peak.
+    """
+    near = np.rint(halves * (m / np.pi) + (m - 1) / 2)
+    around = (near[:, None] + np.arange(-1.0, 2.0)).astype(np.int64) % m
+    y = halves[:, None] - _lattice_points(around, m, np.pi)
+    pick = np.argmin(np.abs(np.tan(y)), axis=1)
+    rows = np.arange(halves.size)
+    num = np.array([(math.sin(m * v) / m) ** 2 for v in y[rows, pick].tolist()])
+    return around[rows, pick], num
+
+
+def _fejer_laws(halves: np.ndarray, num: np.ndarray, pi_v: np.ndarray) -> np.ndarray:
+    """Rows num_g * (1 + 1/tan^2 y) of the Fejer laws of ``halves`` over the points ``pi_v``.
+
+    ``pi_v`` is pi times the lattice points, (m,) for whole laws or one (P,
+    w) row of points per law for blocks of them; no row may be an exact hit.
+    """
+    p = _fejer_terms(halves[:, None], pi_v)
+    p += 1.0
+    p *= num[:, None]
+    return p
+
+
+def _fejer_blocks(halves: np.ndarray, num: np.ndarray, m: int) -> np.ndarray:
+    """(P, m/_BLOCK) block masses of the Fejer laws of ``halves``, streamed one tile at a time.
+
+    For an axis wider than one tile (m > _TILE): each tile's points are made
+    once and every law's terms over them go through one reused tile buffer,
+    so no O(m) array is held.  No law may be an exact hit.
+    """
+    per = _TILE // _BLOCK
+    blocks = np.empty((halves.size, m // _BLOCK))
+    ramp, pi_v, buf = np.arange(float(_TILE)), np.empty(_TILE), np.empty(_TILE)
+    for start in range(0, m, _TILE):
+        _lattice_points(np.add(ramp, start, out=pi_v), m, np.pi, out=pi_v)
+        at = slice(start // _BLOCK, start // _BLOCK + per)
+        for row, half in enumerate(halves):
+            blocks[row, at] = _fejer_terms(half, pi_v, out=buf).reshape(per, _BLOCK).sum(axis=1)
+    blocks += _BLOCK
+    blocks *= num[:, None]
+    return blocks
+
+
+def _check_mass(totals: np.ndarray, m: int) -> None:
+    """Refuse a Fejer law whose raw mass is not 1 within a bound that grows with m.
+
+    A phase c of order m resolves only to its float64 ulp, so the rounding
+    drift of the mass grows with m (at most 5e-11 over 20 random c at
+    m = 2^23); the bound grows with it instead of staying a flat 1e-9.  It
+    bounds the mass, not the norm, so _check_norm would pass other laws.
+    """
+    bad = np.flatnonzero(np.abs(totals - 1.0) > max(1e-9, 16 * m * 2.0**-52))
+    if bad.size:
+        raise ValueError(f"state norm drifted to {math.sqrt(totals[bad[0]])!r}")
+
+
+def _draw_in_rows(
+    p: np.ndarray, which: np.ndarray, u: np.ndarray, fractions: bool = False
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """For each entry g of ``which``, an index into row g of ``p``, drawn from that row by ``u``.
 
     The one CDF inversion behind every Born sampler here; a single law is a
     one-row ``p`` with an all-zero ``which``.  The rows are normalised and
     laid end to end in one cumulative sum, so row g's CDF runs from s_g to
-    s_{g+1} (about g to g+1).  One ``rng.random`` draw u per entry goes to
+    s_{g+1} (about g to g+1).  Each uniform u in [0, 1) goes to
     s_g + u*(s_{g+1} - s_g) and is inverted with searchsorted (side="right");
-    a draw that rounding leaves at or past its row's end is clamped to the
-    row's last index.  One call draws from every row, with no loop over the
-    rows.
+    a target that rounding leaves at or past its row's end is moved to the
+    float just below it, which lands on the row's last entry of positive
+    mass.  One call draws from every row, with no loop over the rows.  With
+    ``fractions`` set it also returns, per draw, where its target fell within
+    its entry's CDF step, in [0, 1]: the uniform of a draw within the entry.
     """
     width = p.shape[1]
     cdf = (p / p.sum(axis=1, keepdims=True)).reshape(-1)
     np.cumsum(cdf, out=cdf)
     ends = cdf[width - 1 :: width]
     starts = np.concatenate(([0.0], ends[:-1]))
-    target = starts[which] + rng.random(which.size) * (ends - starts)[which]
-    first = which * width
-    return np.minimum(np.searchsorted(cdf, target, side="right"), first + width - 1) - first
+    target = starts[which] + u * (ends - starts)[which]
+    np.minimum(target, np.nextafter(ends, -np.inf)[which], out=target)
+    flat = np.searchsorted(cdf, target, side="right")
+    drawn = flat - which * width
+    if not fractions:
+        return drawn
+    below = np.where(flat > 0, cdf[flat - 1], 0.0)  # a row's start is the row before's end
+    return drawn, (target - below) / (cdf[flat] - below)
+
+
+def _coefficient_rows(spec: GridSpec, coeffs, reps) -> tuple[np.ndarray, np.ndarray]:
+    """A (G, d) block of coefficient rows and its (G,) repetition counts, checked together."""
+    block = np.array(coeffs, dtype=float, ndmin=2)
+    counts = np.array(reps, dtype=np.int64, ndmin=1)
+    if block.ndim != 2 or block.shape[1] != spec.d:
+        raise ValueError(f"linear phase has {block.shape[-1]} coefficients, expected {spec.d}")
+    if counts.shape != block.shape[:1]:
+        raise ValueError(f"{counts.size} repetition counts for {block.shape[0]} coefficient rows")
+    return block, counts
+
+
+def sample_linear_phase(spec: GridSpec, coeffs, reps, rng: np.random.Generator) -> np.ndarray:
+    """Draw lattice points from ideal linear phases, row by row, with no O(m) array.
+
+    ``coeffs`` is a (G, d) block of coefficient rows c_g and ``reps`` a (G,)
+    count per row; a (d,) row with an int count is the G = 1 case.  Returns
+    the (sum(reps), d) points in row order.  Each axis of row g draws its
+    reps[g] indices from the Fejer law of c_g's coefficient, the law of
+    :func:`linear_phase_marginals`.  The uniforms come from one
+    ``rng.random`` in (row, axis, rep) order, the ones
+    ``sample_marginals(linear_phase_marginals(spec, c_g), reps[g], rng)``
+    takes row after row, so the two draw the same points but where their
+    inversions round apart.  Every (row, axis) pair's law comes from one tile
+    kernel (:func:`_fejer_terms`), formed at its peak (:func:`_fejer_peaks`);
+    an exact hit is a point mass, drawn without a law.
+
+    - An axis of at most one tile (m <= _TILE) evaluates the laws of as many
+      pairs as fill one tile as one table, mass-checks each, and inverts all
+      their draws with one :func:`_draw_in_rows` call per tile.
+    - A wider axis streams each law in tiles into masses of blocks of _BLOCK
+      entries (:func:`_fejer_blocks`) and mass-checks them.  One
+      :func:`_draw_in_rows` inverts every draw's block mass and gives the
+      fraction where its uniform fell within the block's step; only the
+      blocks hit are evaluated again, a few at a time, and each draw is
+      inverted within its block with that fraction.
+
+    The coefficient count and the per-axis walls are checked before any draw.
+    No state and no lattice-sized array is built.
+    """
+    m, d = spec.m, spec.d
+    block, counts = _coefficient_rows(spec, coeffs, reps)
+    check_axis_walls(m)
+    pair_counts = np.repeat(counts, d)
+    which = np.repeat(np.arange(pair_counts.size), pair_counts)  # the (row, axis) pair of each draw
+    u = rng.random(which.size)
+    idx = np.zeros(which.size, dtype=np.int64)
+    if m > 1:
+        halves = block.reshape(-1) / (2 * m)
+        peaks, num = _fejer_peaks(halves, m)
+        idx[:] = peaks[which]
+        live = num > 0.0
+        mine = np.flatnonzero(live[which])
+        rows = (np.cumsum(live) - 1)[which[mine]]
+        draw = _draw_tables if m <= _TILE else _draw_streamed
+        idx[mine] = draw(halves[live], num[live], m, rows, u[mine])
+    pair_start = np.cumsum(pair_counts) - pair_counts
+    row_start = np.cumsum(counts) - counts
+    point = row_start[which // d] + np.arange(which.size) - pair_start[which]
+    out = np.empty((int(counts.sum()), d), dtype=np.int64)
+    out[point, which % d] = idx
+    return _lattice_points(out, m)
+
+
+def _draw_tables(
+    halves: np.ndarray, num: np.ndarray, m: int, rows: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Indices drawn by ``u`` from the laws ``rows`` names, on an axis of at most one tile.
+
+    ``rows`` is sorted; the laws go _TILE // m to a table.
+    """
+    pi_v = _lattice_points(np.arange(m), m, np.pi)
+    per = _TILE // m
+    out = np.empty(rows.size, dtype=np.int64)
+    for first in range(0, halves.size, per):
+        laws = _fejer_laws(halves[first : first + per], num[first : first + per], pi_v)
+        _check_mass(laws.sum(axis=1), m)
+        lo, hi = np.searchsorted(rows, [first, first + per])
+        out[lo:hi] = _draw_in_rows(laws, rows[lo:hi] - first, u[lo:hi])
+    return out
+
+
+def _draw_streamed(
+    halves: np.ndarray, num: np.ndarray, m: int, rows: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Indices drawn by ``u`` from the laws ``rows`` names, on an axis wider than one tile.
+
+    The block masses are inverted first; the blocks hit are evaluated again,
+    _HIT_BLOCKS at a time, and each draw is inverted within its block.
+    """
+    masses = _fejer_blocks(halves, num, m)
+    _check_mass(masses.sum(axis=1), m)
+    blocks, frac = _draw_in_rows(masses, rows, u, fractions=True)
+    hits, at = np.unique(rows * masses.shape[1] + blocks, return_inverse=True)
+    hit_row, hit_block = np.divmod(hits, masses.shape[1])
+    out = np.empty(rows.size, dtype=np.int64)
+    for first in range(0, hits.size, _HIT_BLOCKS):
+        part = slice(first, first + _HIT_BLOCKS)
+        entries = hit_block[part, None] * _BLOCK + np.arange(_BLOCK)
+        pi_v = _lattice_points(entries, m, np.pi)
+        laws = _fejer_laws(halves[hit_row[part]], num[hit_row[part]], pi_v)
+        mine = np.flatnonzero((at >= first) & (at < first + _HIT_BLOCKS))
+        out[mine] = hit_block[at[mine]] * _BLOCK + _draw_in_rows(laws, at[mine] - first, frac[mine])
+    return out
 
 
 def sample_marginals(marginals, reps: int, rng: np.random.Generator) -> np.ndarray:
@@ -457,7 +666,9 @@ def sample_marginals(marginals, reps: int, rng: np.random.Generator) -> np.ndarr
     (:func:`linear_phase_marginals`) is held one axis at a time.
     """
     return np.stack([
-        _lattice_points(_draw_in_rows(p[None], np.zeros(reps, dtype=np.int64), rng), p.shape[0])
+        _lattice_points(
+            _draw_in_rows(p[None], np.zeros(reps, dtype=np.int64), rng.random(reps)), p.shape[0]
+        )
         for p in marginals
     ], axis=1)
 
@@ -655,7 +866,8 @@ def _draw_other_axes(
         w = (_unit_factors(block[:, j, None] / 2 * axis) * pre)[rows]
         heads *= w.reshape((w.shape[0],) + (1,) * j + (m,) + (1,) * (d - 2 - j))
     np.fft.fftn(heads, axes=tuple(range(1, d)), norm="ortho", out=heads)
-    flat = _draw_in_rows(np.abs(heads.reshape(heads.shape[0], -1)) ** 2, which, rng)
+    masses = np.abs(heads.reshape(heads.shape[0], -1)) ** 2
+    flat = _draw_in_rows(masses, which, rng.random(which.size))
     return np.stack(np.unravel_index(flat, head_shape), axis=1)
 
 
@@ -719,12 +931,7 @@ def sample_linear_overlay(
     no lattice points are built.
     """
     m, d = spec.m, spec.d
-    block = np.array(coeffs, dtype=float, ndmin=2)
-    counts = np.array(reps, dtype=np.int64, ndmin=1)
-    if block.ndim != 2 or block.shape[1] != d:
-        raise ValueError(f"linear phase has {block.shape[-1]} coefficients, expected {d}")
-    if counts.shape != block.shape[:1]:
-        raise ValueError(f"{counts.size} repetition counts for {block.shape[0]} coefficient rows")
+    block, counts = _coefficient_rows(spec, coeffs, reps)
     if overlay.shape != (spec.points,):
         raise ValueError(f"overlay has shape {overlay.shape}, expected ({spec.points},)")
     table = overlay.reshape(-1, m)
@@ -737,10 +944,10 @@ def sample_linear_overlay(
             cols = None  # frees the last coefficient's table (at d = 1, the lattice) first
             cols, mass = _last_axis_columns(table, c)
             mine = np.flatnonzero(point_last == k)
-            idx[mine, -1] = _draw_in_rows(mass[None], np.zeros_like(mine), rng)
+            idx[mine, -1] = _draw_in_rows(mass[None], np.zeros_like(mine), rng.random(mine.size))
     else:
         marginals = _last_axis_marginals(*_row_autocorrelation(table), lasts, spec.points)
-        idx[:, -1] = _draw_in_rows(marginals, by_last[point_row], rng)
+        idx[:, -1] = _draw_in_rows(marginals, by_last[point_row], rng.random(point_row.size))
     if d > 1:
         pairs, which = np.unique(point_row * m + idx[:, -1], return_inverse=True)
         rows, drawn = np.divmod(pairs, m)
@@ -764,4 +971,6 @@ def measure(state: GridState, reps: int, rng: np.random.Generator) -> np.ndarray
     dist = measurement_distribution(state)
     if state.is_product:
         return sample_marginals(dist, reps, rng)
-    return _flat_points(_draw_in_rows(dist[None], np.zeros(reps, dtype=np.int64), rng), state.spec)
+    return _flat_points(
+        _draw_in_rows(dist[None], np.zeros(reps, dtype=np.int64), rng.random(reps)), state.spec
+    )

@@ -25,12 +25,7 @@ import numpy as np
 
 from qmeanlab.checks import check_norm_bound, check_open_unit
 from qmeanlab.classical import check_draw_table, check_sample_floor, coordinate_median, subgaussian_estimate
-from qmeanlab.gridqft import (
-    GridSpec,
-    linear_phase_marginals,
-    sample_linear_overlay,
-    sample_marginals,
-)
+from qmeanlab.gridqft import GridSpec, sample_linear_overlay, sample_linear_phase
 from qmeanlab.oracles import (
     CostLedger,
     NoiseModel,
@@ -209,18 +204,14 @@ def _run_phase_reps(
     """Scaled measurements of the linear phases of a (G, d) block of coefficient rows, ``reps`` per row.
 
     The points come back in row order, and no register is built.  Under ideal noise (``overlay``
-    None) each row, in order, samples its closed-form Born marginals one axis at a time, with the
-    draws :func:`qmeanlab.gridqft.measure` makes on the register; under a noise ``overlay`` (the
-    table :func:`qmeanlab.oracles.perturb` gives the phase) the whole block draws by the chain rule
-    in one call (``sample_linear_overlay``).
+    None) the whole block samples its closed-form Born marginals in one call
+    (``sample_linear_phase``), with the draws :func:`qmeanlab.gridqft.measure` makes on the
+    register, row after row; under a noise ``overlay`` (the table :func:`qmeanlab.oracles.perturb`
+    gives the phase) the whole block draws by the chain rule in one call (``sample_linear_overlay``).
     """
     if overlay is not None:
-        points = sample_linear_overlay(spec, rows, overlay, reps, rng)
-    else:
-        points = np.concatenate([
-            sample_marginals(linear_phase_marginals(spec, c), count, rng) for c, count in zip(rows, reps)
-        ])
-    return scale * points
+        return scale * sample_linear_overlay(spec, rows, overlay, reps, rng)
+    return scale * sample_linear_phase(spec, rows, reps, rng)
 
 
 def bounded_estimator(

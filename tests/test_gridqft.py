@@ -429,6 +429,134 @@ class TestLinearPhaseMarginals:
             PhaseFunction(evaluate=lambda pts: pts @ [1.0], separable=False, coeffs=np.ones(1))
 
 
+def fejer_sine_form(c: float, m: int) -> np.ndarray:
+    """The Fejer law in its sine form, p_b = sin^2(m*y_b) / (m^2 sin^2 y_b), y_b = c/(2m) - pi*v_b.
+
+    The tangent form's reference: the numerator is taken at the b of least
+    sin^2 y_b, from that bin's rounded y_b, and an exact hit is a point mass.
+    """
+    pi_v = np.pi * grid_axis_points(m)
+    p = np.subtract(c / (2 * m), pi_v)
+    np.square(np.sin(p, out=p), out=p)
+    peak = int(np.argmin(p))
+    if p[peak] == 0.0:
+        p[:] = 0.0
+        p[peak] = 1.0
+        return p
+    y_peak = c / (2 * m) - pi_v[peak]
+    return np.divide((math.sin(m * y_peak) / m) ** 2, p, out=p)
+
+
+def fejer_cases(m: int) -> list[tuple[float, bool]]:
+    """Ten seeded axis coefficients at m: six at random, two exact lattice hits and
+    two within 1e-9 of one, each with whether it is a hit."""
+    rng = np.random.default_rng(m)
+    hits = [2 * np.pi * m * grid_axis_points(m)[b] for b in rng.integers(0, m, 4)]
+    return (
+        [(c, False) for c in rng.uniform(-4.0, 4.0, 6) * m]
+        + [(c, True) for c in hits[:2]]
+        + [(hits[2] + 1e-9, False), (hits[3] - 1e-9, False)]
+    )
+
+
+def sampled_axes(m: int, d: int, rows: np.ndarray, counts, seed: int) -> list[np.ndarray]:
+    """:func:`gridqft.sample_linear_phase`'s draws, as lattice indices, one (row, axis) pair each."""
+    pts = gridqft.sample_linear_phase(GridSpec(m=m, d=d), rows, counts, np.random.default_rng(seed))
+    idx = np.rint(m * pts + (m - 1) / 2.0).astype(np.int64)
+    return [chunk[:, j] for chunk in np.split(idx, np.cumsum(counts)[:-1]) for j in range(d)]
+
+
+class TestLinearPhaseSampler:
+    """The ideal round's sampler, :func:`gridqft.sample_linear_phase`, and its tangent-form laws."""
+
+    @pytest.mark.parametrize("k", range(24))
+    def test_tangent_form_is_within_8_ulp_of_the_sine_form(self, k):
+        m = 2**k
+        pi_v = np.pi * grid_axis_points(m)
+        for c, hit in fejer_cases(m):
+            (p,) = linear_phase_marginals(GridSpec(m=m, d=1), [c])
+            reference = fejer_sine_form(c, m)
+            # from m = 2^22 on an offset of 1e-9 is below c's ulp: still a hit
+            if hit or (c / (2 * m) == pi_v).any():
+                assert np.array_equal(p, reference), f"m={m} c={c!r}"
+            else:
+                reference -= p
+                np.abs(reference, out=reference)
+                reference /= p
+                assert reference.max() <= 8 * 2.0**-52, f"m={m} c={c!r}"
+
+    @pytest.mark.parametrize("k", [1, 10, 11, 14, 15, 20])
+    def test_draws_follow_the_closed_form_laws(self, k):
+        # chi-square of each (row, axis) pair's draws against its
+        # linear_phase_marginals law, cells expected below 5 pooled: three rows
+        # at d = 2 share calls, one of them peaked at the first entry of a row
+        # and at the last (mass in the first and the last block)
+        m = 2**k
+        axis = grid_axis_points(m)
+        rows = np.array([
+            [0.61, -0.23],
+            [-0.37, 0.08],
+            [axis[0] + 0.4 / (2 * np.pi * m), axis[-1] - 0.3 / (2 * np.pi * m)],
+        ]) * 2 * np.pi * m
+        counts = [20_000, 15_000, 15_000]
+        laws = [p for c in rows for p in linear_phase_marginals(GridSpec(m=m, d=2), c)]
+        for pair, (drawn, law) in enumerate(zip(sampled_axes(m, 2, rows, counts, 5), laws)):
+            observed = np.bincount(drawn, minlength=m)
+            assert chisquare_pvalue(observed, law) > 1e-3, f"m={m} pair={pair}"
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_draws_are_the_per_axis_samplers_draw_for_draw(self, k):
+        # the points of sample_marginals(linear_phase_marginals(...)) row after
+        # row, on fixed seeds at d = 4 (an exact hit among the rows), and the
+        # generator ends where they leave it
+        m = 2**k
+        spec = GridSpec(m=m, d=4)
+        for seed in range(2):
+            rows = np.random.default_rng(seed).uniform(-4.0, 4.0, (3, 4)) * m
+            rows[1, 2] = 2 * np.pi * m * grid_axis_points(m)[m // 3]
+            counts = [40, 1, 25]
+            rng = np.random.default_rng(seed)
+            reference = np.concatenate([
+                gridqft.sample_marginals(linear_phase_marginals(spec, c), n, rng)
+                for c, n in zip(rows, counts)
+            ])
+            drawn_rng = np.random.default_rng(seed)
+            pts = gridqft.sample_linear_phase(spec, rows, counts, drawn_rng)
+            assert np.array_equal(pts, reference), f"m={m} seed={seed}"
+            assert drawn_rng.bit_generator.state == rng.bit_generator.state
+
+    def test_an_exact_hit_is_a_point_mass(self):
+        # a hit axis draws its peak every time at both widths, a tile's and a streamed one
+        for m in (2**10, 2**17):
+            b = m // 5
+            rows = np.array([[2 * np.pi * m * grid_axis_points(m)[b], 0.3 * m]])
+            drawn = sampled_axes(m, 2, rows, [500], 0)[0]
+            assert (drawn == b).all()
+
+    def test_no_sine_is_evaluated_over_the_lattice(self, monkeypatch):
+        def no_sine(*args, **kwargs):
+            raise AssertionError("an ideal round evaluated np.sin")
+
+        monkeypatch.setattr(np, "sin", no_sine)
+        for m in (2**8, 2**17):
+            gridqft.sample_linear_phase(GridSpec(m=m, d=2), [[3.0, -5.0]], [10], np.random.default_rng(0))
+
+    def test_rows_and_counts_must_agree(self):
+        spec = GridSpec(m=4, d=2)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="2 repetition counts for 3 coefficient rows"):
+            gridqft.sample_linear_phase(spec, np.zeros((3, 2)), [1, 2], rng)
+        with pytest.raises(ValueError, match="3 coefficients, expected 2"):
+            gridqft.sample_linear_phase(spec, np.zeros((2, 3)), [1, 2], rng)
+
+    def test_walls_refuse_before_drawing(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="per-axis memory wall"):
+            gridqft.sample_linear_phase(GridSpec(m=2**28, d=2), [1.0, 2.0], 5, rng)
+        assert rng.bit_generator.state == state
+
+
 def draw_indices_reference(p: np.ndarray, reps: int, rng: np.random.Generator) -> np.ndarray:
     """A single law's CDF inversion as a separate formula: one ``rng.random(reps)``
     searched (side="right") in all but the last entry of the normalised cumulative sum."""
@@ -439,16 +567,42 @@ def draw_indices_reference(p: np.ndarray, reps: int, rng: np.random.Generator) -
 @st.composite
 def row_tables(draw):
     """A (G, width) table of masses, some of them 0, each row with positive mass,
-    and the rows that a batch of entries names."""
+    and the rows that a batch of entries names.
+
+    Narrow rows draw every mass.  Rows wider than one block (``gridqft._BLOCK``)
+    draw a few masses over zeros, at any entry or at an edge (the first and last
+    entry of the row and of each block), so they hold zero-mass blocks and
+    point masses at the edges of blocks and rows.
+    """
     rows = draw(st.integers(1, 6))
-    width = draw(st.integers(1, 64))
-    mass = st.one_of(st.just(0.0), st.floats(1e-300, 1e300))
-    p = np.array(draw(st.lists(
-        st.lists(mass, min_size=width, max_size=width).filter(lambda r: sum(r) > 0),
-        min_size=rows, max_size=rows,
-    )))
+    mass = st.floats(1e-300, 1e300)
+    if draw(st.booleans()):
+        width = draw(st.integers(1, 64))
+        p = np.array(draw(st.lists(
+            st.lists(st.one_of(st.just(0.0), mass), min_size=width, max_size=width)
+            .filter(lambda r: sum(r) > 0),
+            min_size=rows, max_size=rows,
+        )))
+    else:
+        block = gridqft._BLOCK
+        width = draw(st.integers(block + 1, 3 * block))
+        edges = sorted({e for k in range(0, width, block) for e in (k, min(k + block, width) - 1)})
+        entry = st.one_of(st.sampled_from(edges), st.integers(0, width - 1))
+        p = np.zeros((rows, width))
+        for row in p:
+            for at, value in draw(st.lists(st.tuples(entry, mass), min_size=1, max_size=6)):
+                row[at] = value
     which = np.array(draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=200)))
     return p, which
+
+
+def edge_uniforms(size: int, seed: int) -> np.ndarray:
+    """Seeded uniforms with every third one the largest below 1 and every fifth 0,
+    so that some targets round to their row's end and the clamp fires."""
+    u = np.random.default_rng(seed).random(size)
+    u[::3] = np.nextafter(1.0, 0.0)
+    u[::5] = 0.0
+    return u
 
 
 class TestOneCdfInversion:
@@ -457,11 +611,28 @@ class TestOneCdfInversion:
     @settings(deadline=None, max_examples=200)
     @given(case=row_tables(), seed=st.integers(0, 2**32 - 1))
     def test_every_draw_lands_on_positive_mass_in_its_own_row(self, case, seed):
+        # at both levels of a streamed draw: the rows cut into blocks of
+        # _BLOCK entries (the last one padded with zeros), each draw inverted
+        # among its row's block masses and then, by its fraction, within the
+        # block it hit; a clamped draw never reaches a zero-mass entry or block
         p, which = case
-        out = gridqft._draw_in_rows(p, which, np.random.default_rng(seed))
-        assert out.shape == which.shape
+        u = edge_uniforms(which.size, seed)
+        out, frac = gridqft._draw_in_rows(p, which, u, fractions=True)
+        assert out.shape == frac.shape == which.shape
         assert np.all((0 <= out) & (out < p.shape[1]))
         assert np.all(p[which, out] > 0)
+        assert np.all((0.0 <= frac) & (frac <= 1.0))
+        assert np.array_equal(gridqft._draw_in_rows(p, which, u), out)
+        block = gridqft._BLOCK
+        blocks = -(-p.shape[1] // block)
+        padded = np.zeros((p.shape[0], blocks * block))
+        padded[:, : p.shape[1]] = p
+        masses = padded.reshape(p.shape[0], blocks, block).sum(axis=2)
+        hit, frac = gridqft._draw_in_rows(masses, which, u, fractions=True)
+        assert np.all(masses[which, hit] > 0)
+        hits, at = np.unique(which * blocks + hit, return_inverse=True)
+        inner = gridqft._draw_in_rows(padded.reshape(-1, block)[hits], at, frac)
+        assert np.all(p[which, hit * block + inner] > 0)
 
     def test_one_row_draws_what_a_single_law_inversion_draws(self):
         # seeded Fejer laws at every m = 2 .. 2^20: the one-row call draws the
@@ -472,7 +643,7 @@ class TestOneCdfInversion:
             for p in linear_phase_marginals(GridSpec(m=m, d=4), coeffs):
                 reference = draw_indices_reference(p, 2000, np.random.default_rng(k))
                 row = np.zeros(2000, dtype=np.int64)
-                drawn = gridqft._draw_in_rows(p[None], row, np.random.default_rng(k))
+                drawn = gridqft._draw_in_rows(p[None], row, np.random.default_rng(k).random(2000))
                 assert np.array_equal(drawn, reference), f"m={m}"
 
     @pytest.mark.parametrize("m", [1, 2, 8, 1024])
@@ -503,8 +674,8 @@ def sampled_law(spec: GridSpec, phase: PhaseFunction, reps: int):
     calls = []
     draw_in_rows = gridqft._draw_in_rows
 
-    def caught(p, which, rng):
-        idx = draw_in_rows(p, which, rng)
+    def caught(p, which, u):
+        idx = draw_in_rows(p, which, u)
         calls.append((p.copy(), idx))
         return idx
 
@@ -681,7 +852,7 @@ class TestLinearPhaseJoint:
         # each entry draws from the row it names, whatever the row's scale
         p = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [1e-300, 0.0, 0.0]])
         which = np.random.default_rng(1).integers(0, 3, 500)
-        out = gridqft._draw_in_rows(p, which, np.random.default_rng(2))
+        out = gridqft._draw_in_rows(p, which, np.random.default_rng(2).random(which.size))
         assert np.array_equal(out, np.array([1, 2, 0])[which])
 
     def test_overlay_needs_coeffs_on_a_non_separable_phase(self):

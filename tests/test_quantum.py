@@ -159,19 +159,27 @@ class TestPhaseRounds:
 
     def test_ideal_round_holds_a_few_axis_laws_at_d_64(self):
         # 64 axes of m = 2^18 points: one axis law is 2 MiB and all of them
-        # 128 MiB; each axis is drawn before the next law is made, so the
-        # round's traced peak stays within four axis arrays
-        m, d = 2**18, 64
-        spec = GridSpec(m=m, d=d)
-        coeffs = np.random.default_rng(0).uniform(-0.5, 0.5, (1, d)) * 2 * math.pi * m
-        tracemalloc.start()
-        try:
-            pts = quantum._run_phase_reps(spec, None, coeffs, [30], 1.0, np.random.default_rng(0))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert pts.shape == (30, d)
-        assert peak <= 4 * 8 * m
+        # 128 MiB; each law is streamed in tiles into block masses and only
+        # the blocks hit are evaluated again, so the round's traced peak stays
+        # within 2 MiB, less than one axis law
+        assert_ideal_round_peak_within(GridSpec(m=2**18, d=64), 2 * 2**20)
+
+    def test_ideal_round_at_m_2_20_holds_no_axis_law(self):
+        # one axis law of m = 2^20 points is 8 MiB; the round stays within 2 MiB
+        assert_ideal_round_peak_within(GridSpec(m=2**20, d=2), 2 * 2**20)
+
+
+def assert_ideal_round_peak_within(spec: GridSpec, limit: int) -> None:
+    """Trace one seeded ideal round of 30 draws at ``spec`` and bound its peak."""
+    coeffs = np.random.default_rng(0).uniform(-0.5, 0.5, (1, spec.d)) * 2 * math.pi * spec.m
+    tracemalloc.start()
+    try:
+        pts = quantum._run_phase_reps(spec, None, coeffs, [30], 1.0, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pts.shape == (30, spec.d)
+    assert peak <= limit
 
 
 class TestBoundedEstimator:

@@ -10,11 +10,13 @@ its parent.
 
 A CDF inversion rarely flips a draw when its law moves by an ulp, so the
 first line can stay put while the laws behind it change.  The second line
-gives one sha256 over the raw bytes of four kinds of those laws, in the order
+gives one sha256 over the raw bytes of five kinds of those laws, in the order
 the cases reach them: every distinct noise table the cases perturb with,
 redrawn by the uncached ``_deviation_table.__wrapped__`` at its first use;
-every closed-form marginal the ideal rounds draw from
-(``linear_phase_marginals``); and, in the perturbed rounds, every
+in the ideal rounds, every table of closed-form laws (``gridqft._fejer_laws``:
+the whole laws of an axis of at most one tile, and the blocks hit on a wider
+one) and every table of block masses of a streamed axis
+(``gridqft._fejer_blocks``); and, in the perturbed rounds, every
 last-coordinate marginal of a direct transform (the column masses of
 ``gridqft._last_axis_columns``) and every table of last-coordinate marginals
 of the autocorrelation route (``gridqft._last_axis_marginals``).  A change
@@ -67,7 +69,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qmeanlab import cli, gridqft, oracles, quantum  # noqa: E402
+from qmeanlab import cli, gridqft, oracles  # noqa: E402
 from qmeanlab.cli import NOISE_SEED_OFFSET  # noqa: E402
 from qmeanlab.hardness import fractional_phase_rv  # noqa: E402
 from qmeanlab.harness import report_to_dict, standard_battery  # noqa: E402
@@ -196,12 +198,14 @@ def _hash_laws(laws) -> list[int]:
 
     Each distinct noise table is redrawn by the uncached function when the
     cases first use it; every other law is taken as it is built.  Returns the
-    counts [noise tables, closed-form marginals, last-axis masses,
-    autocorrelation marginal tables], updated as the cases run.
+    counts [noise tables, closed-form law tables, block-mass tables,
+    last-axis masses, autocorrelation marginal tables], updated as the cases
+    run.
     """
-    counts = [0, 0, 0, 0]
+    counts = [0, 0, 0, 0, 0]
     seen = set()
-    cached, closed_form = oracles._deviation_table, quantum.linear_phase_marginals
+    cached = oracles._deviation_table
+    laws_of, blocks_of = gridqft._fejer_laws, gridqft._fejer_blocks
     columns, marginals = gridqft._last_axis_columns, gridqft._last_axis_marginals
 
     def deviation_table(noise, spec):
@@ -211,33 +215,26 @@ def _hash_laws(laws) -> list[int]:
             counts[0] += 1
         return cached(noise, spec)
 
-    def linear_phase_marginals(spec, coeffs):
-        out = closed_form(spec, coeffs)  # checks the call now, hands out the axes lazily
+    def taken(build, kind):
+        def hashed(*args):
+            out = build(*args)
+            laws.update(out.tobytes())
+            counts[kind] += 1
+            return out
 
-        def each():
-            for p in out:
-                laws.update(p.tobytes())
-                counts[1] += 1
-                yield p
-
-        return each()
+        return hashed
 
     def last_axis_columns(*args):
         cols, mass = columns(*args)
         laws.update(mass.tobytes())
-        counts[2] += 1
+        counts[3] += 1
         return cols, mass
 
-    def last_axis_marginals(*args):
-        out = marginals(*args)
-        laws.update(out.tobytes())
-        counts[3] += 1
-        return out
-
     oracles._deviation_table = deviation_table
-    quantum.linear_phase_marginals = linear_phase_marginals
+    gridqft._fejer_laws = taken(laws_of, 1)
+    gridqft._fejer_blocks = taken(blocks_of, 2)
     gridqft._last_axis_columns = last_axis_columns
-    gridqft._last_axis_marginals = last_axis_marginals
+    gridqft._last_axis_marginals = taken(marginals, 4)
     return counts
 
 
@@ -274,8 +271,9 @@ def main() -> int:
                 digest.update((json.dumps(doc, sort_keys=True) + "\n").encode())
     print(f"{reports + refusals} documents ({reports} reports, {refusals} refusals)"
           f" sha256 {digest.hexdigest()}")
-    print(f"{counts[0]} noise tables, {counts[1]} closed-form marginals, {counts[2]} last-axis"
-          f" masses and {counts[3]} autocorrelation marginal tables sha256 {laws.hexdigest()}")
+    print(f"{counts[0]} noise tables, {counts[1]} closed-form law tables, {counts[2]} block-mass"
+          f" tables, {counts[3]} last-axis masses and {counts[4]} autocorrelation marginal tables"
+          f" sha256 {laws.hexdigest()}")
     instances = hashlib.sha256()
     docs = list(_instance_documents())
     for doc in docs:
