@@ -231,6 +231,8 @@ def _parse_params(pairs: list[str]) -> dict:
         key, sep, raw = pair.partition("=")
         if not sep:
             raise ValueError(f"params must look like key=value, got {pair!r}")
+        if key in params:
+            raise ValueError(f"hard-instance parameter {key!r} given twice")
         params[key] = raw if key in _STRING_PARAMS else _number(raw)
     return params
 

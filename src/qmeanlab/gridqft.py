@@ -52,19 +52,6 @@ half-angle h, within 4e-16 of ``np.exp`` and more than twice as fast as a
 cos/sin fill.  The register multiplies by the same noise table but keeps
 ``np.exp`` for every factor of its own, so the reference does not share it.
 
-On a host with two or more CPUs, two m^d stages of a perturbed round run on
-two threads: the multiply and in-place FFT of :func:`_last_axis_columns` over
-two halves of the rows, and the tangent fill of the noise table
-(:func:`qmeanlab.oracles.perturb`) over two halves of the points.  One half
-runs on the calling thread, the other on one pool thread, started on first
-use (:func:`_in_halves`).  The worker count is read once, from the CPUs this
-process may run on (``os.sched_getaffinity``); with one there is no pool and
-no thread.  A stage over at most 2^16 amplitudes stays on the calling thread,
-where the hand-off would cost more than it saves.  Every random draw stays on
-the calling thread, in its order.  Each split step is elementwise or
-row-by-row, and every reduction runs after the join, over the whole table,
-so a split round gives the same bits as one thread.
-
 The closed form and the ideal sampler refuse an axis past its precision wall
 (m > 2^52) or memory wall (2^30 bytes per axis array) when called, before
 allocating anything; the sampler holds no axis array, but keeps both walls
@@ -78,8 +65,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -126,19 +111,6 @@ _AXIS_PRECISION_LOG2 = 52
 _TILE = 1 << 16
 _BLOCK = 1 << 10
 _HIT_BLOCKS = 16
-# The CPUs this process may run on, read once.  With two or more, the noise
-# table's tangent fill and the last-axis transform of a perturbed round over
-# more than _SPLIT_MIN amplitudes run half their rows on one pool thread
-# (:func:`_in_halves`).  At or below it the split saves less than it costs: on
-# a 2-vCPU VM an idle pool thread took about 0.15 ms to start a task, and a
-# stage over 2^16 amplitudes (the table's cos/sin fill the tangent fill
-# replaced, a row FFT) measured no faster split; the tangent fill does less
-# work per point, so a split gains less there still.
-_WORKERS = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
-_SPLIT_MIN = 1 << 16
-_on_split_thread = threading.local()
 
 
 def lattice_cap() -> int:
@@ -710,68 +682,19 @@ def _unit_factors(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _mark_split_thread() -> None:
-    _on_split_thread.active = True
-
-
-@functools.cache
-def _split_pool():
-    """The one pool thread of :func:`_in_halves`, started on first use.
-
-    ``concurrent.futures`` is imported here, not with the module, so a
-    process that never splits a stage does not pay for it at start-up.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(
-        1, thread_name_prefix="qmeanlab-split", initializer=_mark_split_thread
-    )
-
-
-def _in_halves(stage: Callable[[slice], object], rows: int, size: int) -> None:
-    """Run ``stage`` over rows 0..rows-1 in two halves, the second on the pool thread.
-
-    ``stage(part)`` must write only what the rows ``part`` names own, so the
-    halves share no output.  The calling thread takes the first half, the
-    larger one for an odd count, since the pool thread starts late.  A stage
-    over at most ``_SPLIT_MIN`` amplitudes (``size``), over one row, in a
-    process with one CPU, or called from the pool thread itself (which would
-    wait on itself) runs once over every row on the calling thread.  The pool
-    half is waited for before this returns or raises.
-    """
-    on_pool = getattr(_on_split_thread, "active", False)
-    if _WORKERS < 2 or size <= _SPLIT_MIN or rows < 2 or on_pool:
-        stage(slice(0, rows))
-        return
-    half = (rows + 1) // 2
-    future = _split_pool().submit(stage, slice(half, rows))
-    try:
-        stage(slice(0, half))
-    finally:
-        future.exception()  # waits for the pool half
-    future.result()
-
-
 def _last_axis_columns(table: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
     """The overlay's amplitudes under last coefficient ``c``, transformed along the last axis.
 
     Returns the (m^{d-1}, m) transformed table, whose column b holds the
     amplitudes with last coordinate b (up to the other axes' twiddles and
     transform), and its column masses, the exact marginal of that coordinate,
-    summed over the whole table after the row halves join.
+    summed over the whole table.
     """
     m = table.shape[1]
     pre = np.conj(_axis_twiddle(m)[0]) / math.sqrt(table.size)
     w = _unit_factors(0.5 * c * grid_axis_points(m)) * pre
-    cols = np.empty(table.shape, dtype=complex)
-
-    def stage(part: slice) -> None:
-        # each row is multiplied and transformed on its own, so the halves
-        # give the bits of one call over every row
-        np.multiply(table[part], w, out=cols[part])
-        np.fft.fft(cols[part], axis=-1, norm="ortho", out=cols[part])
-
-    _in_halves(stage, table.shape[0], table.size)
+    cols = np.multiply(table, w)
+    np.fft.fft(cols, axis=-1, norm="ortho", out=cols)
     mass = _column_masses(cols)
     _check_norm(math.sqrt(float(mass.sum())))
     return cols, mass
@@ -783,10 +706,10 @@ def _row_autocorrelation(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (rho(s), rho(s-m)) for s = 0..m-1.  Two circular
     autocorrelations give both halves: C1(s) = rho(s) + rho(s-m) from the
     rows' power spectra, and C2(s) = w^s * (rho(s) - rho(s-m)) from those of
-    the rows twisted by w^a, w = e^{i*pi/m}.  The rows are transformed on
-    the calling thread a chunk at a time, in one reused buffer of at most
-    half the table and 2^16 amplitudes, so the route takes less extra memory
-    than the one m^d buffer of a direct transform; each chunk's power spectra
+    the rows twisted by w^a, w = e^{i*pi/m}.  The rows are transformed a
+    chunk at a time, in one reused buffer of at most half the table and 2^16
+    amplitudes, so the route takes less extra memory than the one m^d buffer
+    of a direct transform; each chunk's power spectra
     are summed over the chunk and added to the total in chunk order.  rho(0)
     = sum |T|^2 is checked against the table's size (unit-modulus entries)
     before anything is drawn.

@@ -4,12 +4,9 @@ Instead of compiling oracle circuits gate by gate, this module evaluates the
 exact phase function each oracle construction approximates and charges its
 cost through explicit formulas ("model units", every leading constant fixed
 at 1).  Controlled imperfection is re-introduced by a seeded noise model.
-Its m^d table of deviation factors is drawn on the calling thread, as
-half-angles, and filled in place from their tangents; on a host with two or
-more CPUs a table above 2^16 points fills in two halves, one on the pool
-thread of :mod:`qmeanlab.gridqft`, elementwise, so the table has the same
-bits either way.  The input checks of each oracle construction live here
-once, as ``check_*`` helpers the estimators call too.
+Its m^d table of deviation factors is drawn as half-angles and filled in
+place from their tangents.  The input checks of each oracle construction
+live here once, as ``check_*`` helpers the estimators call too.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from qmeanlab.checks import as_integer, check_norm_bound, check_open_unit
 from qmeanlab.gridqft import (
     GridSpec,
     PhaseFunction,
-    _in_halves,
     _unit_factors,
     check_lattice_cap,
 )
@@ -248,13 +244,10 @@ def _deviation_table(noise: NoiseModel, spec: GridSpec) -> np.ndarray:
     e^{i*delta}, within 4e-16 of ``np.exp``
     (:func:`qmeanlab.gridqft._unit_factors`), flat and row-major over the
     lattice: the one m^d table a perturbed round reads, filled in place over
-    the half-angles with no second m^d buffer.
-    Every draw is made on the calling thread, in this order; the fill runs in
-    two halves of the points (:func:`qmeanlab.gridqft._in_halves`),
-    elementwise, so the table has the same bits either way.  The last table
-    is kept.  No workload reads it again (a run perturbs with each table once,
-    though ``near_optimal``'s first two shells share a lattice), but holding
-    it keeps the allocator from handing the freed heap back to the system
+    the half-angles with no second m^d buffer.  The last table is kept.  No
+    workload reads it again (a run perturbs with each table once, though
+    ``near_optimal``'s first two shells share a lattice), but holding it
+    keeps the allocator from handing the freed heap back to the system
     between runs.  Without it each run faulted its working set in anew:
     perturbed ``bounded`` trials at m = 512, d = 2 took 11.8 ms instead of
     9.0 (medians, in-process on a 2-vCPU VM), and timed the same once glibc's
@@ -268,8 +261,7 @@ def _deviation_table(noise: NoiseModel, spec: GridSpec) -> np.ndarray:
     if n_bad > 0:
         bad = rng.choice(n_points, n_bad, replace=False)
         halves[bad] = rng.uniform(-np.pi / 2, np.pi / 2, n_bad)
-    table = np.empty(n_points, dtype=complex)
-    _in_halves(lambda part: _unit_factors(halves[part], table[part]), n_points, n_points)
+    table = _unit_factors(halves)
     table.flags.writeable = False
     return table
 

@@ -596,6 +596,13 @@ class TestHard:
         assert main(["hard", "--family", "low", "--params", "d=16"]) == 2
         assert "'n'" in capsys.readouterr().err
 
+    def test_repeated_param_key_exits_2(self, capsys):
+        # the later n=8 used to replace n=4 without a word (alpha*n = 32)
+        assert main(["hard", "--family", "low", "--params", "n=4", "n=8", "d=16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: hard-instance parameter 'n' given twice\n"
+
     def test_bad_param_key(self, capsys):
         assert main(["hard", "--family", "low", "--params", "waffles=3"]) == 2
         assert "waffles" in capsys.readouterr().err

@@ -6,15 +6,12 @@ the phase-estimation concentration sweep pins the sign conventions.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import re
 import subprocess
 import sys
 import textwrap
-import threading
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -699,6 +696,8 @@ def register_law(spec: GridSpec, coeffs, noise: NoiseModel) -> np.ndarray:
 
 
 LATTICES = [(8, 2), (16, 2), (4, 3), (8, 3)]
+# at each d, one lattice of at most 2^16 amplitudes and one above
+WIDE_LATTICES = [(64, 1), (2**17, 1), (256, 2), (512, 2), (32, 3), (64, 3)]
 
 
 def chisquare_pvalue(counts: np.ndarray, law: np.ndarray) -> float:
@@ -734,23 +733,24 @@ class TestLinearPhaseJoint:
             assert np.abs(slices - register[:, drawn].T).max() <= 1e-12
 
     @pytest.mark.parametrize(
-        "m, d, lasts",
-        [pytest.param(m, d, 2, id=f"{m}-{d}") for m, d in LATTICES]
-        + [pytest.param(m, d, 4, id=f"{m}-{d}-4lasts") for m, d in LATTICES]
-        + [pytest.param(m, d, 1, id=f"{m}-{d}-1last") for m, d in LATTICES]
-        + [pytest.param(16, 1, 4, id="16-1-4lasts")],
+        "m, d, lasts, size",
+        [pytest.param(m, d, 2, 4, id=f"{m}-{d}") for m, d in LATTICES]
+        + [pytest.param(m, d, 4, 4, id=f"{m}-{d}-4lasts") for m, d in LATTICES + WIDE_LATTICES]
+        + [pytest.param(m, d, 1, 4, id=f"{m}-{d}-1last") for m, d in LATTICES + WIDE_LATTICES]
+        + [pytest.param(m, d, 1, 1, id=f"{m}-{d}-1row") for m, d in WIDE_LATTICES]
+        + [pytest.param(16, 1, 4, 4, id="16-1-4lasts")],
     )
-    def test_batched_rows_draw_their_own_register_law(self, m, d, lasts):
-        # four rows drawn in one call under one overlay, all sharing one last
-        # coefficient (one transform), sharing them in pairs or each with its
-        # own (the autocorrelation route; at d = 1 one transform each): each
-        # row's points follow its own register law
+    def test_batched_rows_draw_their_own_register_law(self, m, d, lasts, size):
+        # four rows (or one) drawn in one call under one overlay, all sharing
+        # one last coefficient (one transform), sharing them in pairs or each
+        # with its own (the autocorrelation route; at d = 1 one transform
+        # each): each row's points follow its own register law
         spec = GridSpec(m=m, d=d)
         noise = NoiseModel.perturbed(eps=0.3, eta=0.2, seed=m + d)
         base = np.random.default_rng(m * d).uniform(-4.0, 4.0, (lasts, d)) * m
         rows = np.resize(base, (4, d))
         rows[2:, :-1] += [[1.3], [-0.7]]
-        counts = np.array([12_000, 8_000, 10_000, 6_000])
+        rows, counts = rows[:size], np.array([12_000, 8_000, 10_000, 6_000])[:size]
         overlay = perturb(linear_phase_function(rows[0]), noise, spec).overlay
         pts = sample_linear_overlay(spec, rows, overlay, counts, np.random.default_rng(1))
         assert pts.shape == (counts.sum(), d)
@@ -812,6 +812,33 @@ class TestLinearPhaseJoint:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * spec.points * 16
+
+    def test_round_above_2_16_amplitudes_starts_no_thread(self):
+        # a fresh process perturbs and draws a block and a one-row round at
+        # m = 512, d = 2 (2^18 amplitudes) with no thread but its own
+        code = textwrap.dedent(
+            """
+            import threading
+            import numpy as np
+            from qmeanlab import gridqft
+            from qmeanlab.oracles import NoiseModel, linear_phase_function, perturb
+
+            spec = gridqft.GridSpec(m=512, d=2)
+            noise = NoiseModel.perturbed(0.3, 0.2, 1)
+            overlay = perturb(linear_phase_function([0.0, 0.0]), noise, spec).overlay
+            rows = np.array([[3.0, 5.0], [1.0, -7.0], [2.0, 9.0]])
+            gridqft.sample_linear_overlay(spec, rows, overlay, [4, 5, 6], np.random.default_rng(0))
+            gridqft.sample_linear_overlay(spec, rows[0], overlay, 4, np.random.default_rng(0))
+            print(threading.active_count())
+            """
+        )
+        src = str(Path(gridqft.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["1"]
 
     def test_rows_and_counts_must_agree(self):
         spec = GridSpec(m=4, d=2)
@@ -894,6 +921,18 @@ def assert_routes_agree(spec: GridSpec, overlay: np.ndarray, lasts: np.ndarray) 
         assert np.abs(heads[k] - unit[:, None] * ref).max() <= 1e-12
 
 
+def unit_table(rows: int, m: int, seed: int) -> np.ndarray:
+    return np.exp(1j * np.random.default_rng(seed).uniform(-np.pi, np.pi, (rows, m)))
+
+
+def row_autocorrelation_reference(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_row_autocorrelation``'s (rho(s), rho(s-m)) by direct sums, row by row."""
+    m = table.shape[1]
+    # np.correlate(row, row, "full")[m-1+s] = sum_a row[a+s] * conj(row[a])
+    rho = sum(np.correlate(row, row, mode="full") for row in table)
+    return rho[m - 1 :], np.concatenate([[0.0], rho[: m - 1]])
+
+
 class TestAutocorrelationRoute:
     """A block with two or more distinct last coefficients skips their transforms."""
 
@@ -918,6 +957,16 @@ class TestAutocorrelationRoute:
         noise = NoiseModel.perturbed(eps=0.3, eta=0.2, seed=seed)
         overlay = perturb(linear_phase_function(np.zeros(d)), noise, spec).overlay
         assert_routes_agree(spec, overlay, np.array(lasts) * spec.m)
+
+    @pytest.mark.parametrize("rows", [303, 257])
+    def test_odd_row_counts_match_the_direct_sums(self, rows):
+        # tables of 303 and 257 rows of 256 run three chunks (151, 151 and 1
+        # rows; 128, 128 and 1)
+        table = unit_table(rows, 256, rows)
+        pos, neg = gridqft._row_autocorrelation(table)
+        pos_ref, neg_ref = row_autocorrelation_reference(table)
+        assert np.abs(pos - pos_ref).max() <= 1e-12 * table.size
+        assert np.abs(neg - neg_ref).max() <= 1e-12 * table.size
 
     def test_rounding_below_zero_is_clipped(self):
         # lattice hits under a flat overlay are point masses: every other mass
@@ -1005,212 +1054,6 @@ class TestUnitFactors:
         for part in (slice(0, 1), slice(1, 500), slice(500, 501), slice(501, 1001)):
             gridqft._unit_factors(work[part], table[part])
         assert table.tobytes() == whole.tobytes()
-
-
-class CountingPool:
-    """Stands in for the split pool: records every part handed to it, then runs it there."""
-
-    def __init__(self):
-        self.pool = gridqft._split_pool()
-        self.parts = []
-
-    def submit(self, stage, part):
-        self.parts.append(part)
-        return self.pool.submit(stage, part)
-
-
-def with_workers(monkeypatch, workers: int, call):
-    """``call()`` with the worker count forced, and the parts the pool thread took.
-
-    Every patch of ``monkeypatch`` is undone on the way out.
-    """
-    pool = CountingPool()
-    monkeypatch.setattr(gridqft, "_WORKERS", workers)
-    monkeypatch.setattr(gridqft, "_split_pool", lambda: pool)
-    try:
-        return call(), pool.parts
-    finally:
-        monkeypatch.undo()
-
-
-def unit_table(rows: int, m: int, seed: int) -> np.ndarray:
-    return np.exp(1j * np.random.default_rng(seed).uniform(-np.pi, np.pi, (rows, m)))
-
-
-def last_axis_columns_reference(table: np.ndarray, c: float) -> np.ndarray:
-    """The transformed columns of ``_last_axis_columns`` as one call over every row.
-
-    Its twiddle comes from the same unit-factor kernel, since what it checks
-    is the split over rows, not the kernel (``TestUnitFactors`` checks that).
-    """
-    m = table.shape[1]
-    pre = np.conj(gridqft._axis_twiddle(m)[0]) / math.sqrt(table.size)
-    cols = table * (gridqft._unit_factors(0.5 * c * grid_axis_points(m)) * pre)
-    return np.fft.fft(cols, axis=-1, norm="ortho", out=cols)
-
-
-def row_autocorrelation_reference(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_row_autocorrelation``'s (rho(s), rho(s-m)) by direct sums, row by row."""
-    m = table.shape[1]
-    # np.correlate(row, row, "full")[m-1+s] = sum_a row[a+s] * conj(row[a])
-    rho = sum(np.correlate(row, row, mode="full") for row in table)
-    return rho[m - 1 :], np.concatenate([[0.0], rho[: m - 1]])
-
-
-class TestTwoThreadStages:
-    """The m^d stages split over two threads give the bits of one thread."""
-
-    @pytest.mark.parametrize(
-        "m, d",
-        # both sides of the cutoff at each d; at d = 1 the one-row table splits
-        # only its noise table, and the autocorrelation never splits
-        [(64, 1), (2**17, 1), (256, 2), (512, 2), (32, 3), (64, 3)],
-        ids=lambda v: str(v),
-    )
-    @pytest.mark.parametrize("block", ["one-row", "shared-last", "distinct-lasts"])
-    def test_sample_linear_overlay_is_byte_identical(self, monkeypatch, m, d, block):
-        # one-row and shared-last blocks take the direct route, five rows with
-        # distinct last coefficients the autocorrelation route (one transform
-        # per coefficient at d = 1)
-        from qmeanlab.oracles import _deviation_table
-
-        spec = GridSpec(m=m, d=d)
-        noise = NoiseModel.perturbed(eps=0.3, eta=0.2, seed=m + d)
-        rows = np.random.default_rng(d).uniform(-4.0, 4.0, (5, d)) * m
-        counts = np.array([7, 1, 12, 5, 9])
-        if block == "one-row":
-            rows, counts = rows[:1], counts[:1]
-        elif block == "shared-last":
-            rows[:, -1] = rows[0, -1]
-
-        def draw():
-            overlay = _deviation_table.__wrapped__(noise, spec)
-            pts = sample_linear_overlay(spec, rows, overlay, counts, np.random.default_rng(3))
-            return overlay, pts
-
-        (overlay1, pts1), serial = with_workers(monkeypatch, 1, draw)
-        (overlay2, pts2), split = with_workers(monkeypatch, 2, draw)
-        assert serial == []
-        assert bool(split) == (spec.points > gridqft._SPLIT_MIN)
-        assert overlay1.tobytes() == overlay2.tobytes()
-        assert pts1.tobytes() == pts2.tobytes()
-
-    @pytest.mark.parametrize("rows", [303, 257])
-    def test_odd_row_counts_split_to_the_bits_of_one_call(self, monkeypatch, rows):
-        # tables of 303 and 257 rows of 256: the last-axis stage splits their
-        # rows unevenly, and one thread and two give the bits of the one-call
-        # reference; the autocorrelation runs three chunks (151, 151 and 1
-        # rows; 128, 128 and 1) and matches the direct sums
-        table = unit_table(rows, 256, rows)
-        columns = functools.partial(gridqft._last_axis_columns, table, 5.5)
-        (cols1, mass1), _ = with_workers(monkeypatch, 1, columns)
-        (cols2, mass2), parts = with_workers(monkeypatch, 2, columns)
-        assert parts == [slice((rows + 1) // 2, rows)]
-        reference = last_axis_columns_reference(table, 5.5)
-        assert cols1.tobytes() == cols2.tobytes() == reference.tobytes()
-        assert mass1.tobytes() == mass2.tobytes() == gridqft._column_masses(reference).tobytes()
-        # the autocorrelation stays on the calling thread at any worker count
-        lags = functools.partial(gridqft._row_autocorrelation, table)
-        (pos, neg), parts = with_workers(monkeypatch, 2, lags)
-        assert parts == []
-        pos_ref, neg_ref = row_autocorrelation_reference(table)
-        assert np.abs(pos - pos_ref).max() <= 1e-12 * table.size
-        assert np.abs(neg - neg_ref).max() <= 1e-12 * table.size
-
-    @pytest.mark.parametrize("rows", [2, 3, 5, 8])
-    def test_halves_cover_every_row_once(self, monkeypatch, rows):
-        # the calling thread takes the first, larger half; the pool the rest
-        hits = np.zeros(rows, dtype=np.int64)
-        threads = {}
-
-        def stage(part):
-            hits[part] += 1
-            threads[part.start] = threading.current_thread().name
-
-        _, parts = with_workers(
-            monkeypatch, 2, lambda: gridqft._in_halves(stage, rows, gridqft._SPLIT_MIN + 1)
-        )
-        half = (rows + 1) // 2
-        assert parts == [slice(half, rows)]
-        assert (hits == 1).all()
-        assert threads[0] == threading.current_thread().name != threads[half]
-
-    def test_small_and_one_row_stages_stay_on_the_calling_thread(self, monkeypatch):
-        parts = []
-        for rows, size in ((8, gridqft._SPLIT_MIN), (1, 2 * gridqft._SPLIT_MIN)):
-            _, taken = with_workers(
-                monkeypatch, 2, lambda: gridqft._in_halves(parts.append, rows, size)
-            )
-            assert taken == []
-        assert parts == [slice(0, 8), slice(0, 1)]
-
-    def test_worker_count_is_the_affinity(self):
-        if hasattr(os, "sched_getaffinity"):
-            assert gridqft._WORKERS == len(os.sched_getaffinity(0))
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
-    def test_one_cpu_affinity_starts_no_thread(self):
-        # a fresh process pinned to one CPU before the import reads one worker
-        # and draws a table far above the cutoff with no thread but its own
-        code = textwrap.dedent(
-            """
-            import os, threading
-            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-            import numpy as np
-            from qmeanlab import gridqft
-            from qmeanlab.oracles import NoiseModel, linear_phase_function, perturb
-
-            spec = gridqft.GridSpec(m=512, d=2)
-            noise = NoiseModel.perturbed(0.3, 0.2, 1)
-            overlay = perturb(linear_phase_function([0.0, 0.0]), noise, spec).overlay
-            rows = np.array([[3.0, 5.0], [1.0, -7.0], [2.0, 9.0]])
-            gridqft.sample_linear_overlay(spec, rows, overlay, [4, 5, 6], np.random.default_rng(0))
-            gridqft.sample_linear_overlay(spec, rows[0], overlay, 4, np.random.default_rng(0))
-            pools = gridqft._split_pool.cache_info().misses
-            print(gridqft._WORKERS, threading.active_count(), pools)
-            """
-        )
-        src = str(Path(gridqft.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["1", "1", "0"]
-
-    def test_split_from_the_pool_thread_runs_serially(self, monkeypatch):
-        # the pool's one thread would wait on itself if it split again
-        seen = []
-
-        def stage(part):
-            seen.append((threading.current_thread().name, part))
-
-        def task():
-            gridqft._in_halves(stage, 4, gridqft._SPLIT_MIN + 1)
-
-        monkeypatch.setattr(gridqft, "_WORKERS", 2)
-        gridqft._split_pool().submit(task).result(timeout=30)
-        assert len(seen) == 1
-        name, part = seen[0]
-        assert name.startswith("qmeanlab-split") and part == slice(0, 4)
-
-    def test_errors_surface_after_both_halves_finish(self, monkeypatch):
-        done = []
-
-        def pool_half_fails(part):
-            if part.start > 0:
-                raise ArithmeticError("pool half")
-
-        def caller_half_fails(part):
-            if part.start == 0:
-                raise ArithmeticError("calling half")
-            time.sleep(0.05)
-            done.append(part)
-
-        for stage, message in ((pool_half_fails, "pool half"), (caller_half_fails, "calling half")):
-            with pytest.raises(ArithmeticError, match=message):
-                with_workers(monkeypatch, 2, lambda: gridqft._in_halves(stage, 4, 2**20))
-        assert done == [slice(2, 4)]
 
 
 class TestPhaseEstimationConcentration:

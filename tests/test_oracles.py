@@ -29,17 +29,6 @@ from qmeanlab.oracles import (
 from qmeanlab.probspace import RandomVariable, mean, moments
 
 
-class RecordingPool:
-    """Hands every part to ``pool`` and records it in ``parts``."""
-
-    def __init__(self, pool, parts: list):
-        self.pool, self.parts = pool, parts
-
-    def submit(self, stage, part):
-        self.parts.append(part)
-        return self.pool.submit(stage, part)
-
-
 def uniform_rv(values) -> RandomVariable:
     values = np.atleast_2d(np.asarray(values, dtype=float))
     return RandomVariable(prob=np.full(values.shape[0], 1.0 / values.shape[0]), values=values)
@@ -391,30 +380,6 @@ class TestPerturb:
             outside = size > eps * (1 + 1e-9)
             assert int(outside.sum()) == math.ceil(eta / 2 * spec.points)
             assert size[~outside].max() <= eps * (1 + 1e-9)
-
-    @pytest.mark.parametrize(
-        "m, d",
-        # both sides of the cutoff at each d
-        [(2**16, 1), (2**17, 1), (256, 2), (512, 2), (32, 3), (64, 3)],
-        ids=lambda v: str(v),
-    )
-    def test_table_is_byte_identical_on_two_threads(self, monkeypatch, m, d):
-        # the draws stay on the calling thread; the tangent fill of a table
-        # above the cutoff runs half its points on the pool thread
-        spec = GridSpec(m=m, d=d)
-        noise = NoiseModel.perturbed(eps=0.1, eta=0.2, seed=m + d)
-        pool = gridqft._split_pool()
-        tables, taken = [], []
-        for workers in (1, 2):
-            parts = []
-            monkeypatch.setattr(gridqft, "_WORKERS", workers)
-            recording = RecordingPool(pool, parts)
-            monkeypatch.setattr(gridqft, "_split_pool", lambda recording=recording: recording)
-            tables.append(_deviation_table.__wrapped__(noise, spec))
-            taken.append(parts)
-        half = slice(spec.points // 2, spec.points)
-        assert taken == [[], [half] if spec.points > gridqft._SPLIT_MIN else []]
-        assert tables[0].tobytes() == tables[1].tobytes()
 
     def test_lattice_cap_checked_before_the_table_is_drawn(self):
         _deviation_table.cache_clear()

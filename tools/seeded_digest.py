@@ -51,9 +51,7 @@ third line as its parent.
 Each case gives one document: its key and either the estimator's
 ``report_to_dict`` or, when the estimator refuses the inputs with a
 ValueError (a lattice cap, a budget too small), the one-line message.  The
-documents are hashed as sorted-key JSON lines in case order.  The perturbed
-cases at m^d above 2^16 amplitudes take the two-thread stages of a perturbed
-round, so on a host with two or more CPUs the digest covers them too.
+documents are hashed as sorted-key JSON lines in case order.
 """
 
 from __future__ import annotations
