@@ -59,3 +59,14 @@ def check_array_bytes(nbytes: int, wall: str) -> None:
     draws) of ``nbytes`` above 2^30 bytes; ``wall`` describes it."""
     if nbytes > 2**30:
         raise ValueError(f"{wall} > 2^30 bytes")
+
+
+def unique_keys(pairs: list[tuple[str, object]], name: str = "JSON key") -> dict:
+    """(key, value) pairs as a dict, refusing a key given twice: the ``object_pairs_hook`` of
+    every JSON document read (plain ``json.loads`` keeps the last) and the ``--params`` rule."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"{name} {key!r} given twice")
+        doc[key] = value
+    return doc

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import as_integer, as_positive
+from .checks import as_integer, as_positive, unique_keys
 from .harness import (
     BATTERIES,
     ESTIMATOR_IDS,
@@ -176,7 +176,7 @@ def _config_from_doc(doc, base_dir: Path) -> tuple[ExperimentConfig, str | None]
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     path = Path(args.config)
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     config, output = _config_from_doc(doc, path.parent)
     rows = [res.row for res in run_sweep(config)]
     for row in rows:
@@ -226,15 +226,13 @@ def _check_param(key: str, value, family: str) -> None:
 
 def _parse_params(pairs: list[str]) -> dict:
     """``--params`` pairs as the values a JSON ``params`` object would hold; _build_hard checks them."""
-    params: dict = {}
+    params = []
     for pair in pairs:
         key, sep, raw = pair.partition("=")
         if not sep:
             raise ValueError(f"params must look like key=value, got {pair!r}")
-        if key in params:
-            raise ValueError(f"hard-instance parameter {key!r} given twice")
-        params[key] = raw if key in _STRING_PARAMS else _number(raw)
-    return params
+        params.append((key, raw if key in _STRING_PARAMS else _number(raw)))
+    return unique_keys(params, "hard-instance parameter")
 
 
 def _number(raw: str):

@@ -13,16 +13,16 @@ c_j/(2m) - pi*v_b, which one tile kernel, :func:`_fejer_terms`, evaluates in
 its tangent form num * (1 + 1/tan^2 y_b) (1/sin^2 = 1 + 1/tan^2, and numpy's
 tangent is vectorised where its sine is not).  :func:`sample_linear_phase`
 draws a whole block of ideal rounds in one call, vectorised over every
-(row, axis) pair: an axis of at most one tile (2^16 points) evaluates many
-pairs' laws as one table and inverts them together; a wider axis streams
-each law in cache-resident tiles into masses of blocks of 2^10 entries,
-inverts the block masses, then evaluates again only the blocks hit and
-inverts within them (a two-level inversion).  An ideal round holds no O(m)
-array.  :func:`linear_phase_marginals` builds whole axis laws from the same
-kernel, one at a time, and :func:`sample_marginals` draws each axis with
-the draws :func:`measure` makes on a product state; with the same seed the
-two paths take the same uniforms in the same order, and their inversions
-differ only in rounding.  A linear phase overlaid with a table of
+(row, axis) pair, by one two-level inversion: the laws are evaluated in
+cache-resident tiles of at most 2^16 points (many laws to a tile on a narrow
+axis) into masses of blocks of about sqrt(m) entries, the block masses are
+inverted, and only the blocks hit are evaluated again and inverted within.
+An ideal round holds no O(m) array.  :func:`linear_phase_marginals` builds
+whole axis laws from the same kernel, one at a time, and
+:func:`sample_marginals` draws each axis with the draws :func:`measure` makes
+on a product state; with the same seed the two paths take the same uniforms
+in the same order, and their inversions differ only in rounding.  A linear
+phase overlaid with a table of
 unit-modulus factors (a perturbed linear phase) is drawn by
 :func:`sample_linear_overlay` through the chain rule, for a whole block of
 coefficient rows that share the overlay in one call: the column norms of the
@@ -105,12 +105,11 @@ _AXIS_PRECISION_LOG2 = 52
 # An ideal round evaluates its Fejer laws in tiles of 2^16 lattice indices, so
 # a tile's float64 buffers stay in cache: near_optimal trials at d = 2 (the
 # shell_d2 cells) took 5.2-5.4 ms each with tiles of 2^14 to 2^16 points and
-# 7.5 ms with 2^17, on a 2-vCPU VM.  A wider axis keeps the masses of blocks of
-# 2^10 entries and evaluates again only the blocks its draws hit, 16 at a time
-# (a d = 64, m = 2^18 round then traces under 2 MiB).
+# 7.5 ms with 2^17, on a 2-vCPU VM.  It keeps the masses of blocks of about
+# sqrt(m) entries and evaluates again only the blocks its draws hit, 2^14
+# entries at a time (a d = 64, m = 2^18 round then traces under 2 MiB).
 _TILE = 1 << 16
-_BLOCK = 1 << 10
-_HIT_BLOCKS = 16
+_HIT_ENTRIES = 1 << 14
 
 
 def lattice_cap() -> int:
@@ -460,22 +459,28 @@ def _fejer_laws(halves: np.ndarray, num: np.ndarray, pi_v: np.ndarray) -> np.nda
     return p
 
 
-def _fejer_blocks(halves: np.ndarray, num: np.ndarray, m: int) -> np.ndarray:
-    """(P, m/_BLOCK) block masses of the Fejer laws of ``halves``, streamed one tile at a time.
+def _fejer_blocks(halves: np.ndarray, num: np.ndarray, m: int, block: int) -> np.ndarray:
+    """(P, m/block) block masses of the Fejer laws of ``halves``, one tile pass at a time.
 
-    For an axis wider than one tile (m > _TILE): each tile's points are made
-    once and every law's terms over them go through one reused tile buffer,
-    so no O(m) array is held.  No law may be an exact hit.
+    A tile is min(m, _TILE) points, made once per pass; the terms of up to
+    _TILE // tile laws over them go through one reused buffer of at most
+    _TILE entries per kernel call, so a narrow axis covers many laws per
+    call, a wide one streams each law in tiles, and no O(m) array is held.
+    No law may be an exact hit.
     """
-    per = _TILE // _BLOCK
-    blocks = np.empty((halves.size, m // _BLOCK))
-    ramp, pi_v, buf = np.arange(float(_TILE)), np.empty(_TILE), np.empty(_TILE)
-    for start in range(0, m, _TILE):
+    tile = min(m, _TILE)
+    group = _TILE // tile
+    blocks = np.empty((halves.size, m // block))
+    ramp, pi_v = np.arange(float(tile)), np.empty(tile)
+    buf = np.empty((min(group, halves.size), tile))
+    for start in range(0, m, tile):
         _lattice_points(np.add(ramp, start, out=pi_v), m, np.pi, out=pi_v)
-        at = slice(start // _BLOCK, start // _BLOCK + per)
-        for row, half in enumerate(halves):
-            blocks[row, at] = _fejer_terms(half, pi_v, out=buf).reshape(per, _BLOCK).sum(axis=1)
-    blocks += _BLOCK
+        at = slice(start // block, (start + tile) // block)
+        for first in range(0, halves.size, group):
+            part = halves[first : first + group, None]
+            terms = _fejer_terms(part, pi_v, out=buf[: part.size])
+            blocks[first : first + group, at] = terms.reshape(part.size, -1, block).sum(axis=2)
+    blocks += block
     blocks *= num[:, None]
     return blocks
 
@@ -548,17 +553,8 @@ def sample_linear_phase(spec: GridSpec, coeffs, reps, rng: np.random.Generator) 
     takes row after row, so the two draw the same points but where their
     inversions round apart.  Every (row, axis) pair's law comes from one tile
     kernel (:func:`_fejer_terms`), formed at its peak (:func:`_fejer_peaks`);
-    an exact hit is a point mass, drawn without a law.
-
-    - An axis of at most one tile (m <= _TILE) evaluates the laws of as many
-      pairs as fill one tile as one table, mass-checks each, and inverts all
-      their draws with one :func:`_draw_in_rows` call per tile.
-    - A wider axis streams each law in tiles into masses of blocks of _BLOCK
-      entries (:func:`_fejer_blocks`) and mass-checks them.  One
-      :func:`_draw_in_rows` inverts every draw's block mass and gives the
-      fraction where its uniform fell within the block's step; only the
-      blocks hit are evaluated again, a few at a time, and each draw is
-      inverted within its block with that fraction.
+    an exact hit is a point mass, drawn without a law, and every other law
+    is drawn by one two-level inversion (:func:`_draw_two_level`).
 
     The coefficient count and the per-axis walls are checked before any draw.
     No state and no lattice-sized array is built.
@@ -577,8 +573,7 @@ def sample_linear_phase(spec: GridSpec, coeffs, reps, rng: np.random.Generator) 
         live = num > 0.0
         mine = np.flatnonzero(live[which])
         rows = (np.cumsum(live) - 1)[which[mine]]
-        draw = _draw_tables if m <= _TILE else _draw_streamed
-        idx[mine] = draw(halves[live], num[live], m, rows, u[mine])
+        idx[mine] = _draw_two_level(halves[live], num[live], m, rows, u[mine])
     pair_start = np.cumsum(pair_counts) - pair_counts
     row_start = np.cumsum(counts) - counts
     point = row_start[which // d] + np.arange(which.size) - pair_start[which]
@@ -587,45 +582,33 @@ def sample_linear_phase(spec: GridSpec, coeffs, reps, rng: np.random.Generator) 
     return _lattice_points(out, m)
 
 
-def _draw_tables(
+def _draw_two_level(
     halves: np.ndarray, num: np.ndarray, m: int, rows: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
-    """Indices drawn by ``u`` from the laws ``rows`` names, on an axis of at most one tile.
+    """Indices drawn by ``u`` from the laws ``rows`` names, a block first, then within it.
 
-    ``rows`` is sorted; the laws go _TILE // m to a table.
+    The laws' masses of blocks of 2^ceil(log2(m)/2) entries, about sqrt(m)
+    (4 at m = 8, 2^10 at m = 2^20), are mass-checked, and one
+    :func:`_draw_in_rows` inverts every draw's block mass and gives where its
+    uniform fell within the block's step; only the blocks hit are evaluated
+    again, _HIT_ENTRIES entries at a time, and each draw is inverted within
+    its block by that fraction.
     """
-    pi_v = _lattice_points(np.arange(m), m, np.pi)
-    per = _TILE // m
-    out = np.empty(rows.size, dtype=np.int64)
-    for first in range(0, halves.size, per):
-        laws = _fejer_laws(halves[first : first + per], num[first : first + per], pi_v)
-        _check_mass(laws.sum(axis=1), m)
-        lo, hi = np.searchsorted(rows, [first, first + per])
-        out[lo:hi] = _draw_in_rows(laws, rows[lo:hi] - first, u[lo:hi])
-    return out
-
-
-def _draw_streamed(
-    halves: np.ndarray, num: np.ndarray, m: int, rows: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """Indices drawn by ``u`` from the laws ``rows`` names, on an axis wider than one tile.
-
-    The block masses are inverted first; the blocks hit are evaluated again,
-    _HIT_BLOCKS at a time, and each draw is inverted within its block.
-    """
-    masses = _fejer_blocks(halves, num, m)
+    block = 1 << (m.bit_length() // 2)
+    masses = _fejer_blocks(halves, num, m, block)
     _check_mass(masses.sum(axis=1), m)
     blocks, frac = _draw_in_rows(masses, rows, u, fractions=True)
     hits, at = np.unique(rows * masses.shape[1] + blocks, return_inverse=True)
     hit_row, hit_block = np.divmod(hits, masses.shape[1])
     out = np.empty(rows.size, dtype=np.int64)
-    for first in range(0, hits.size, _HIT_BLOCKS):
-        part = slice(first, first + _HIT_BLOCKS)
-        entries = hit_block[part, None] * _BLOCK + np.arange(_BLOCK)
+    per = _HIT_ENTRIES // block
+    for first in range(0, hits.size, per):
+        part = slice(first, first + per)
+        entries = hit_block[part, None] * block + np.arange(block)
         pi_v = _lattice_points(entries, m, np.pi)
         laws = _fejer_laws(halves[hit_row[part]], num[hit_row[part]], pi_v)
-        mine = np.flatnonzero((at >= first) & (at < first + _HIT_BLOCKS))
-        out[mine] = hit_block[at[mine]] * _BLOCK + _draw_in_rows(laws, at[mine] - first, frac[mine])
+        mine = np.flatnonzero((at >= first) & (at < first + per))
+        out[mine] = hit_block[at[mine]] * block + _draw_in_rows(laws, at[mine] - first, frac[mine])
     return out
 
 
@@ -658,8 +641,8 @@ def _column_masses(x: np.ndarray) -> np.ndarray:
     return sq[0::2] + sq[1::2]
 
 
-def _unit_factors(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """e^{2i*h} for a float array of half-angles ``h``, into ``out`` (complex, h's shape).
+def _unit_factors(h: np.ndarray) -> np.ndarray:
+    """e^{2i*h} for a float array of half-angles ``h``, as a complex array of h's shape.
 
     With t = tan h and q = 2/(1 + t^2): cos 2h = q - 1 and sin 2h = t*q.
     numpy's float64 tangent is vectorised where its cos and sin are not, and
@@ -667,11 +650,10 @@ def _unit_factors(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     fill over 2^16 points took 1.08 ms by cos/sin and 0.44 ms this way, on an
     AVX-512 host.  Each entry lies within 4.0e-16 of ``np.exp(2j*h)`` and its
     modulus within 4.4e-16 of 1, for |2h| up to 1e9; it depends on its own
-    half-angle alone, so a table filled in parts has the bits of one call.
-    ``h`` is overwritten with t.
+    half-angle alone, so calls on parts have the bits of one call.  ``h`` is
+    overwritten with t.
     """
-    if out is None:
-        out = np.empty(h.shape, dtype=complex)
+    out = np.empty(h.shape, dtype=complex)
     t = np.tan(h, out=h)
     q = out.real
     np.multiply(t, t, out=q)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qmeanlab.checks import as_integer, as_real, check_array_bytes
+from qmeanlab.checks import as_integer, as_real, check_array_bytes, unique_keys
 
 _PROB_SUM_TOL = 1e-12
 _PARSE_SUM_TOL = 1e-9
@@ -217,7 +217,7 @@ def parse_distribution_spec(text: str) -> RandomVariable:
     any other sum is rejected.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not a valid JSON document: {exc}") from exc
     if not isinstance(doc, dict):

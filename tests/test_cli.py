@@ -181,6 +181,32 @@ class TestSweep:
         assert main(["sweep", "--config", str(config_path)]) == 2
         assert "trails" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"rv": {"battery": {"name": "ball", "d": 2}}, "estimator": "classical",'
+             ' "trials": 2, "trials": 3, "seed": 0, "n": 8}', "trials"),
+            ('{"rv": {"inline": {"d": 1, "d": 2, "prob": [1.0], "values": [[0.25, 0.5]]}},'
+             ' "estimator": "classical", "trials": 1, "seed": 0, "n": 8}', "d"),
+            ('{"rv": {"file": "spec.json"}, "estimator": "classical", "trials": 1, "seed": 0,'
+             ' "n": 8}', "d"),
+            ('{"rv": {"hard": {"family": "low", "params": {"n": 4, "n": 8, "d": 16}}},'
+             ' "estimator": "classical", "trials": 1, "seed": 0, "n": 8}', "n"),
+        ],
+        ids=["trials", "inline-d", "file-d", "hard-params-n"],
+    )
+    def test_repeated_json_key_exits_2(self, tmp_path, capsys, text, key):
+        # plain json.loads would keep the last value: 3 trials, d = 2, n = 8
+        (tmp_path / "spec.json").write_text(
+            '{"d": 1, "d": 2, "prob": [1.0], "values": [[0.25, 0.5]]}', encoding="utf-8"
+        )
+        config_path = tmp_path / "twice.json"
+        config_path.write_text(text, encoding="utf-8")
+        assert main(["sweep", "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: JSON key {key!r} given twice\n"
+
     def test_fixed_n_with_nprime_grid(self, tmp_path, capsys):
         config_doc = {
             "rv": {"battery": {"name": "ball", "d": 2, "scale": 0.25}},

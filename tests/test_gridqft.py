@@ -522,8 +522,45 @@ class TestLinearPhaseSampler:
             assert np.array_equal(pts, reference), f"m={m} seed={seed}"
             assert drawn_rng.bit_generator.state == rng.bit_generator.state
 
+    @pytest.mark.parametrize("m, d, rows", [(8, 4, 2**12), (2048, 16, 64)])
+    def test_laws_over_many_tile_passes_are_drawn_draw_for_draw(self, m, d, rows):
+        # more live (row, axis) pairs than one tile pass holds (2^13 laws of
+        # 8 points, 32 of 2048) and more hit blocks than one batch: still the
+        # points of sample_marginals(linear_phase_marginals(...)) row after
+        # row, with exact hits among the rows, and the generator ends where
+        # they leave it
+        spec = GridSpec(m=m, d=d)
+        block = np.random.default_rng(m).uniform(-4.0, 4.0, (rows, d)) * m
+        block[::7, 1] = 2 * np.pi * m * grid_axis_points(m)[m // 3]
+        counts = np.random.default_rng(d).integers(1, 6, rows)
+        rng = np.random.default_rng(1)
+        reference = np.concatenate([
+            gridqft.sample_marginals(linear_phase_marginals(spec, c), n, rng)
+            for c, n in zip(block, counts)
+        ])
+        drawn_rng = np.random.default_rng(1)
+        pts = gridqft.sample_linear_phase(spec, block, counts, drawn_rng)
+        assert np.array_equal(pts, reference)
+        assert drawn_rng.bit_generator.state == rng.bit_generator.state
+
+    def test_blocks_are_2_to_the_half_log_m_rounded_up(self, monkeypatch):
+        # the block masses of one law at every m = 2 .. 2^20: 2 entries a block
+        # up to m = 4 (one block at m = 2), 4 at 8, 2^9 at 2^17 and 2^18, 2^10 at 2^20
+        widths = []
+        fejer_blocks = gridqft._fejer_blocks
+
+        def caught(halves, num, m, block):
+            masses = fejer_blocks(halves, num, m, block)
+            widths.append(m // masses.shape[1])
+            return masses
+
+        monkeypatch.setattr(gridqft, "_fejer_blocks", caught)
+        for k in range(1, 21):
+            gridqft.sample_linear_phase(GridSpec(m=2**k, d=1), [0.3 * 2**k], 4, np.random.default_rng(k))
+        assert widths == [2 ** math.ceil(k / 2) for k in range(1, 21)]
+
     def test_an_exact_hit_is_a_point_mass(self):
-        # a hit axis draws its peak every time at both widths, a tile's and a streamed one
+        # a hit axis draws its peak every time, on an axis of one tile and on a wider one
         for m in (2**10, 2**17):
             b = m // 5
             rows = np.array([[2 * np.pi * m * grid_axis_points(m)[b], 0.3 * m]])
@@ -564,14 +601,17 @@ def draw_indices_reference(p: np.ndarray, reps: int, rng: np.random.Generator) -
 @st.composite
 def row_tables(draw):
     """A (G, width) table of masses, some of them 0, each row with positive mass,
-    and the rows that a batch of entries names.
+    the rows that a batch of entries names, and the block of a two-level draw on
+    an axis of m = 2^k points, 2^ceil(k/2) entries (2 at m <= 4).
 
-    Narrow rows draw every mass.  Rows wider than one block (``gridqft._BLOCK``)
-    draw a few masses over zeros, at any entry or at an edge (the first and last
-    entry of the row and of each block), so they hold zero-mass blocks and
-    point masses at the edges of blocks and rows.
+    Narrow rows draw every mass.  Other rows, up to three blocks wide, draw a
+    few masses over zeros, at any entry or at an edge (the first and last entry
+    of the row and of each block), so they hold zero-mass blocks and point
+    masses at the edges of blocks and rows; a row of at most one block is the
+    one-block case.
     """
     rows = draw(st.integers(1, 6))
+    block = 2 ** math.ceil(draw(st.integers(1, 20)) / 2)
     mass = st.floats(1e-300, 1e300)
     if draw(st.booleans()):
         width = draw(st.integers(1, 64))
@@ -581,8 +621,7 @@ def row_tables(draw):
             min_size=rows, max_size=rows,
         )))
     else:
-        block = gridqft._BLOCK
-        width = draw(st.integers(block + 1, 3 * block))
+        width = draw(st.integers(1, 3 * block))
         edges = sorted({e for k in range(0, width, block) for e in (k, min(k + block, width) - 1)})
         entry = st.one_of(st.sampled_from(edges), st.integers(0, width - 1))
         p = np.zeros((rows, width))
@@ -590,7 +629,7 @@ def row_tables(draw):
             for at, value in draw(st.lists(st.tuples(entry, mass), min_size=1, max_size=6)):
                 row[at] = value
     which = np.array(draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=200)))
-    return p, which
+    return p, which, block
 
 
 def edge_uniforms(size: int, seed: int) -> np.ndarray:
@@ -608,11 +647,11 @@ class TestOneCdfInversion:
     @settings(deadline=None, max_examples=200)
     @given(case=row_tables(), seed=st.integers(0, 2**32 - 1))
     def test_every_draw_lands_on_positive_mass_in_its_own_row(self, case, seed):
-        # at both levels of a streamed draw: the rows cut into blocks of
-        # _BLOCK entries (the last one padded with zeros), each draw inverted
-        # among its row's block masses and then, by its fraction, within the
-        # block it hit; a clamped draw never reaches a zero-mass entry or block
-        p, which = case
+        # at both levels of a two-level draw: the rows cut into blocks (the
+        # last one padded with zeros), each draw inverted among its row's
+        # block masses and then, by its fraction, within the block it hit; a
+        # clamped draw never reaches a zero-mass entry or block
+        p, which, block = case
         u = edge_uniforms(which.size, seed)
         out, frac = gridqft._draw_in_rows(p, which, u, fractions=True)
         assert out.shape == frac.shape == which.shape
@@ -620,7 +659,6 @@ class TestOneCdfInversion:
         assert np.all(p[which, out] > 0)
         assert np.all((0.0 <= frac) & (frac <= 1.0))
         assert np.array_equal(gridqft._draw_in_rows(p, which, u), out)
-        block = gridqft._BLOCK
         blocks = -(-p.shape[1] // block)
         padded = np.zeros((p.shape[0], blocks * block))
         padded[:, : p.shape[1]] = p
@@ -1041,19 +1079,20 @@ class TestUnitFactors:
     def test_overwrites_the_half_angles_with_their_tangents(self):
         h = np.random.default_rng(3).uniform(-np.pi, np.pi, 257)
         work = h.copy()
-        out = np.empty(h.size, dtype=complex)
-        assert gridqft._unit_factors(work, out) is out
+        z = gridqft._unit_factors(work)
+        assert z.shape == h.shape and z.dtype == complex
         assert work.tobytes() == np.tan(h).tobytes()
 
     def test_parts_have_the_bits_of_one_call(self):
-        # each entry depends on its own half-angle only: a table filled in
-        # uneven parts, through views of it, has the bits of one call
+        # each entry depends on its own half-angle only: calls on uneven
+        # parts, concatenated, have the bytes of one call
         h = np.random.default_rng(4).uniform(-4.0, 4.0, 1001)
         whole = gridqft._unit_factors(h.copy())
-        table, work = np.empty(h.size, dtype=complex), h.copy()
-        for part in (slice(0, 1), slice(1, 500), slice(500, 501), slice(501, 1001)):
-            gridqft._unit_factors(work[part], table[part])
-        assert table.tobytes() == whole.tobytes()
+        parts = [
+            gridqft._unit_factors(h[part].copy())
+            for part in (slice(0, 1), slice(1, 500), slice(500, 501), slice(501, 1001))
+        ]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
 class TestPhaseEstimationConcentration:

@@ -394,6 +394,11 @@ class TestDistributionSpecIO:
         with pytest.raises(ValueError, match="field 'prob'"):
             parse_distribution_spec(f'{{"d": 1, "prob": [{huge}], "values": [[0.5]]}}')
 
+    def test_rejects_a_repeated_key(self):
+        # plain json.loads would keep the last: d = 2
+        with pytest.raises(ValueError, match="^JSON key 'd' given twice$"):
+            parse_distribution_spec('{"d": 1, "d": 2, "prob": [1.0], "values": [[1, 0]]}')
+
     def test_rejects_missing_field(self):
         with pytest.raises(ValueError, match="'values'"):
             parse_distribution_spec('{"d": 1, "prob": [1.0]}')

@@ -13,14 +13,13 @@ first line can stay put while the laws behind it change.  The second line
 gives one sha256 over the raw bytes of five kinds of those laws, in the order
 the cases reach them: every distinct noise table the cases perturb with,
 redrawn by the uncached ``_deviation_table.__wrapped__`` at its first use;
-in the ideal rounds, every table of closed-form laws (``gridqft._fejer_laws``:
-the whole laws of an axis of at most one tile, and the blocks hit on a wider
-one) and every table of block masses of a streamed axis
-(``gridqft._fejer_blocks``); and, in the perturbed rounds, every
-last-coordinate marginal of a direct transform (the column masses of
-``gridqft._last_axis_columns``) and every table of last-coordinate marginals
-of the autocorrelation route (``gridqft._last_axis_marginals``).  A change
-that must keep those laws' bits prints the same second line as its parent.
+in the ideal rounds, every table of block masses (``gridqft._fejer_blocks``)
+and every table of the blocks hit (``gridqft._fejer_laws``); and, in the
+perturbed rounds, every last-coordinate marginal of a direct transform (the
+column masses of ``gridqft._last_axis_columns``) and every table of
+last-coordinate marginals of the autocorrelation route
+(``gridqft._last_axis_marginals``).  A change that must keep those laws'
+bits prints the same second line as its parent.
 
 The cases, each under three noises (ideal, perturbed (0.05, 0.01) and
 perturbed (0.5, 0.6), noise seed offset as the CLI's) and trial seeds 0-2:
@@ -196,7 +195,7 @@ def _hash_laws(laws) -> list[int]:
 
     Each distinct noise table is redrawn by the uncached function when the
     cases first use it; every other law is taken as it is built.  Returns the
-    counts [noise tables, closed-form law tables, block-mass tables,
+    counts [noise tables, hit-block law tables, block-mass tables,
     last-axis masses, autocorrelation marginal tables], updated as the cases
     run.
     """
@@ -269,7 +268,7 @@ def main() -> int:
                 digest.update((json.dumps(doc, sort_keys=True) + "\n").encode())
     print(f"{reports + refusals} documents ({reports} reports, {refusals} refusals)"
           f" sha256 {digest.hexdigest()}")
-    print(f"{counts[0]} noise tables, {counts[1]} closed-form law tables, {counts[2]} block-mass"
+    print(f"{counts[0]} noise tables, {counts[1]} hit-block law tables, {counts[2]} block-mass"
           f" tables, {counts[3]} last-axis masses and {counts[4]} autocorrelation marginal tables"
           f" sha256 {laws.hexdigest()}")
     instances = hashlib.sha256()
